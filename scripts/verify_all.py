@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run every verification subcommand at a small, fast scale.
 
-Exit code is the number of failed checks, so CI can gate on zero. Pass
---n / --trials / --seed to rescale; the defaults finish in well under a
-minute.
+Also runs the Orlicz path (`compare --phi`, `maximal --phi`). Exit code is
+the number of failed checks, so CI can gate on zero; a check fails when its
+command exits nonzero or raises. Pass --n / --trials / --seed to rescale;
+the defaults finish in well under a minute.
 """
 
 import argparse
 import sys
+import traceback
 
 from entbump.cli import run
 
@@ -28,16 +30,23 @@ def main() -> int:
         ["domination", "--n", n, "--trials", trials, "--seed", seed],
         ["replay", "--n", n, "--trials", trials, "--seed", seed],
         ["sparse-split", "--n", n, "--seed", seed],
+        ["compare", "--n", n, "--seed", seed, "--phi", "llog:0.5"],
+        ["maximal", "--n", n, "--seed", seed, "--phi", "dlr:0.25"],
     ]
     failures = []
     for argv in jobs:
         print(f"$ entbump {' '.join(argv)}")
-        code = run(argv)
-        if code != 0:
-            failures.append((argv[0], code))
+        try:
+            code = run(argv)
+        except Exception:
+            traceback.print_exc()
+            failures.append(f"{argv[0]} (raised)")
+        else:
+            if code != 0:
+                failures.append(f"{argv[0]} (exit {code})")
         print()
     if failures:
-        print("failed:", ", ".join(f"{name} (exit {code})" for name, code in failures))
+        print("failed:", ", ".join(failures))
     else:
         print(f"all {len(jobs)} checks passed")
     return len(failures)

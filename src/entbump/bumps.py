@@ -336,80 +336,93 @@ def entropy_norm(
     return avg * factor * eps(r)
 
 
+def _level_orlicz(blocks: np.ndarray, phi, tol: float) -> np.ndarray:
+    """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
+    ``blocks``, one row per cube of a level.
+
+    Each row takes the same steps a one-cube solve would: zero-mean rows give
+    0; the bracket grows or shrinks geometrically from lam0 = <w>_Q (at most
+    60 doublings each way, with lam0 kept as the other end); bisection runs
+    to machine bracket width, a row freezing at its last midpoint once
+    hi - lo <= 4e-16 hi; and every row is certified by
+    |<Phi(w/lam)>_Q - 1| <= tol. All active rows share one Phi call per step.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lam0 = np.mean(blocks, axis=1)
+    out = np.zeros(len(blocks))
+    live = np.flatnonzero(lam0 != 0.0)
+    if live.size == 0:
+        return out
+    blocks, lam0 = blocks[live], lam0[live]
+    every = np.arange(live.size)
+
+    def phi_mean(rows, lam):
+        sel = blocks if rows.size == every.size else blocks[rows]
+        with np.errstate(over="ignore"):
+            return np.mean(phi(sel / lam[:, None]), axis=1)
+
+    # Rows above the unit mean double hi, the others halve lo; lam0 stays the
+    # other end of the bracket.
+    m_prev = phi_mean(every, lam0)
+    up = m_prev > 1.0
+    probe = lam0.copy()
+    unbracketed = every
+    for _ in range(60):
+        rising = up[unbracketed]
+        probe[unbracketed] *= np.where(rising, 2.0, 0.5)
+        m = phi_mean(unbracketed, probe[unbracketed])
+        prev = m_prev[unbracketed]
+        if np.any(np.where(rising, m > prev * (1.0 + 1e-9),
+                           (m < prev * (1.0 - 1e-9)) & (m < 1.0))):
+            raise InvalidSpecError("Phi-mean is not decreasing in lambda")
+        m_prev[unbracketed] = m
+        unbracketed = unbracketed[~np.where(rising, m <= 1.0, m >= 1.0)]
+        if unbracketed.size == 0:
+            break
+    else:
+        side = "above" if up[unbracketed[0]] else "below"
+        raise BracketingError(f"could not bracket the unit Phi-mean from {side}")
+    lo = np.where(up, lam0, probe)
+    hi = np.where(up, probe, lam0)
+
+    # Bisect all the way to machine bracket width; tol only certifies the
+    # result, it never loosens it.
+    mid = np.empty_like(lo)
+    active = every
+    for _ in range(200):
+        mid[active] = 0.5 * (lo[active] + hi[active])
+        active = active[hi[active] - lo[active] > 4e-16 * hi[active]]
+        if active.size == 0:
+            break
+        above = phi_mean(active, mid[active]) > 1.0
+        lo[active[above]] = mid[active[above]]
+        hi[active[~above]] = mid[active[~above]]
+    gap = np.abs(phi_mean(every, mid) - 1.0)
+    if np.any(gap > tol):
+        raise BracketingError(
+            f"bisection stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol"
+        )
+    out[live] = mid
+    return out
+
+
 def orlicz_norm(
     w: GridFunction,
     cube: DyadicCube,
     phi: OrliczSpec,
     tol: float = 1e-10,
 ) -> float:
-    """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} by bisection.
+    """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of w on one cube.
 
-    The bracket grows or shrinks geometrically from lam0 = <w>_Q (at most 60
-    doublings each way); bisection then runs to machine bracket width, and
-    the result is certified by |<Phi(w/lam)>_Q - 1| <= tol. Identically-zero
-    w on Q gives 0.
+    A one-row call of the level solver ``_level_orlicz``: geometric
+    bracketing from lam0 = <w>_Q, bisection to machine bracket width, and the
+    certificate |<Phi(w/lam)>_Q - 1| <= tol, checked before the value is
+    returned (BracketingError otherwise). Identically-zero w on Q gives 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
-    vals = w.values[a:b]
-    lam0 = float(np.mean(vals))
-    if lam0 == 0.0:
-        return 0.0
-
-    def phi_mean(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.mean(phi(vals / lam)))
-
-    m0 = phi_mean(lam0)
-    if m0 > 1.0:
-        lo, m_lo = lam0, m0
-        hi = lam0
-        m_prev = m0
-        for _ in range(60):
-            hi *= 2.0
-            m_hi = phi_mean(hi)
-            if m_hi > m_prev * (1.0 + 1e-9):
-                raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-            m_prev = m_hi
-            if m_hi <= 1.0:
-                break
-        else:
-            raise BracketingError("could not bracket the unit Phi-mean from above")
-    else:
-        hi, m_hi = lam0, m0
-        lo = lam0
-        m_prev = m0
-        for _ in range(60):
-            lo *= 0.5
-            m_lo = phi_mean(lo)
-            if m_lo < m_prev * (1.0 - 1e-9) and m_lo < 1.0:
-                raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-            m_prev = m_lo
-            if m_lo >= 1.0:
-                break
-        else:
-            raise BracketingError("could not bracket the unit Phi-mean from below")
-
-    # Bisect all the way to machine bracket width; tol only certifies the
-    # result, it never loosens it.
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4e-16 * hi:
-            break
-        m = phi_mean(mid)
-        if m > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    m = phi_mean(mid)
-    if abs(m - 1.0) > tol:
-        raise BracketingError(
-            f"bisection stalled with |Phi-mean - 1| = {abs(m - 1.0):.3e} > tol"
-        )
-    return mid
+    return float(_level_orlicz(w.values[a:b][None, :], phi, tol)[0])
 
 
 def _paint_max(resolution: int, per_level: list) -> np.ndarray:
@@ -469,17 +482,18 @@ def m_entropy(
 
 def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFunction:
     """Orlicz maximal function: per cell, sup of orlicz_norm over all dyadic
-    cubes containing it."""
+    cubes containing it.
+
+    One ``_level_orlicz`` call per level solves all 2^l cubes of level l at
+    once on the (2^l, 2^(n-l)) view of w; every cube's certificate
+    |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so a level with
+    one uncertified cube raises BracketingError.
+    """
     require_weight(w)
-    per_level = []
-    for level in range(w.resolution + 1):
-        vals = np.array(
-            [
-                orlicz_norm(w, DyadicCube(level, j), phi, tol=tol)
-                for j in range(1 << level)
-            ]
-        )
-        per_level.append(vals)
+    per_level = [
+        _level_orlicz(w.values.reshape(1 << level, -1), phi, tol)
+        for level in range(w.resolution + 1)
+    ]
     return GridFunction(w.resolution, _paint_max(w.resolution, per_level))
 
 

@@ -168,3 +168,78 @@ def mp_k_epsilon(name, params, tol=1e-12, max_terms=128, scale="tower"):
         if term < tol:
             break
     return float(total), used
+
+
+def brute_orlicz_norm(values, level, index, resolution, phi, tol=1e-10):
+    """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of one cube, solved
+    on its own: geometric bracketing from lam0 = <w>_Q (at most 60 doublings
+    each way), scalar bisection to machine bracket width, then the
+    certificate |<Phi(w/lam)>_Q - 1| <= tol. Zero w on Q gives 0."""
+    from entbump.errors import BracketingError, InvalidSpecError
+
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    width = 1 << (resolution - level)
+    vals = np.asarray(values, dtype=np.float64)[index * width : (index + 1) * width]
+    lam0 = float(np.mean(vals))
+    if lam0 == 0.0:
+        return 0.0
+
+    def phi_mean(lam):
+        with np.errstate(over="ignore"):
+            return float(np.mean(phi(vals / lam)))
+
+    m0 = phi_mean(lam0)
+    if m0 > 1.0:
+        lo, hi, m_prev = lam0, lam0, m0
+        for _ in range(60):
+            hi *= 2.0
+            m_hi = phi_mean(hi)
+            if m_hi > m_prev * (1.0 + 1e-9):
+                raise InvalidSpecError("Phi-mean is not decreasing in lambda")
+            m_prev = m_hi
+            if m_hi <= 1.0:
+                break
+        else:
+            raise BracketingError("could not bracket the unit Phi-mean from above")
+    else:
+        lo, hi, m_prev = lam0, lam0, m0
+        for _ in range(60):
+            lo *= 0.5
+            m_lo = phi_mean(lo)
+            if m_lo < m_prev * (1.0 - 1e-9) and m_lo < 1.0:
+                raise InvalidSpecError("Phi-mean is not decreasing in lambda")
+            m_prev = m_lo
+            if m_lo >= 1.0:
+                break
+        else:
+            raise BracketingError("could not bracket the unit Phi-mean from below")
+
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 4e-16 * hi:
+            break
+        if phi_mean(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    m = phi_mean(mid)
+    if abs(m - 1.0) > tol:
+        raise BracketingError(
+            f"bisection stalled with |Phi-mean - 1| = {abs(m - 1.0):.3e} > tol"
+        )
+    return mid
+
+
+def brute_m_orlicz(values, resolution, phi, tol=1e-10):
+    """Orlicz maximal function per cell: the max of brute_orlicz_norm over
+    the cell's ancestor cubes, each cube solved once."""
+    norms = [
+        [brute_orlicz_norm(values, level, j, resolution, phi, tol) for j in range(1 << level)]
+        for level in range(resolution + 1)
+    ]
+    return np.array([
+        max(norms[level][cell >> (resolution - level)] for level in range(resolution + 1))
+        for cell in range(1 << resolution)
+    ])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entbump import (
@@ -26,7 +26,7 @@ from entbump import (
 )
 from entbump.grid import average
 
-from oracles import mp_k_epsilon
+from oracles import brute_m_orlicz, brute_orlicz_norm, mp_k_epsilon
 
 LOG2_3 = math.log2(3.0)
 
@@ -326,6 +326,106 @@ class TestMOrlicz:
         got = m_orlicz(w, OrliczSpec.power(1.0))
         ref = dyadic_maximal(w)
         np.testing.assert_allclose(got.values, ref.values, rtol=1e-12)
+
+
+ORACLE_PHIS = ("power:2", "power:0.5", "llog:0.5", "dlr:0.25", "logprod:e1=1,e2=0.5")
+
+
+class TestOrliczLevelSolver:
+    """The per-level vectorized solve against the one-cube scalar oracle."""
+
+    @given(
+        st.integers(0, 6),
+        st.sampled_from(ORACLE_PHIS),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @example(0, "llog:0.5", 0, False)
+    @example(0, "dlr:0.25", 0, True)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_oracle_bit_for_bit(self, n, text, seed, zero_block):
+        rng = np.random.default_rng(seed)
+        vals = np.exp(rng.normal(0.0, 3.0, 1 << n))
+        if zero_block:
+            # a vacuous cube, and everything below it
+            level = int(rng.integers(0, n + 1))
+            width = 1 << (n - level)
+            a = int(rng.integers(0, 1 << level)) * width
+            vals[a : a + width] = 0.0
+        phi = OrliczSpec.parse(text)
+        w = GridFunction(n, vals)
+        np.testing.assert_array_equal(m_orlicz(w, phi).values, brute_m_orlicz(vals, n, phi))
+        level = int(rng.integers(0, n + 1))
+        index = int(rng.integers(0, 1 << level))
+        got = orlicz_norm(w, DyadicCube(level, index), phi)
+        assert got == brute_orlicz_norm(vals, level, index, n, phi)
+
+    def test_all_zero_weight(self):
+        w = GridFunction(3, np.zeros(8))
+        assert list(m_orlicz(w, OrliczSpec.llog(0.5)).values) == [0.0] * 8
+
+    def test_constant_phi_cannot_bracket(self):
+        w = GridFunction(3, np.arange(1.0, 9.0))
+
+        def two(t):
+            return np.full_like(t, 2.0)
+
+        with pytest.raises(BracketingError):
+            orlicz_norm(w, DyadicCube(1, 1), two)
+        with pytest.raises(BracketingError):
+            m_orlicz(w, two)
+        with pytest.raises(BracketingError):
+            brute_orlicz_norm(w.values, 1, 1, 3, two)
+
+    def test_bracket_limit_is_sixty_doublings(self):
+        # Phi(t) = c t has Luxemburg norm c <w>_Q, reached after log2(c)
+        # doublings (or halvings) from lam0 = <w>_Q
+        w = GridFunction(2, [1.0, 2.0, 3.0, 6.0])
+        for k in (60, -60):
+            c = 2.0**k
+            assert orlicz_norm(w, ROOT, lambda t: c * t) == pytest.approx(3.0 * c, rel=1e-15)
+        for k in (61, -61):
+            c = 2.0**k
+            with pytest.raises(BracketingError, match="bracket"):
+                orlicz_norm(w, ROOT, lambda t: c * t)
+            with pytest.raises(BracketingError, match="bracket"):
+                brute_orlicz_norm(w.values, 0, 0, 2, lambda t: c * t)
+
+    def test_step_phi_fails_the_certificate(self):
+        # brackets fine, but the Phi-mean jumps from 0 to 2 across lam = 1
+        w = GridFunction(2, np.ones(4))
+
+        def step(t):
+            return np.where(t < 1.0, 0.0, 2.0)
+
+        with pytest.raises(BracketingError, match="stalled"):
+            orlicz_norm(w, ROOT, step)
+        with pytest.raises(BracketingError, match="stalled"):
+            m_orlicz(w, step)
+        with pytest.raises(BracketingError, match="stalled"):
+            brute_orlicz_norm(w.values, 0, 0, 2, step)
+
+    def test_increasing_phi_mean_is_invalid(self):
+        # <Phi(w/lam)> = lam * <1/w> grows with lam
+        def reciprocal(t):
+            return 1.0 / t
+
+        for vals in (np.arange(1.0, 9.0), np.ones(8)):
+            w = GridFunction(3, vals)
+            with pytest.raises(InvalidSpecError):
+                orlicz_norm(w, ROOT, reciprocal)
+            with pytest.raises(InvalidSpecError):
+                m_orlicz(w, reciprocal)
+            with pytest.raises(InvalidSpecError):
+                brute_orlicz_norm(vals, 0, 0, 3, reciprocal)
+
+    def test_nonpositive_tol(self):
+        phi = OrliczSpec.llog(0.5)
+        for vals in (np.arange(1.0, 9.0), np.zeros(8)):
+            with pytest.raises(ValueError):
+                m_orlicz(GridFunction(3, vals), phi, tol=0)
+            with pytest.raises(ValueError):
+                orlicz_norm(GridFunction(3, vals), ROOT, phi, tol=0)
 
 
 class TestMCoeff:

@@ -301,3 +301,32 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0
     assert "RESULT: PASS" in proc.stdout
+
+
+def _load_verify_all():
+    import importlib.util
+
+    path = PYPROJECT.parent / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
+    module = _load_verify_all()
+    seen = []
+
+    def fake_run(argv):
+        seen.append(argv)
+        if argv[0] == "maximal":
+            raise RuntimeError("boom")
+        return 1 if argv[0] == "replay" else 0
+
+    monkeypatch.setattr(module, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--n", "3", "--trials", "2"])
+    assert module.main() == 2
+    out = capsys.readouterr().out
+    assert "failed: replay (exit 1), maximal (raised)" in out
+    orlicz = [argv for argv in seen if "--phi" in argv]
+    assert [argv[0] for argv in orlicz] == ["compare", "maximal"]
