@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification subcommand at a small, fast scale.
 
-Also runs the Orlicz path (`compare --phi`, `maximal --phi`). Exit code is
+Also runs the Orlicz path (`compare --phi`, `maximal --phi`) and
+`sparse-split` at the n = 18 resolution cap. Exit code is
 the number of failed checks, so CI can gate on zero; a check fails when its
 command exits nonzero or raises. Pass --n / --trials / --seed to rescale;
 the defaults finish in well under a minute.
@@ -30,6 +31,7 @@ def main() -> int:
         ["domination", "--n", n, "--trials", trials, "--seed", seed],
         ["replay", "--n", n, "--trials", trials, "--seed", seed],
         ["sparse-split", "--n", n, "--seed", seed],
+        ["sparse-split", "--n", "18", "--seed", seed],
         ["compare", "--n", n, "--seed", seed, "--phi", "llog:0.5"],
         ["maximal", "--n", n, "--seed", seed, "--phi", "dlr:0.25"],
     ]

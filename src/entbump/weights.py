@@ -232,12 +232,8 @@ def power_weight(s: float, resolution: int) -> GridFunction:
     return GridFunction(resolution, values)
 
 
-def a1_generator(g: GridFunction, s: float, seed=None) -> GridFunction:
-    """(M|g|)^s, an A1 weight for 0 < s < 1.
-
-    Deterministic given (g, s); the seed parameter is accepted for harness
-    bookkeeping only.
-    """
+def a1_generator(g: GridFunction, s: float) -> GridFunction:
+    """(M|g|)^s, an A1 weight for 0 < s < 1, deterministic given (g, s)."""
     if not 0.0 < s < 1.0:
         raise InvalidWeightError(f"exponent must be in (0, 1), got {s}")
     if not np.any(g.values != 0):

@@ -111,6 +111,112 @@ def brute_sparse_apply(cubes, f_values, resolution):
     return out
 
 
+def loop_bilinear(cubes, favg, gavg):
+    """sum of |Q| favg_Q gavg_Q, added one cube at a time in the given order,
+    from per-level average arrays."""
+    total = 0.0
+    for level, index in cubes:
+        total += 2.0 ** -level * favg[level][index] * gavg[level][index]
+    return float(total)
+
+
+def loop_sparse_apply(cubes, favg, resolution):
+    """A_S f per cell: per-level arrays with favg at the members, summed
+    top-down."""
+    per_level = [np.zeros(1 << level) for level in range(resolution + 1)]
+    for level, index in cubes:
+        per_level[level][index] += favg[level][index]
+    acc = per_level[0]
+    for level in range(1, resolution + 1):
+        acc = np.repeat(acc, 2) + per_level[level]
+    return acc
+
+
+def brute_cz_stopping(favg, resolution, top, a):
+    """CZ stopping cubes as sorted (level, index) pairs, by the stack walk:
+    from each selected cube P, descend through its subcubes until one with
+    favg > a favg(P) is selected. favg holds the per-level |f| averages."""
+    selected = [top]
+    frontier = [top]
+    while frontier:
+        plev, pidx = frontier.pop()
+        threshold = a * float(favg[plev][pidx])
+        if plev == resolution:
+            continue
+        stack = [(plev + 1, 2 * pidx), (plev + 1, 2 * pidx + 1)]
+        while stack:
+            lev, idx = stack.pop()
+            if float(favg[lev][idx]) > threshold:
+                selected.append((lev, idx))
+                frontier.append((lev, idx))
+            elif lev < resolution:
+                stack.extend([(lev + 1, 2 * idx), (lev + 1, 2 * idx + 1)])
+    return sorted(selected)
+
+
+def brute_carve(favg, resolution, threshold):
+    """Cell mask of the union of the maximal cubes with favg > threshold,
+    by a stack walk from the root."""
+    mask = np.zeros(1 << resolution, dtype=bool)
+    stack = [(0, 0)]
+    while stack:
+        lev, idx = stack.pop()
+        if float(favg[lev][idx]) > threshold:
+            width = 1 << (resolution - lev)
+            mask[idx * width : (idx + 1) * width] = True
+        elif lev < resolution:
+            stack.extend([(lev + 1, 2 * idx), (lev + 1, 2 * idx + 1)])
+    return mask
+
+
+def _s_parent(keys, level, index):
+    for lev in range(level - 1, -1, -1):
+        if (lev, index >> (level - lev)) in keys:
+            return (lev, index >> (level - lev))
+    return None
+
+
+def brute_generation_depths(cubes):
+    """(level, index) -> number of strict ancestors in the set, by walking
+    s_parent chains; parents come first in (level, index) order."""
+    keys = set(cubes)
+    depths = {}
+    for cube in sorted(keys):
+        parent = _s_parent(keys, *cube)
+        depths[cube] = 0 if parent is None else depths[parent] + 1
+    return depths
+
+
+def brute_children_cover(cubes, resolution):
+    """(level, index) -> cells of its direct S-children, the members whose
+    nearest strict ancestor in the set it is."""
+    keys = set(cubes)
+    cover = {cube: 0 for cube in keys}
+    for level, index in keys:
+        parent = _s_parent(keys, level, index)
+        if parent is not None:
+            cover[parent] += 1 << (resolution - level)
+    return cover
+
+
+def brute_carleson(cubes, resolution, include_self=False):
+    """(worst member, worst ratio) of the packing check: per member, the cells
+    of the members strictly inside it (plus its own with include_self) over
+    its cells; the first maximum in (level, index) order. (None, 0.0) for an
+    empty set."""
+    keys = sorted(set(cubes))
+    worst, worst_ratio = None, 0.0
+    for level, index in keys:
+        own = 1 << (resolution - level)
+        total = own if include_self else 0
+        for lev, idx in keys:
+            if lev > level and idx >> (lev - level) == index:
+                total += 1 << (resolution - lev)
+        if worst is None or total / own > worst_ratio:
+            worst, worst_ratio = (level, index), total / own
+    return worst, worst_ratio
+
+
 def mp_power_cell_averages(s, resolution):
     """Cell averages of the normalized profile x^-s on [0,1), via exact
     antiderivatives in high precision."""

@@ -1,0 +1,60 @@
+"""Golden report digests: refactors must keep every report byte-identical.
+
+Each digest is the sha256 of the JSON file a suite writes (``save_json``) at
+one small fixed config, plus the file ``sparse-split --out`` writes. A change
+that moves any of them on purpose bumps ``VERSION`` and says why in
+CHANGES.md; a refactor leaves them alone.
+"""
+
+import hashlib
+
+import pytest
+
+from entbump import (
+    TrialConfig,
+    ainf_lemma_sweep,
+    corollary_experiment,
+    domination_random_suite,
+    fs_random_suite,
+    main_theorem_experiment,
+    replay_random_suite,
+)
+from entbump.cli import run
+
+CONFIG = dict(resolution=8, trials=20, seed=0)
+
+SUITES = {
+    "fs": fs_random_suite,
+    "main": main_theorem_experiment,
+    "corollary": corollary_experiment,
+    "ainf": ainf_lemma_sweep,
+    "domination": domination_random_suite,
+    "replay": replay_random_suite,
+}
+
+DIGESTS = {
+    "fs": "c7be06abfbd287fce385f92bef79dca3fafa2c3e2dd9a046eb4f642d5493a088",
+    "main": "986deb3415bc70686e67e6076f43669806fdb306eb546b7aee41c9aae27d2ab7",
+    "corollary": "6b804b722b60a7597355db7e49f1c874ac8d04b824c9379cb278a3cb93ee9b66",
+    "ainf": "bc2e28b8931075b53446211f04aa48667ebfedaa22922d353ba8261306232b04",
+    "domination": "f7de9323dc849134789f6ae016d4cc0e7f7301ca9dafb4110ac6c33071433b62",
+    "replay": "28fcfdad47a7c3e6a55a3e0b447996f6f236c24fe8297feba395b017f6721488",
+    "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_report_digest(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    SUITES[name](TrialConfig(**CONFIG)).save_json(path)
+    assert _sha256(path) == DIGESTS[name]
+
+
+def test_sparse_split_digest(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    assert run(["sparse-split", "--n", "10", "--out", str(path)]) == 0
+    assert _sha256(path) == DIGESTS["sparse-split"]

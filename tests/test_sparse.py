@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entbump import (
@@ -32,9 +32,21 @@ from entbump import (
     split_eight,
     strong_sparseness_check,
 )
-from entbump.grid import average, level_averages
+from entbump.grid import average, integral, level_averages
+from entbump.sparse import _descendant_cells
 
-from oracles import brute_bilinear, brute_haar_apply, brute_sparse_apply
+from oracles import (
+    brute_bilinear,
+    brute_carleson,
+    brute_carve,
+    brute_children_cover,
+    brute_cz_stopping,
+    brute_generation_depths,
+    brute_haar_apply,
+    brute_sparse_apply,
+    loop_bilinear,
+    loop_sparse_apply,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -80,10 +92,10 @@ class TestSparseCollection:
 
     def test_children_map(self):
         s = SparseCollection(3, [ROOT, DyadicCube(1, 0), DyadicCube(3, 1), DyadicCube(3, 7)])
-        children = s.children_map()
-        assert children[ROOT] == [DyadicCube(1, 0), DyadicCube(3, 7)]
-        assert children[DyadicCube(1, 0)] == [DyadicCube(3, 1)]
-        assert children[DyadicCube(3, 1)] == []
+        cover = _descendant_cells(s, union=True)
+        assert cover[0][0] == 4 + 1  # S-children (1, 0) and (3, 7)
+        assert cover[1][0] == 1  # S-child (3, 1)
+        assert cover[3][1] == 0  # no S-children
 
     def test_save_load_roundtrip(self):
         _, s = random_collection(6, 11)
@@ -293,6 +305,165 @@ class TestStoppingCubes:
             dyadic = cube.parent()
             if dyadic != parent:
                 assert avg(dyadic) <= a * avg(parent)
+
+
+def cube_set(n, density, seed):
+    """An arbitrary (usually not sparse) set of cubes as (level, index) pairs."""
+    rng = np.random.default_rng(seed)
+    return [(l, i) for l in range(n + 1) for i in range(1 << l) if rng.random() < density]
+
+
+cube_sets = st.tuples(
+    st.integers(0, 7), st.sampled_from([0.05, 0.2, 0.5, 0.9]), st.integers(0, 2**32 - 1)
+)
+
+
+class TestSweepsAgainstOracles:
+    """Every level sweep equals its loop oracle exactly, on arbitrary cube
+    sets: empty, n = 0, and sets that fail the packing bound."""
+
+    @given(cube_sets)
+    @example((0, 0.9, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_generation_depths(self, args):
+        pairs = cube_set(*args)
+        s = SparseCollection(args[0], [DyadicCube(*q) for q in pairs])
+        got = {(q.level, q.index): d for q, d in s.generation_depths().items()}
+        assert got == brute_generation_depths(pairs)
+
+    @given(cube_sets)
+    @example((0, 0.9, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_children_cover(self, args):
+        n = args[0]
+        pairs = cube_set(*args)
+        s = SparseCollection(n, [DyadicCube(*q) for q in pairs])
+        cover = _descendant_cells(s, union=True)
+        want = brute_children_cover(pairs, n)
+        assert {q: int(cover[q[0]][q[1]]) for q in pairs} == want
+        # the certificates read the same cover
+        ratios = [(want[q] / (1 << (n - q[0])), q) for q in sorted(want)]
+        strong = strong_sparseness_check(s)
+        eq = build_disjoint_eq(s)
+        if not ratios:
+            assert strong.passed and strong.worst_cube is None
+            assert eq.certified and certify_half_sparse(s)
+            return
+        worst, worst_q = max(ratios, key=lambda rq: rq[0])
+        assert (strong.worst_ratio, strong.worst_cube) == (worst, DyadicCube(*worst_q))
+        assert strong.passed == (worst <= 0.25)
+        eq_ratios = [(1.0 - r, q) for r, q in ratios]
+        assert eq.worst_ratio == min(r for r, _ in eq_ratios)
+        assert eq.certified == certify_half_sparse(s) == (eq.worst_ratio > 0.5)
+        violators = [q for r, q in eq_ratios if r <= 0.5]
+        assert eq.violator == (DyadicCube(*violators[0]) if violators else None)
+        for q, cells in eq.eq_sets.items():
+            assert cells.cell_count() == (1 << (n - q.level)) - want[(q.level, q.index)]
+
+    @given(cube_sets, st.booleans())
+    @example((0, 0.9, 0), False)
+    @example((3, 0.9, 0), False)
+    @settings(max_examples=60, deadline=None)
+    def test_carleson_and_split(self, args, include_self):
+        n = args[0]
+        pairs = cube_set(*args)
+        s = SparseCollection(n, [DyadicCube(*q) for q in pairs])
+        report = carleson_check(s, lam=2.0, include_self=include_self)
+        worst_q, worst = brute_carleson(pairs, n, include_self)
+        assert report.worst_ratio == worst
+        assert report.worst_cube == (None if worst_q is None else DyadicCube(*worst_q))
+        assert report.passed == (worst <= 2.0)
+        if include_self:
+            return
+        if not report.passed:
+            with pytest.raises(SparsePreconditionError):
+                split_eight(s)
+            return
+        depths = brute_generation_depths(pairs)
+        parts = split_eight(s)
+        for k, part in enumerate(parts):
+            assert [(q.level, q.index) for q in part] == sorted(
+                q for q, d in depths.items() if d % 8 == k
+            )
+
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2.5, 4.0, 8.0]),
+        st.floats(0.0, 1.0),
+    )
+    @example(0, 0, 4.0, 0.0)
+    @example(6, 1, 2.5, 0.5)
+    @settings(max_examples=80, deadline=None)
+    def test_cz_stopping(self, n, seed, a, where):
+        rng = np.random.default_rng(seed)
+        vals = np.exp(rng.normal(0.0, 2.0, 1 << n))
+        # zero-average blocks: whole dyadic blocks of cells set to zero
+        for _ in range(int(rng.integers(0, 3))):
+            level = int(rng.integers(0, n + 1))
+            width = 1 << (n - level)
+            start = int(rng.integers(0, 1 << level)) * width
+            vals[start : start + width] = 0.0
+        f = GridFunction(n, vals)
+        favg = level_averages(np.abs(vals))
+        level = min(n, int(where * (n + 1)))
+        top = DyadicCube(level, int(rng.integers(0, 1 << level)))
+        if favg[top.level][top.index] == 0.0:
+            with pytest.raises(ValueError):
+                cz_stopping_collection(f, top, a)
+            return
+        got = cz_stopping_collection(f, top, a)
+        assert [(q.level, q.index) for q in got] == brute_cz_stopping(
+            favg, n, (top.level, top.index), a
+        )
+
+    def test_cz_stopping_top_finer_than_grid(self):
+        f = GridFunction(2, np.ones(4))
+        with pytest.raises(InvalidCubeError):
+            cz_stopping_collection(f, DyadicCube(3, 0), 4.0)
+
+    @given(cube_sets)
+    @example((0, 0.9, 0))
+    @settings(max_examples=40, deadline=None)
+    def test_bilinear_form_and_operator(self, args):
+        n, _, seed = args
+        pairs = cube_set(*args)
+        s = SparseCollection(n, [DyadicCube(*q) for q in pairs])
+        rng = np.random.default_rng(seed + 1)
+        f = GridFunction(n, rng.standard_normal(1 << n))
+        g = GridFunction(n, rng.standard_normal(1 << n))
+        favg = level_averages(np.abs(f.values))
+        gavg = level_averages(np.abs(g.values))
+        assert bilinear_form([s, s], f, g) == loop_bilinear(pairs + pairs, favg, gavg)
+        np.testing.assert_array_equal(
+            sparse_operator(s, f).values, loop_sparse_apply(pairs, favg, n)
+        )
+
+    @given(st.integers(0, 60))
+    @settings(max_examples=20, deadline=None)
+    def test_replay_h_carve(self, seed):
+        # A few spikes on a flat weight: H takes whole cubes around them,
+        # zero cells included.
+        rng = np.random.default_rng(seed)
+        n = 6
+        w = GridFunction(n, np.exp(rng.normal(0.0, 0.1, 1 << n)))
+        fv = np.zeros(1 << n)
+        fv[rng.integers(0, 1 << n, 3)] = np.exp(rng.normal(0.0, 1.0, 3))
+        f = GridFunction(n, fv)
+        report = proof_replay(
+            SparseCollection(n, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.constant(1.0)
+        )
+        favg = level_averages(np.abs(fv / report.normalization))
+        h = brute_carve(favg, n, report.threshold)
+        assert report.w_h == integral(w, CellSet(n, h))
+
+    def test_cz_stopping_tie_is_not_selected(self):
+        # <|f|> of cell 3 is exactly 4 <|f|>_[0,1): a tie does not stop.
+        f = GridFunction(2, [0.0, 0.0, 0.0, 4.0])
+        favg = level_averages(f.values)
+        got = cz_stopping_collection(f, ROOT, 4.0)
+        assert [(q.level, q.index) for q in got] == brute_cz_stopping(favg, 2, (0, 0), 4.0)
+        assert got.cubes == (ROOT,)
 
 
 class TestBilinearForm:
