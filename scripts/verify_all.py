@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification subcommand at a small, fast scale.
 
-Also runs the Orlicz path (`compare --phi`, `maximal --phi`) and
-`sparse-split` at the n = 18 resolution cap. Exit code is
+Also runs the Orlicz path (`compare --phi`, `maximal --phi`),
+`sparse-split` at the n = 18 resolution cap, and `verify-fs` at n = 14 with
+20 trials, well above the default grid. Exit code is
 the number of failed checks, so CI can gate on zero; a check fails when its
 command exits nonzero or raises. Pass --n / --trials / --seed to rescale;
 the defaults finish in well under a minute.
@@ -25,6 +26,7 @@ def main() -> int:
     n, trials, seed = str(args.n), str(args.trials), str(args.seed)
     jobs = [
         ["verify-fs", "--n", n, "--trials", trials, "--seed", seed],
+        ["verify-fs", "--n", "14", "--trials", "20", "--seed", seed],
         ["verify-main", "--n", n, "--trials", trials, "--seed", seed],
         ["verify-cor", "--n", n, "--trials", trials, "--seed", seed],
         ["verify-ainf", "--n", n, "--trials", trials, "--seed", seed],

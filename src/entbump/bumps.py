@@ -498,28 +498,44 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
 
 
 def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
-    """Coefficient maximal function: per cell, max over the given cubes Q
-    containing it of alpha[Q] * <|f|>_Q; 0 where no cube covers.
+    """Coefficient maximal function: per cell, max over the member cubes Q
+    containing it of alpha[Q] * <|f|>_Q; 0 where no member covers.
 
-    ``alpha`` maps DyadicCube -> nonnegative real and must cover every cube.
+    ``cubes`` is a SparseCollection (read through ``members``, one boolean
+    array per level); ``SparseCollection(n, cubes)`` converts DyadicCubes.
+    ``alpha[l]`` is the float array of level-l coefficients, length 2^l;
+    entries off the members are ignored. Per level, one product over the
+    members' indices, then a downward max ladder. A product that is NaN (an
+    infinite coefficient on a zero average) counts as no value.
+
+    Raises InvalidCubeError when a member is finer than f's grid (a coarser
+    collection is fine), and ValueError when a level holding members has no
+    coefficient array or one of the wrong length, or when a member's
+    coefficient is NaN (missing) or negative.
     """
-    n_levels = f.resolution + 1
+    n = f.resolution
     avgs = level_averages(np.abs(f.values))
-    per_level = [np.full(1 << level, -math.inf) for level in range(n_levels)]
-    for cube in cubes:
-        if cube.level > f.resolution:
-            raise InvalidCubeError(
-                f"cube level {cube.level} exceeds resolution {f.resolution}"
-            )
-        try:
-            a = alpha[cube]
-        except KeyError:
-            raise ValueError(f"missing coefficient for {cube}") from None
-        if a < 0:
-            raise ValueError(f"coefficient for {cube} is negative")
-        val = a * avgs[cube.level][cube.index]
-        if val > per_level[cube.level][cube.index]:
-            per_level[cube.level][cube.index] = val
-    out = _paint_max(f.resolution, per_level)
+    per_level = [np.full(1 << level, -math.inf) for level in range(n + 1)]
+    with np.errstate(invalid="ignore"):  # inf * 0 products, dropped below
+        for level, mem in enumerate(cubes.members):
+            idx = mem.nonzero()[0]
+            if not idx.size:
+                continue
+            if level > n:
+                raise InvalidCubeError(f"cube level {level} exceeds resolution {n}")
+            coeff = np.asarray(alpha[level], dtype=np.float64) if level < len(alpha) else None
+            if coeff is None or coeff.shape != mem.shape:
+                raise ValueError(f"alpha[{level}] must hold {mem.size} coefficients")
+            coeff = coeff[idx]
+            bad = ~(coeff >= 0.0)
+            if bad.any():
+                first = int(np.argmax(bad))
+                cube = DyadicCube(level, int(idx[first]))
+                what = "missing" if math.isnan(coeff[first]) else "negative"
+                raise ValueError(f"coefficient for {cube} is {what}")
+            vals = coeff * avgs[level][idx]
+            vals[np.isnan(vals)] = -math.inf
+            per_level[level][idx] = vals
+    out = _paint_max(n, per_level)
     out = np.where(np.isneginf(out), 0.0, out)
-    return GridFunction(f.resolution, out)
+    return GridFunction(n, out)

@@ -125,9 +125,8 @@ def _cmd_rho(args) -> int:
     w = _resolve_weight(args.weight, args.n, args.seed)
     _print_config({"n": w.resolution, "seed": args.seed, "weight": args.weight})
     table = rho_all(w)
-    entries = list(table.entries())
-    vacuous = sum(1 for _, _, vac in entries if vac)
-    print(f"  cubes = {len(entries)}")
+    vacuous = sum(int(np.count_nonzero(vac)) for vac in table.vacuous)
+    print(f"  cubes = {(2 << w.resolution) - 1}")
     print(f"  vacuous = {vacuous}")
     print(f"  max_rho = {table.max_rho():.17g}")
     if args.out:
@@ -135,7 +134,7 @@ def _cmd_rho(args) -> int:
         print(f"table written to {args.out}")
     else:
         print("level,index,rho,vacuous")
-        for cube, value, vac in entries:
+        for cube, value, vac in table.entries():
             print(f"{cube.level},{cube.index},{value:.17g},{int(vac)}")
     return 0
 

@@ -38,6 +38,7 @@ from .grid import (
 )
 from .sparse import (
     HaarSpec,
+    SparseCollection,
     cz_stopping_collection,
     haar_transform,
     proof_replay,
@@ -300,13 +301,18 @@ class FsCheckResult:
     passed: bool
 
 
-def fs_check(cubes, alpha: dict, f: GridFunction, w: GridFunction, lam: float,
+def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float,
              rel_tol: float = 1e-9) -> FsCheckResult:
     """Check  w({M_alpha f > lam}) <= (1/lam) integral |f| M_alpha w.
 
-    M_alpha is the coefficient maximal function over the given cubes; the
-    inequality holds with constant exactly one, so only float slack is
-    allowed on the right.
+    M_alpha is the coefficient maximal function ``m_coeff`` over the
+    SparseCollection ``cubes`` with per-level coefficient arrays ``alpha``
+    (``alpha[l]`` of length 2^l); the inequality holds with constant exactly
+    one, so only float slack is allowed on the right.
+
+    Raises ValueError for a nonpositive lam, and m_coeff's errors:
+    InvalidCubeError for a member finer than the grid, ValueError for a
+    missing (NaN), negative or wrongly sized coefficient array.
     """
     require_weight(w)
     if lam <= 0.0:
@@ -316,6 +322,11 @@ def fs_check(cubes, alpha: dict, f: GridFunction, w: GridFunction, lam: float,
     lhs = superlevel_weight(mf, lam, w)
     rhs = float(np.dot(np.abs(f.values), mw.values) * f.cell_width) / lam
     return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + rel_tol))
+
+
+def _split_levels(flat: np.ndarray, resolution: int) -> list:
+    """Views of a flat (level, index)-ordered array, one per level."""
+    return [flat[(1 << level) - 1 : (2 << level) - 1] for level in range(resolution + 1)]
 
 
 def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
@@ -329,15 +340,16 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
         ffam = cfg.function_families[i % len(cfg.function_families)]
         w, wlabel, _ = _draw_weight(rng, n, wfam)
         f = _draw_function(rng, n, ffam, majorant=w.values)
-        cubes = [
-            DyadicCube(level, index)
-            for level in range(n + 1)
-            for index in range(1 << level)
-            if rng.random() < 0.4
-        ]
-        if not cubes:
-            cubes = [ROOT]
-        alpha = {cube: float(rng.uniform(0.1, 2.0)) for cube in cubes}
+        # Memberships and coefficients are drawn in (level, index) order into
+        # one flat array, level l at [2^l - 1, 2^(l+1) - 1); an empty draw
+        # falls back to the root alone.
+        member = rng.random((2 << n) - 1) < 0.4
+        if not member.any():
+            member[0] = True
+        coeff = np.full(member.size, math.nan)
+        coeff[member] = rng.uniform(0.1, 2.0, int(np.count_nonzero(member)))
+        cubes = SparseCollection._from_members(_split_levels(member, n))
+        alpha = _split_levels(coeff, n)
         mf_vals = m_coeff(f, alpha, cubes).values
         positive = mf_vals[mf_vals > 0]
         base = float(np.quantile(positive, float(rng.uniform(0.1, 0.9)))) if positive.size else 1.0

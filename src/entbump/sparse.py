@@ -745,8 +745,10 @@ def proof_replay(
         constant_bound=constant_bound,
     )
 
+    unit = [np.ones(1 << level) for level in range(n + 1)]
     parts = split_eight(s)
     for part_idx, part in enumerate(parts):
+        first_rec = len(report.cube_records)
         groups: dict[tuple[int, int], list] = {}
         bin_members: dict[int, list] = {}
         for cube in part:
@@ -780,15 +782,14 @@ def proof_replay(
             )
         rec_lookup = {
             (rec.level, rec.index): i
-            for i, rec in enumerate(report.cube_records)
-            if rec.part == part_idx and rec.discard_reason is None
+            for i, rec in enumerate(report.cube_records[first_rec:], start=first_rec)
+            if rec.discard_reason is None
         }
 
         # Coarse right-hand sides share M^S w over the full rho-bin.
         coarse_rhs: dict[int, float] = {}
         for r, members in bin_members.items():
-            alpha = {cube: 1.0 for cube in members}
-            m_s = m_coeff(w, alpha, members)
+            m_s = m_coeff(w, unit, SparseCollection(n, members))
             coarse_rhs[r] = float(
                 np.dot(np.abs(fn.values), m_s.values) * cell_width
             )

@@ -13,7 +13,6 @@ cubes contribute zero to every bump norm, so the choice is inert).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -124,13 +123,16 @@ class RhoTable:
                 )
 
     def to_csv(self, path) -> None:
-        """Columns: level, index, rho, vacuous (0/1); rho to 17 sig digits."""
+        """Columns: level, index, rho, vacuous (0/1); rho to 17 sig digits.
+        Rows end in CRLF, as the csv module writes them."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "index", "rho", "vacuous"])
-            for cube, value, vac in self.entries():
-                writer.writerow(
-                    [cube.level, cube.index, f"{value:.17g}", int(vac)]
+            fh.write("level,index,rho,vacuous\r\n")
+            for level, (level_vals, level_vac) in enumerate(zip(self.values, self.vacuous)):
+                fh.writelines(
+                    f"{level},{index},{value:.17g},{vac:d}\r\n"
+                    for index, (value, vac) in enumerate(
+                        zip(level_vals.tolist(), level_vac.tolist())
+                    )
                 )
 
 

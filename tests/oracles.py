@@ -349,3 +349,97 @@ def brute_m_orlicz(values, resolution, phi, tol=1e-10):
         max(norms[level][cell >> (resolution - level)] for level in range(resolution + 1))
         for cell in range(1 << resolution)
     ])
+
+
+def loop_m_coeff(f, alpha, cubes):
+    """Coefficient maximal function cube by cube: alpha maps DyadicCube ->
+    coefficient, each cube's alpha[Q] * <|f|>_Q kept when it beats the -inf
+    start (so a NaN product counts as no value), then per cell the max over
+    its ancestors; 0 where no cube covers. Returns a GridFunction."""
+    from entbump.errors import InvalidCubeError
+    from entbump.grid import GridFunction, level_averages
+
+    n = f.resolution
+    avgs = level_averages(np.abs(f.values))
+    per_level = [np.full(1 << level, -math.inf) for level in range(n + 1)]
+    for cube in cubes:
+        if cube.level > n:
+            raise InvalidCubeError(f"cube level {cube.level} exceeds resolution {n}")
+        try:
+            a = alpha[cube]
+        except KeyError:
+            raise ValueError(f"missing coefficient for {cube}") from None
+        if a < 0:
+            raise ValueError(f"coefficient for {cube} is negative")
+        val = a * avgs[cube.level][cube.index]
+        if val > per_level[cube.level][cube.index]:
+            per_level[cube.level][cube.index] = val
+    out = np.zeros(1 << n)
+    for cell in range(1 << n):
+        best = -math.inf
+        for level in range(n + 1):
+            best = max(best, per_level[level][cell >> (n - level)])
+        out[cell] = 0.0 if best == -math.inf else best
+    return GridFunction(n, out)
+
+
+def loop_fs_random_suite(cfg):
+    """fs_random_suite with one scalar draw per cube and per coefficient, a
+    DyadicCube-keyed alpha dict and loop_m_coeff."""
+    from entbump.grid import ROOT, DyadicCube, superlevel_weight
+    from entbump.lab import (
+        ExperimentReport,
+        TrialRecord,
+        _draw_function,
+        _draw_weight,
+        trial_rng,
+    )
+
+    report = ExperimentReport(kind="fs", config=cfg.to_dict())
+    n = cfg.resolution
+    worst_slack = -math.inf
+    for i in range(cfg.trials):
+        rng = trial_rng(cfg.seed, i)
+        wfam = cfg.weight_families[i % len(cfg.weight_families)]
+        ffam = cfg.function_families[i % len(cfg.function_families)]
+        w, wlabel, _ = _draw_weight(rng, n, wfam)
+        f = _draw_function(rng, n, ffam, majorant=w.values)
+        cubes = [
+            DyadicCube(level, index)
+            for level in range(n + 1)
+            for index in range(1 << level)
+            if rng.random() < 0.4
+        ]
+        if not cubes:
+            cubes = [ROOT]
+        alpha = {cube: float(rng.uniform(0.1, 2.0)) for cube in cubes}
+        mf = loop_m_coeff(f, alpha, cubes)
+        positive = mf.values[mf.values > 0]
+        base = float(np.quantile(positive, float(rng.uniform(0.1, 0.9)))) if positive.size else 1.0
+        lam = max(base * float(rng.uniform(0.3, 1.2)), 1e-300)
+        lhs = superlevel_weight(mf, lam, w)
+        mw = loop_m_coeff(w, alpha, cubes)
+        rhs = float(np.dot(np.abs(f.values), mw.values) * f.cell_width) / lam
+        slack = 0.0 if rhs == 0.0 else lhs / rhs
+        worst_slack = max(worst_slack, slack)
+        report.records.append(
+            TrialRecord(
+                trial=i, weight=wlabel, function=ffam, s=None, k_eps=None,
+                a1=None, ainf=None, quotient=slack, normalized_quotient=None,
+                passed=lhs <= rhs * (1.0 + 1e-9),
+            )
+        )
+    report.aggregates = {"worst_lhs_over_rhs": worst_slack, "trials": cfg.trials}
+    report.pass_flags = {"constant_one": all(r.passed for r in report.records)}
+    return report
+
+
+def entries_rho_csv(table, path):
+    """RhoTable's CSV written row by row from entries() with csv.writer."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["level", "index", "rho", "vacuous"])
+        for cube, value, vac in table.entries():
+            writer.writerow([cube.level, cube.index, f"{value:.17g}", int(vac)])

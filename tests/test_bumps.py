@@ -11,8 +11,10 @@ from entbump import (
     DyadicCube,
     EpsilonSpec,
     GridFunction,
+    InvalidCubeError,
     InvalidSpecError,
     OrliczSpec,
+    SparseCollection,
     dyadic_maximal,
     entropy_norm,
     enumerate_cubes,
@@ -26,7 +28,7 @@ from entbump import (
 )
 from entbump.grid import average
 
-from oracles import brute_m_orlicz, brute_orlicz_norm, mp_k_epsilon
+from oracles import brute_m_orlicz, brute_orlicz_norm, loop_m_coeff, mp_k_epsilon
 
 LOG2_3 = math.log2(3.0)
 
@@ -428,28 +430,100 @@ class TestOrliczLevelSolver:
                 orlicz_norm(GridFunction(3, vals), ROOT, phi, tol=0)
 
 
+def unit_alpha(resolution):
+    return [np.ones(1 << level) for level in range(resolution + 1)]
+
+
+@st.composite
+def coeff_instances(draw):
+    """(f, collection, per-level alpha, alpha dict): a grid of resolution n,
+    a member set on a grid of resolution m <= n (coarser allowed, levels may
+    be empty) and nonnegative coefficients, NaN off the members."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, n))
+    zero_f = draw(st.booleans())
+    vals = [0.0] * (1 << n) if zero_f else draw(
+        st.lists(st.floats(-1e3, 1e3), min_size=1 << n, max_size=1 << n)
+    )
+    bits = draw(st.lists(st.booleans(), min_size=(2 << m) - 1, max_size=(2 << m) - 1))
+    coeffs = draw(st.lists(st.floats(0.0, 10.0), min_size=len(bits), max_size=len(bits)))
+    alpha = [np.full(1 << level, math.nan) for level in range(m + 1)]
+    alpha_dict = {}
+    for q, bit, a in zip(enumerate_cubes(m), bits, coeffs):
+        if bit:
+            alpha[q.level][q.index] = a
+            alpha_dict[q] = a
+    return GridFunction(n, vals), SparseCollection(m, alpha_dict), alpha, alpha_dict
+
+
 class TestMCoeff:
     def test_unit_coefficients_give_dyadic_maximal(self):
         rng = np.random.default_rng(17)
         f = GridFunction(5, rng.standard_normal(32))
-        cubes = enumerate_cubes(5)
-        alpha = {q: 1.0 for q in cubes}
-        got = m_coeff(f, alpha, cubes)
+        cubes = SparseCollection(5, enumerate_cubes(5))
+        got = m_coeff(f, unit_alpha(5), cubes)
         ref = dyadic_maximal(GridFunction(5, np.abs(f.values)))
         np.testing.assert_array_equal(got.values, ref.values)
 
     def test_uncovered_cells_are_zero(self):
         f = GridFunction(2, [1.0, 1.0, 1.0, 1.0])
-        q = DyadicCube(1, 0)
-        got = m_coeff(f, {q: 2.0}, [q])
+        alpha = [np.zeros(1), np.array([2.0, math.nan])]
+        got = m_coeff(f, alpha, SparseCollection(2, [DyadicCube(1, 0)]))
         assert list(got.values) == [2.0, 2.0, 0.0, 0.0]
 
     def test_missing_coefficient(self):
         f = GridFunction(1, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            m_coeff(f, {}, [ROOT])
+        with pytest.raises(ValueError, match="alpha"):
+            m_coeff(f, [], SparseCollection(1, [ROOT]))
+        with pytest.raises(ValueError, match="missing"):
+            m_coeff(f, [np.array([math.nan])], SparseCollection(1, [ROOT]))
 
     def test_negative_coefficient(self):
         f = GridFunction(1, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            m_coeff(f, {ROOT: -1.0}, [ROOT])
+        with pytest.raises(ValueError, match="negative"):
+            m_coeff(f, [np.array([-1.0])], SparseCollection(1, [ROOT]))
+
+    def test_nan_only_off_the_members_is_fine(self):
+        f = GridFunction(1, [1.0, 3.0])
+        alpha = [np.array([math.nan]), np.array([math.nan, 0.5])]
+        got = m_coeff(f, alpha, SparseCollection(1, [DyadicCube(1, 1)]))
+        assert list(got.values) == [0.0, 1.5]
+
+    def test_wrong_length_level(self):
+        f = GridFunction(2, np.ones(4))
+        cubes = SparseCollection(2, [ROOT, DyadicCube(2, 3)])
+        alpha = [np.ones(1), np.ones(2), np.ones(3)]
+        with pytest.raises(ValueError, match=r"alpha\[2\]"):
+            m_coeff(f, alpha, cubes)
+
+    def test_member_finer_than_grid(self):
+        f = GridFunction(2, np.ones(4))
+        cubes = SparseCollection(3, [ROOT, DyadicCube(3, 5)])
+        with pytest.raises(InvalidCubeError):
+            m_coeff(f, unit_alpha(3), cubes)
+        # a finer grid with no member below f's resolution is fine
+        got = m_coeff(f, unit_alpha(3), SparseCollection(3, [ROOT]))
+        assert list(got.values) == [1.0] * 4
+
+    def test_infinite_coefficient_on_zero_average_counts_as_no_value(self):
+        f = GridFunction(1, [0.0, 2.0])
+        alpha = [np.array([0.5]), np.array([math.inf, 1.0])]
+        got = m_coeff(f, alpha, SparseCollection(1, enumerate_cubes(1)))
+        assert list(got.values) == [0.5, 2.0]
+
+    @given(coeff_instances())
+    @settings(max_examples=80, deadline=None)
+    @example((GridFunction(0, [2.5]), SparseCollection(0, [ROOT]), [np.array([0.3])],
+              {ROOT: 0.3}))
+    @example((GridFunction(3, np.zeros(8)), SparseCollection(3, [ROOT, DyadicCube(3, 2)]),
+              [np.ones(1), np.full(2, math.nan), np.full(4, math.nan), np.ones(8)],
+              {ROOT: 1.0, DyadicCube(3, 2): 1.0}))
+    @example((GridFunction(4, np.arange(16.0) - 7.0),
+              SparseCollection(2, [DyadicCube(2, 1), DyadicCube(1, 1)]),
+              [np.full(1, math.nan), np.array([math.nan, 1.5]), np.array([math.nan, 0.7, 0, 0])],
+              {DyadicCube(1, 1): 1.5, DyadicCube(2, 1): 0.7}))
+    def test_matches_loop_oracle_bit_for_bit(self, inst):
+        f, cubes, alpha, alpha_dict = inst
+        got = m_coeff(f, alpha, cubes).values
+        ref = loop_m_coeff(f, alpha_dict, list(cubes)).values
+        assert got.tobytes() == ref.tobytes()

@@ -12,9 +12,11 @@ from entbump import (
     DyadicCube,
     EpsilonSpec,
     GridFunction,
+    InvalidCubeError,
     InvalidSpecError,
     OrliczSpec,
     ROOT,
+    SparseCollection,
     TrialConfig,
     ainf_lemma_sweep,
     corollary_experiment,
@@ -30,6 +32,8 @@ from entbump import (
     weak_type_quotient,
 )
 from entbump.lab import CSV_COLUMNS, MAX_RESOLUTION_ENV
+
+from oracles import loop_fs_random_suite
 
 
 def small(**kwargs):
@@ -120,21 +124,40 @@ class TestWeakTypeQuotient:
 
 
 class TestFsCheck:
+    root_only = SparseCollection(2, [ROOT])
+
     def test_constant_example(self):
         ones = GridFunction(2, np.ones(4))
-        alpha = {ROOT: 1.0}
-        res = fs_check([ROOT], alpha, ones, ones, lam=0.5)
+        alpha = [np.ones(1)]
+        res = fs_check(self.root_only, alpha, ones, ones, lam=0.5)
         assert res.lhs == 1.0
         assert res.rhs == pytest.approx(2.0)
         assert res.passed
-        res2 = fs_check([ROOT], alpha, ones, ones, lam=2.0)
+        res2 = fs_check(self.root_only, alpha, ones, ones, lam=2.0)
         assert res2.lhs == 0.0
         assert res2.passed
 
     def test_level_must_be_positive(self):
         ones = GridFunction(2, np.ones(4))
         with pytest.raises(ValueError):
-            fs_check([ROOT], {ROOT: 1.0}, ones, ones, lam=0.0)
+            fs_check(self.root_only, [np.ones(1)], ones, ones, lam=0.0)
+
+    def test_coefficient_errors(self):
+        ones = GridFunction(2, np.ones(4))
+        for alpha in ([np.array([-1.0])], [np.array([math.nan])], [np.ones(2)], []):
+            with pytest.raises(ValueError):
+                fs_check(self.root_only, alpha, ones, ones, lam=0.5)
+        with pytest.raises(InvalidCubeError):
+            fs_check(SparseCollection(3, [DyadicCube(3, 0)]),
+                     [np.ones(1 << level) for level in range(4)], ones, ones, lam=0.5)
+
+    @pytest.mark.parametrize("resolution", [0, 1, 3, 6, 10])
+    def test_random_suite_matches_scalar_draw_oracle(self, resolution):
+        for seed in (0, 7, 41) if resolution < 10 else (5,):
+            cfg = TrialConfig(resolution=resolution, trials=20, seed=seed)
+            got = json.dumps(fs_random_suite(cfg).to_json_dict(), sort_keys=True)
+            ref = json.dumps(loop_fs_random_suite(cfg).to_json_dict(), sort_keys=True)
+            assert got == ref
 
     def test_random_suite_constant_one(self):
         report = fs_random_suite(small(trials=40))

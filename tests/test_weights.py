@@ -24,7 +24,7 @@ from entbump import (
     rho_all,
 )
 
-from oracles import brute_maximal, brute_rho, mp_power_cell_averages
+from oracles import brute_maximal, brute_rho, entries_rho_csv, mp_power_cell_averages
 
 LOG2_3 = math.log2(3.0)
 
@@ -127,6 +127,18 @@ class TestRho:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "level,index,rho,vacuous"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("resolution", [0, 3, 8])
+    def test_csv_matches_entries_writer(self, resolution, tmp_path):
+        rng = np.random.default_rng(resolution)
+        vals = rng.lognormal(0.0, 2.0, 1 << resolution)
+        vals[: max(1, vals.size // 4)] = 0.0  # a vacuous block; all of it at n = 0
+        table = rho_all(GridFunction(resolution, vals))
+        table.to_csv(tmp_path / "fast.csv")
+        entries_rho_csv(table, tmp_path / "ref.csv")
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == (2 << resolution)
 
 
 class TestCharacteristics:
