@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification subcommand at a small, fast scale.
 
-Also runs the Orlicz path (`compare --phi`, `maximal --phi`),
-`sparse-split` at the n = 18 resolution cap, and `verify-fs` at n = 14 with
-20 trials, well above the default grid. Exit code is
+Also runs the Orlicz path (`compare --phi`, `maximal --phi`), `verify-fs`
+at n = 14 with 20 trials, and at the n = 18 resolution cap `sparse-split`,
+`maximal` (the max paints) and `domination` with 5 trials (the stopping
+tree, Haar and sparse sweeps). Exit code is
 the number of failed checks, so CI can gate on zero; a check fails when its
 command exits nonzero or raises. Pass --n / --trials / --seed to rescale;
 the defaults finish in well under a minute.
@@ -34,6 +35,8 @@ def main() -> int:
         ["replay", "--n", n, "--trials", trials, "--seed", seed],
         ["sparse-split", "--n", n, "--seed", seed],
         ["sparse-split", "--n", "18", "--seed", seed],
+        ["maximal", "--n", "18", "--seed", seed],
+        ["domination", "--n", "18", "--trials", "5", "--seed", seed],
         ["compare", "--n", n, "--seed", seed, "--phi", "llog:0.5"],
         ["maximal", "--n", n, "--seed", seed, "--phi", "dlr:0.25"],
     ]

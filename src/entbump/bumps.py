@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, InvalidCubeError, InvalidSpecError
-from .grid import DyadicCube, GridFunction, level_averages, require_weight
-from .weights import rho, rho_all
+from .grid import DyadicCube, GridFunction, level_averages, paint_down, require_weight
+from .weights import rho_all
 
 _LN2 = math.log(2.0)
 
@@ -322,18 +322,27 @@ def entropy_norm(
 
     ``full``: <w>_Q * rho_w(Q) * eps(rho_w(Q));
     ``log``:  <w>_Q * shifted_log2(rho_w(Q)) * eps(rho_w(Q)).
-    Vacuous cubes give 0.
+    Vacuous cubes give 0. One cube of the per-level norms m_entropy paints,
+    so both read the same bits.
     """
+    if cube.level > w.resolution:
+        raise InvalidCubeError(f"cube level {cube.level} exceeds resolution {w.resolution}")
+    return float(_entropy_levels(w, eps, variant)[cube.level][cube.index])
+
+
+def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str) -> list:
+    """entropy_norm of every cube, one array per level, from one rho_all."""
     if variant not in ("full", "log"):
         raise ValueError(f"unknown entropy norm variant {variant!r}")
-    require_weight(w)
-    a, b = cube.cell_range(w.resolution)
-    avg = float(np.mean(w.values[a:b]))
-    if avg == 0.0:
-        return 0.0
-    r = rho(w, cube)
-    factor = r if variant == "full" else shifted_log2(r)
-    return avg * factor * eps(r)
+    table = rho_all(w)  # validates w
+    norms = []
+    for avg, r, vac in zip(level_averages(w.values), table.values, table.vacuous):
+        r = np.where(vac, 1.0, r)
+        factor = r if variant == "full" else np.log2(2.0 + r)
+        vals = avg * factor * eps(r)
+        vals[vac] = 0.0
+        norms.append(vals)
+    return norms
 
 
 def _level_orlicz(blocks: np.ndarray, phi, tol: float) -> np.ndarray:
@@ -425,14 +434,6 @@ def orlicz_norm(
     return float(_level_orlicz(w.values[a:b][None, :], phi, tol)[0])
 
 
-def _paint_max(resolution: int, per_level: list) -> np.ndarray:
-    """Downward max ladder over per-level value arrays (-inf = absent)."""
-    acc = per_level[0]
-    for level in range(1, resolution + 1):
-        acc = np.maximum(np.repeat(acc, 2), per_level[level])
-    return acc
-
-
 def m_entropy(
     w: GridFunction,
     eps: EpsilonSpec,
@@ -442,40 +443,23 @@ def m_entropy(
     """Entropy-bump maximal function: per cell, the max of entropy_norm over
     the cubes containing it.
 
-    ``collections`` is an optional list of cube iterables; None means all
-    dyadic cubes of the grid. Cells covered by no cube get 0.
+    ``collections`` is an optional nonempty list of SparseCollections (read
+    through ``members``, one boolean array per level), whose union is the
+    cube set; None means all dyadic cubes of the grid. Cells covered by no
+    cube get 0. A member finer than w's grid raises InvalidCubeError.
     """
-    if variant not in ("full", "log"):
-        raise ValueError(f"unknown entropy norm variant {variant!r}")
-    require_weight(w)
-    n_levels = w.resolution + 1
-    table = rho_all(w)
-    avgs = level_averages(w.values)
-    norms = []
-    for level in range(n_levels):
-        r = np.array(table.values[level], copy=True)
-        vac = table.vacuous[level]
-        r[vac] = 1.0
-        factor = r if variant == "full" else np.log2(2.0 + r)
-        vals = avgs[level] * factor * eps(r)
-        vals[vac] = 0.0
-        norms.append(vals)
+    norms = _entropy_levels(w, eps, variant)
     if collections is not None:
         if not isinstance(collections, (list, tuple)) or len(collections) == 0:
             raise ValueError("collections must be a nonempty list of cube sets")
-        allowed = [np.zeros(1 << level, dtype=bool) for level in range(n_levels)]
+        allowed = [np.zeros(v.size, dtype=bool) for v in norms]
         for coll in collections:
-            for cube in coll:
-                if cube.level > w.resolution:
-                    raise InvalidCubeError(
-                        f"cube level {cube.level} exceeds resolution {w.resolution}"
-                    )
-                allowed[cube.level][cube.index] = True
-        norms = [
-            np.where(allowed[level], norms[level], -math.inf)
-            for level in range(n_levels)
-        ]
-    out = _paint_max(w.resolution, norms)
+            if any(mem.any() for mem in coll.members[len(norms):]):
+                raise InvalidCubeError(f"a member is finer than resolution {w.resolution}")
+            for ok, mem in zip(allowed, coll.members):
+                ok |= mem
+        norms = [np.where(ok, v, -math.inf) for ok, v in zip(allowed, norms)]
+    out = paint_down(norms, np.maximum)[-1]
     out = np.where(np.isneginf(out), 0.0, out)
     return GridFunction(w.resolution, out)
 
@@ -494,7 +478,7 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
         _level_orlicz(w.values.reshape(1 << level, -1), phi, tol)
         for level in range(w.resolution + 1)
     ]
-    return GridFunction(w.resolution, _paint_max(w.resolution, per_level))
+    return GridFunction(w.resolution, paint_down(per_level, np.maximum)[-1])
 
 
 def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
@@ -505,7 +489,7 @@ def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
     array per level); ``SparseCollection(n, cubes)`` converts DyadicCubes.
     ``alpha[l]`` is the float array of level-l coefficients, length 2^l;
     entries off the members are ignored. Per level, one product over the
-    members' indices, then a downward max ladder. A product that is NaN (an
+    members' indices, then a downward max paint. A product that is NaN (an
     infinite coefficient on a zero average) counts as no value.
 
     Raises InvalidCubeError when a member is finer than f's grid (a coarser
@@ -536,6 +520,6 @@ def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
             vals = coeff * avgs[level][idx]
             vals[np.isnan(vals)] = -math.inf
             per_level[level][idx] = vals
-    out = _paint_max(n, per_level)
+    out = paint_down(per_level, np.maximum)[-1]
     out = np.where(np.isneginf(out), 0.0, out)
     return GridFunction(n, out)

@@ -133,9 +133,7 @@ def _cmd_rho(args) -> int:
         table.to_csv(args.out)
         print(f"table written to {args.out}")
     else:
-        print("level,index,rho,vacuous")
-        for cube, value, vac in table.entries():
-            print(f"{cube.level},{cube.index},{value:.17g},{int(vac)}")
+        table.write_rows(sys.stdout, "\n")
     return 0
 
 

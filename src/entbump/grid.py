@@ -299,6 +299,38 @@ def enumerate_cubes(resolution: int, levels=None) -> list[DyadicCube]:
     ]
 
 
+# The pyramid layer: a value per dyadic cube is one array per level (entry l
+# of length 2**l), built by a bottom-up pairwise reduction or a top-down paint.
+
+
+def split_levels(flat: np.ndarray, resolution: int) -> list[np.ndarray]:
+    """Per-level views of a flat (level, index)-ordered array of length
+    (2 << resolution) - 1: level l is flat[2**l - 1 : 2**(l+1) - 1]."""
+    return [flat[(1 << level) - 1 : (2 << level) - 1] for level in range(resolution + 1)]
+
+
+def reduce_up(leaves: np.ndarray, op) -> list[np.ndarray]:
+    """Per-level arrays built from the leaves up: the last entry is
+    ``leaves``, and each cube's entry is op(left child, right child)."""
+    out = [leaves]
+    while out[-1].size > 1:
+        prev = out[-1]
+        out.append(op(prev[0::2], prev[1::2]))
+    out.reverse()
+    return out
+
+
+def paint_down(per_level, op) -> list[np.ndarray]:
+    """Per-level arrays painted from the root down: entry 0 is per_level[0]
+    and entry l is op(np.repeat(entry[l - 1], 2), per_level[l]), so each
+    cube sees its ancestors' values folded in root-first order. The last
+    entry is the per-cell result."""
+    out = [per_level[0]]
+    for values in per_level[1:]:
+        out.append(op(np.repeat(out[-1], 2), values))
+    return out
+
+
 def level_averages(values: np.ndarray) -> list[np.ndarray]:
     """Per-level cube averages of a cell array.
 
@@ -306,24 +338,12 @@ def level_averages(values: np.ndarray) -> list[np.ndarray]:
     ``values`` over each level-l cube, built by pairwise halving so every
     caller shares one floating-point path.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    out = [arr]
-    while out[-1].size > 1:
-        prev = out[-1]
-        out.append((prev[0::2] + prev[1::2]) * 0.5)
-    out.reverse()
-    return out
+    return reduce_up(np.asarray(values, dtype=np.float64), lambda a, b: (a + b) * 0.5)
 
 
 def level_sums(values: np.ndarray) -> list[np.ndarray]:
     """Per-level cube sums of a cell array (same ladder as level_averages)."""
-    arr = np.asarray(values, dtype=np.float64)
-    out = [arr]
-    while out[-1].size > 1:
-        prev = out[-1]
-        out.append(prev[0::2] + prev[1::2])
-    out.reverse()
-    return out
+    return reduce_up(np.asarray(values, dtype=np.float64), np.add)
 
 
 def save_grid_function(f: GridFunction, path) -> None:

@@ -33,6 +33,7 @@ from .grid import (
     GridFunction,
     integral,
     require_weight,
+    split_levels,
     superlevel_weight,
     weak_l1_norm,
 )
@@ -324,11 +325,6 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float,
     return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + rel_tol))
 
 
-def _split_levels(flat: np.ndarray, resolution: int) -> list:
-    """Views of a flat (level, index)-ordered array, one per level."""
-    return [flat[(1 << level) - 1 : (2 << level) - 1] for level in range(resolution + 1)]
-
-
 def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
     """Random weights, functions, cube families, coefficients, and levels."""
     report = ExperimentReport(kind="fs", config=cfg.to_dict())
@@ -348,8 +344,8 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
             member[0] = True
         coeff = np.full(member.size, math.nan)
         coeff[member] = rng.uniform(0.1, 2.0, int(np.count_nonzero(member)))
-        cubes = SparseCollection._from_members(_split_levels(member, n))
-        alpha = _split_levels(coeff, n)
+        cubes = SparseCollection._from_members(split_levels(member, n))
+        alpha = split_levels(coeff, n)
         mf_vals = m_coeff(f, alpha, cubes).values
         positive = mf_vals[mf_vals > 0]
         base = float(np.quantile(positive, float(rng.uniform(0.1, 0.9)))) if positive.size else 1.0

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bumps import EpsilonSpec, _paint_max, m_coeff, m_entropy, shifted_log2
+from .bumps import EpsilonSpec, m_coeff, m_entropy, shifted_log2
 from .errors import (
     FileFormatError,
     InvalidCubeError,
@@ -38,8 +38,10 @@ from .grid import (
     integral,
     level_averages,
     level_sums,
+    paint_down,
     require_weight,
     restrict,
+    split_levels,
 )
 from .weights import rho_all
 
@@ -167,11 +169,9 @@ class SparseCollection:
 
 def _ancestor_counts(s: SparseCollection) -> list:
     """Per level, the number of members strictly above each cube: a top-down
-    count, anc = repeat(anc + mem, 2)."""
-    anc = [np.zeros(1, dtype=np.int64)]
-    for mem in s.members[:-1]:
-        anc.append(np.repeat(anc[-1] + mem, 2))
-    return anc
+    sum paint of the members, less the cube's own membership."""
+    counts = paint_down([mem.astype(np.int64) for mem in s.members], np.add)
+    return [c - mem for c, mem in zip(counts, s.members)]
 
 
 def _descendant_cells(s: SparseCollection, union: bool) -> list:
@@ -227,16 +227,11 @@ def _first_max(s: SparseCollection, ratios: np.ndarray):
 
 def _owner(s: SparseCollection) -> np.ndarray:
     """Per cell, the position in (level, index) order of the deepest member
-    containing it, -1 where none does: a top-down paint."""
-    owner = np.full(1, -1, dtype=np.int64)
-    first = 0
-    for level, mem in enumerate(s.members):
-        if level:
-            owner = np.repeat(owner, 2)
-        index = np.flatnonzero(mem)
-        owner[index] = np.arange(first, first + index.size)
-        first += index.size
-    return owner
+    containing it, -1 where none does. A deeper member comes later in that
+    order, so this is a top-down max paint of the member positions."""
+    flat = np.concatenate(s.members)
+    position = np.where(flat, np.cumsum(flat) - 1, -1)
+    return paint_down(split_levels(position, s.resolution), np.maximum)[-1]
 
 
 @dataclass(frozen=True)
@@ -361,10 +356,8 @@ def sparse_operator(s: SparseCollection, f: GridFunction) -> GridFunction:
     if s.resolution != f.resolution:
         raise ResolutionMismatchError("collection resolution does not match f")
     favg = level_averages(np.abs(f.values))
-    acc = np.where(s.members[0], favg[0], 0.0)
-    for level in range(1, f.resolution + 1):
-        acc = np.repeat(acc, 2) + np.where(s.members[level], favg[level], 0.0)
-    return GridFunction(f.resolution, acc)
+    terms = [np.where(mem, avg, 0.0) for mem, avg in zip(s.members, favg)]
+    return GridFunction(f.resolution, paint_down(terms, np.add)[-1])
 
 
 def cz_stopping_collection(
@@ -388,16 +381,15 @@ def cz_stopping_collection(
     favg = level_averages(np.abs(f.values))
     if favg[top.level][top.index] == 0.0:
         raise ValueError("f is (absolutely) degenerate on the top cube")
+    # Per depth d below top, the slice of top's level-(top.level + d)
+    # descendants and their averages.
+    cuts = [slice(top.index << d, (top.index + 1) << d) for d in range(n - top.level + 1)]
+    avgs = [favg[top.level + d][cut] for d, cut in enumerate(cuts)]
+    thr = paint_down([a * avgs[0]] + avgs[1:], lambda t, avg: np.where(avg > t, a * avg, t))
     members = [np.zeros(1 << level, dtype=bool) for level in range(n + 1)]
     members[top.level][top.index] = True
-    thr = np.array([a * favg[top.level][top.index]])
-    for level in range(top.level + 1, n + 1):
-        thr = np.repeat(thr, 2)
-        lo = top.index * thr.size
-        avg = favg[level][lo : lo + thr.size]
-        selected = avg > thr
-        members[level][lo : lo + thr.size] = selected
-        thr = np.where(selected, a * avg, thr)
+    for d in range(1, len(cuts)):
+        members[top.level + d][cuts[d]] = avgs[d] > np.repeat(thr[d - 1], 2)
     return SparseCollection._from_members(members)
 
 
@@ -468,12 +460,11 @@ def haar_transform(spec: HaarSpec, f: GridFunction) -> GridFunction:
     if spec.resolution != f.resolution:
         raise ResolutionMismatchError("sign assignment resolution does not match f")
     avgs = level_averages(f.values)
-    acc = np.zeros(1)
-    for level in range(f.resolution):
-        sigma = np.repeat(spec.signs[level], 2)
-        parent = np.repeat(avgs[level], 2)
-        acc = np.repeat(acc, 2) + sigma * (avgs[level + 1] - parent)
-    return GridFunction(f.resolution, acc)
+    terms = [np.zeros(1)] + [
+        np.repeat(sigma, 2) * (avgs[level + 1] - np.repeat(avgs[level], 2))
+        for level, sigma in enumerate(spec.signs)
+    ]
+    return GridFunction(f.resolution, paint_down(terms, np.add)[-1])
 
 
 @dataclass(frozen=True)
@@ -716,7 +707,7 @@ def proof_replay(
 
     # H: the union of the maximal dyadic cubes with <f>_Q above the
     # threshold, i.e. the cells with some ancestor above it.
-    h_mask = _paint_max(n, favg) > threshold
+    h_mask = paint_down(favg, np.maximum)[-1] > threshold
     h_set = CellSet(n, h_mask)
     w_h = integral(w, h_set)
     fs_ok = w_h <= 0.25 * w_g * (1.0 + rel_tol)

@@ -26,6 +26,7 @@ from .grid import (
     integral,
     level_averages,
     level_sums,
+    paint_down,
     require_weight,
 )
 
@@ -44,14 +45,10 @@ def effective_rho(value: float) -> float:
 def dyadic_maximal(w: GridFunction) -> GridFunction:
     """M w(x) = max over dyadic cubes Q containing x of <w>_Q.
 
-    One downward max ladder over the level-average arrays, O(n) total.
+    One downward max paint over the level-average arrays, O(n) total.
     """
     require_weight(w)
-    avgs = level_averages(w.values)
-    m = avgs[0]
-    for level in range(1, w.resolution + 1):
-        m = np.maximum(np.repeat(m, 2), avgs[level])
-    return GridFunction(w.resolution, m)
+    return GridFunction(w.resolution, paint_down(level_averages(w.values), np.maximum)[-1])
 
 
 def localized_maximal(w: GridFunction, cube: DyadicCube) -> np.ndarray:
@@ -59,11 +56,7 @@ def localized_maximal(w: GridFunction, cube: DyadicCube) -> np.ndarray:
     Q' inside Q. Returns the array of values on Q's cells."""
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
-    avgs = level_averages(w.values[a:b])
-    m = avgs[0]
-    for k in range(1, len(avgs)):
-        m = np.maximum(np.repeat(m, 2), avgs[k])
-    return m
+    return paint_down(level_averages(w.values[a:b]), np.maximum)[-1]
 
 
 def rho(w: GridFunction, cube: DyadicCube) -> float:
@@ -122,18 +115,23 @@ class RhoTable:
                     bool(level_vac[index]),
                 )
 
-    def to_csv(self, path) -> None:
-        """Columns: level, index, rho, vacuous (0/1); rho to 17 sig digits.
-        Rows end in CRLF, as the csv module writes them."""
-        with open(path, "w", newline="") as fh:
-            fh.write("level,index,rho,vacuous\r\n")
-            for level, (level_vals, level_vac) in enumerate(zip(self.values, self.vacuous)):
-                fh.writelines(
-                    f"{level},{index},{value:.17g},{vac:d}\r\n"
-                    for index, (value, vac) in enumerate(
-                        zip(level_vals.tolist(), level_vac.tolist())
-                    )
+    def write_rows(self, fh, newline: str) -> None:
+        """Header and one row per cube, each line ending in ``newline``.
+        Columns: level, index, rho, vacuous (0/1); rho to 17 sig digits."""
+        fh.write(f"level,index,rho,vacuous{newline}")
+        for level, (level_vals, level_vac) in enumerate(zip(self.values, self.vacuous)):
+            fh.writelines(
+                f"{level},{index},{value:.17g},{vac:d}{newline}"
+                for index, (value, vac) in enumerate(
+                    zip(level_vals.tolist(), level_vac.tolist())
                 )
+            )
+
+    def to_csv(self, path) -> None:
+        """The rows of ``write_rows`` ending in CRLF, as the csv module
+        writes them."""
+        with open(path, "w", newline="") as fh:
+            self.write_rows(fh, "\r\n")
 
 
 def rho_all(w: GridFunction) -> RhoTable:

@@ -351,6 +351,22 @@ def brute_m_orlicz(values, resolution, phi, tol=1e-10):
     ])
 
 
+def brute_entropy_norm(w, cube, eps, variant="log"):
+    """Entropy-bumped average of w on one cube from its own slice: the cube's
+    mean times rho(w, cube) (or its shifted log) times eps(rho); 0 on a
+    vacuous cube."""
+    from entbump.bumps import shifted_log2
+    from entbump.weights import rho
+
+    a, b = cube.cell_range(w.resolution)
+    avg = float(np.mean(w.values[a:b]))
+    if avg == 0.0:
+        return 0.0
+    r = rho(w, cube)
+    factor = r if variant == "full" else shifted_log2(r)
+    return avg * factor * eps(r)
+
+
 def loop_m_coeff(f, alpha, cubes):
     """Coefficient maximal function cube by cube: alpha maps DyadicCube ->
     coefficient, each cube's alpha[Q] * <|f|>_Q kept when it beats the -inf

@@ -28,7 +28,13 @@ from entbump import (
 )
 from entbump.grid import average
 
-from oracles import brute_m_orlicz, brute_orlicz_norm, loop_m_coeff, mp_k_epsilon
+from oracles import (
+    brute_entropy_norm,
+    brute_m_orlicz,
+    brute_orlicz_norm,
+    loop_m_coeff,
+    mp_k_epsilon,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -223,6 +229,28 @@ class TestEntropyNorm:
         w = GridFunction(2, [0.0, 0.0, 1.0, 1.0])
         assert entropy_norm(w, DyadicCube(1, 0), EpsilonSpec.log_pow(2.0)) == 0.0
 
+    @pytest.mark.parametrize("variant", ["log", "full"])
+    def test_reads_m_entropy_bits(self, variant):
+        # Each cube's norm is the value m_entropy paints from it, bit for bit,
+        # and matches the one-cube formula to rounding.
+        rng = np.random.default_rng(3)
+        w = GridFunction(5, np.exp(rng.normal(0.0, 2.0, 32)) * (rng.random(32) < 0.8))
+        eps = EpsilonSpec.log_pow(2.0)
+        for level in range(6):
+            q = DyadicCube(level, (7 * level) % (1 << level))
+            got = entropy_norm(w, q, eps, variant=variant)
+            cube_only = m_entropy(w, eps, [SparseCollection(5, [q])], variant=variant)
+            a, b = q.cell_range(5)
+            assert np.all(cube_only.values[a:b] == got)
+            assert got == pytest.approx(brute_entropy_norm(w, q, eps, variant), rel=1e-13)
+
+    def test_errors(self):
+        w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidCubeError):
+            entropy_norm(w, DyadicCube(3, 0), EpsilonSpec.log_pow(2.0))
+        with pytest.raises(ValueError):
+            entropy_norm(w, ROOT, EpsilonSpec.log_pow(2.0), variant="nope")
+
 
 class TestMEntropy:
     @given(st.integers(0, 5), st.data())
@@ -243,7 +271,7 @@ class TestMEntropy:
             best = 0.0
             for level in range(resolution + 1):
                 q = DyadicCube(level, cell >> (resolution - level))
-                best = max(best, entropy_norm(w, q, eps))
+                best = max(best, brute_entropy_norm(w, q, eps))
             assert got.values[cell] == pytest.approx(best, rel=1e-12, abs=1e-300)
 
     def test_dominates_dyadic_maximal(self):
@@ -257,11 +285,29 @@ class TestMEntropy:
     def test_collections_restriction(self):
         w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
         eps = EpsilonSpec.constant(1.0)
-        got = m_entropy(w, eps, collections=[[DyadicCube(1, 1)]])
+        got = m_entropy(w, eps, collections=[SparseCollection(2, [DyadicCube(1, 1)])])
         # cells under the chosen cube see its norm, others see zero
         assert got.values[0] == 0.0
         assert got.values[1] == 0.0
         assert got.values[2] == got.values[3] > 0
+
+    def test_collections_union(self):
+        # Several collections act as their union; a coarser collection is
+        # fine, a member finer than the grid is not, nor is an empty list.
+        rng = np.random.default_rng(4)
+        w = GridFunction(4, rng.random(16) + 0.05)
+        eps = EpsilonSpec.log_pow(1.0)
+        a = [DyadicCube(1, 0), DyadicCube(3, 6)]
+        b = [DyadicCube(2, 3), DyadicCube(4, 1)]
+        union = m_entropy(w, eps, [SparseCollection(4, a + b)])
+        split = m_entropy(w, eps, [SparseCollection(4, a), SparseCollection(4, b)])
+        assert np.array_equal(union.values, split.values)
+        coarse = m_entropy(w, eps, [SparseCollection(2, [DyadicCube(1, 0)])])
+        assert np.array_equal(coarse.values, m_entropy(w, eps, [SparseCollection(4, a[:1])]).values)
+        with pytest.raises(InvalidCubeError):
+            m_entropy(w, eps, [SparseCollection(5, [DyadicCube(5, 0)])])
+        with pytest.raises(ValueError):
+            m_entropy(w, eps, [])
 
 
 class TestOrliczNorm:

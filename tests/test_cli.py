@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import shutil
@@ -281,6 +282,20 @@ def test_project_scripts_scan_matches_tomllib():
     assert _scan_project_scripts(text) == tomllib.loads(text)["project"]["scripts"]
 
 
+def test_version_has_one_source(capsys):
+    # pyproject.toml takes the package version from the attribute that
+    # --version prints, so the two cannot drift apart.
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads(PYPROJECT.read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    module, _, attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    version = getattr(importlib.import_module(module), attr)
+    assert isinstance(version, str)
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out == f"entbump {version}\n"
+
+
 def test_console_script(tmp_path):
     argv = ["verify-fs", "--n", "4", "--trials", "5"]
     proc = _run_console_script("entbump", argv, tmp_path)
@@ -319,7 +334,7 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
 
     def fake_run(argv):
         seen.append(argv)
-        if argv[0] == "maximal":
+        if argv[0] == "maximal" and "--phi" in argv:
             raise RuntimeError("boom")
         return 1 if argv[0] == "replay" else 0
 

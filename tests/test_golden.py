@@ -1,7 +1,9 @@
 """Golden report digests: refactors must keep every report byte-identical.
 
 Each digest is the sha256 of the JSON file a suite writes (``save_json``) at
-one small fixed config, plus the file ``sparse-split --out`` writes. A change
+one small fixed config, plus the file ``sparse-split --out`` writes, the
+stdout of ``rho --n 10`` and the ``--out`` file of ``maximal --n 10 --phi
+llog:0.5`` (the dyadic, entropy and Orlicz maximal arrays). A change
 that moves any of them on purpose bumps ``VERSION`` and says why in
 CHANGES.md; a refactor leaves them alone.
 """
@@ -40,6 +42,8 @@ DIGESTS = {
     "domination": "f7de9323dc849134789f6ae016d4cc0e7f7301ca9dafb4110ac6c33071433b62",
     "replay": "28fcfdad47a7c3e6a55a3e0b447996f6f236c24fe8297feba395b017f6721488",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
+    "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
+    "maximal": "0a089429177900ef1358eea852fe6740cae771cfcf5414a1c87d37900342ff9b",
 }
 
 
@@ -58,3 +62,15 @@ def test_sparse_split_digest(tmp_path, capsys):
     path = tmp_path / "split.json"
     assert run(["sparse-split", "--n", "10", "--out", str(path)]) == 0
     assert _sha256(path) == DIGESTS["sparse-split"]
+
+
+def test_rho_stdout_digest(capsys):
+    assert run(["rho", "--n", "10"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIGESTS["rho"]
+
+
+def test_maximal_digest(tmp_path, capsys):
+    path = tmp_path / "maximal.json"
+    assert run(["maximal", "--n", "10", "--phi", "llog:0.5", "--out", str(path)]) == 0
+    assert _sha256(path) == DIGESTS["maximal"]

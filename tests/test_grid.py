@@ -30,6 +30,8 @@ from entbump import (
     weak_l1_norm,
 )
 
+from entbump.grid import paint_down, reduce_up, split_levels
+
 from oracles import brute_weak_l1, cube_average
 
 
@@ -155,6 +157,79 @@ class TestAverages:
             assert sums[q.level][q.index] * cell == pytest.approx(
                 integral(f, cells), rel=1e-12, abs=1e-12
             )
+
+
+def _fold(acc, x):
+    # Non-commutative and remembers every step, so swapped arguments or a
+    # skipped level change the result.
+    return 2 * acc + x
+
+
+def _int_levels(resolution):
+    return st.tuples(*[
+        st.lists(st.integers(-50, 50), min_size=1 << level, max_size=1 << level)
+        for level in range(resolution + 1)
+    ])
+
+
+class TestPyramid:
+    def test_resolution_zero(self):
+        leaf = np.array([3.0])
+        assert [a.tolist() for a in reduce_up(leaf, _fold)] == [[3.0]]
+        assert [a.tolist() for a in paint_down([leaf], _fold)] == [[3.0]]
+        assert [a.tolist() for a in split_levels(leaf, 0)] == [[3.0]]
+
+    def test_small_example(self):
+        assert [a.tolist() for a in reduce_up(np.array([1, 2, 3, 4]), _fold)] == [
+            [2 * (2 * 1 + 2) + (2 * 3 + 4)], [4, 10], [1, 2, 3, 4]
+        ]
+        levels = [np.array([1]), np.array([2, 3]), np.array([4, 5, 6, 7])]
+        assert [a.tolist() for a in paint_down(levels, _fold)] == [
+            [1], [4, 5], [12, 13, 16, 17]
+        ]
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_paint_down_matches_ancestor_loop(self, resolution, data):
+        levels = [np.array(v, dtype=np.int64) for v in data.draw(_int_levels(resolution))]
+        painted = paint_down(levels, _fold)
+        assert len(painted) == resolution + 1
+        for level in range(resolution + 1):
+            assert painted[level].shape == (1 << level,)
+            for index in range(1 << level):
+                acc = int(levels[0][0])
+                for k in range(1, level + 1):
+                    acc = _fold(acc, int(levels[k][index >> (level - k)]))
+                assert painted[level][index] == acc
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_reduce_up_matches_per_cube_loop(self, resolution, data):
+        leaves = np.array(
+            data.draw(st.lists(st.integers(-50, 50), min_size=1 << resolution,
+                               max_size=1 << resolution)),
+            dtype=np.int64,
+        )
+
+        def cube(level, index):
+            if level == resolution:
+                return int(leaves[index])
+            return _fold(cube(level + 1, 2 * index), cube(level + 1, 2 * index + 1))
+
+        reduced = reduce_up(leaves, _fold)
+        assert len(reduced) == resolution + 1
+        for level in range(resolution + 1):
+            assert reduced[level].tolist() == [cube(level, j) for j in range(1 << level)]
+
+    @given(st.integers(0, 8))
+    def test_split_levels_round_trip(self, resolution):
+        flat = np.arange((2 << resolution) - 1)
+        levels = split_levels(flat, resolution)
+        assert [a.size for a in levels] == [1 << level for level in range(resolution + 1)]
+        assert np.array_equal(np.concatenate(levels), flat)
+        for level, a in enumerate(levels):
+            assert a.base is flat
+            assert a[0] == (1 << level) - 1
 
 
 class TestCellSet:
