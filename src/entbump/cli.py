@@ -76,7 +76,8 @@ def _print_config(args_dict: dict) -> None:
     print(f"config: {pieces}")
 
 
-def _emit_report(report, out: str | None, plot: str | None, plot_kind: str) -> None:
+def _emit_report(report, out: str | None, plot: str | None = None,
+                 plot_kind: str | None = None) -> None:
     for key in sorted(report.aggregates):
         print(f"  {key} = {report.aggregates[key]}")
     for name in sorted(report.pass_flags):
@@ -98,25 +99,23 @@ def _verdict(report) -> int:
     return 0 if ok else 1
 
 
-def _base_config(args, **overrides) -> TrialConfig:
+def _base_config(args) -> TrialConfig:
     fields = {
         "resolution": args.n,
-        "trials": getattr(args, "trials", 100),
+        "trials": args.trials,
         "seed": args.seed,
         "eps": getattr(args, "eps", "log_pow:2"),
-        "phi": getattr(args, "phi", None),
         "stopping_a": getattr(args, "a", 4.0),
-        "bound": getattr(args, "bound", 64.0),
+        "bound": args.bound,
     }
     weight = getattr(args, "weight", None)
     if weight is not None:
         fields["weight_families"] = (weight,)
-    fields.update(overrides)
     return TrialConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.
+# Subcommand handlers.
 # ---------------------------------------------------------------------------
 
 
@@ -216,57 +215,30 @@ def _cmd_sparse_split(args) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_domination(args) -> int:
+def _run_suite(args, suite, **suite_kwargs) -> int:
+    """The tail every suite command shares: config line, report, verdict."""
     _check_cap(args.n)
     cfg = _base_config(args)
-    _print_config(cfg.to_dict())
-    report = domination_random_suite(cfg)
+    _print_config({**cfg.to_dict(), **suite_kwargs})
+    report = suite(cfg, **suite_kwargs)
     _emit_report(report, args.out, args.plot, args.plot_kind)
     return _verdict(report)
 
 
-def _cmd_verify_main(args) -> int:
-    _check_cap(args.n)
-    cfg = _base_config(args)
-    _print_config(cfg.to_dict())
-    report = main_theorem_experiment(cfg)
-    _emit_report(report, args.out, args.plot, args.plot_kind)
-    return _verdict(report)
+def _suite_command(suite):
+    return lambda args: _run_suite(args, suite)
 
 
 def _cmd_verify_cor(args) -> int:
-    _check_cap(args.n)
     try:
-        s_list = tuple(float(tok) for tok in args.s_list.split(",") if tok.strip())
+        s_list = [float(tok) for tok in args.s_list.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad --s-list {args.s_list!r}, expected comma separated floats") from None
     if not s_list:
         raise ConfigError("--s-list is empty")
     if any(not 0.0 <= s < 1.0 for s in s_list):
         raise ConfigError("--s-list entries must lie in [0, 1)")
-    cfg = _base_config(args)
-    _print_config({**cfg.to_dict(), "s_list": list(s_list)})
-    report = corollary_experiment(cfg, s_list)
-    _emit_report(report, args.out, args.plot, args.plot_kind)
-    return _verdict(report)
-
-
-def _cmd_verify_fs(args) -> int:
-    _check_cap(args.n)
-    cfg = _base_config(args)
-    _print_config(cfg.to_dict())
-    report = fs_random_suite(cfg)
-    _emit_report(report, args.out, args.plot, args.plot_kind)
-    return _verdict(report)
-
-
-def _cmd_verify_ainf(args) -> int:
-    _check_cap(args.n)
-    cfg = _base_config(args)
-    _print_config(cfg.to_dict())
-    report = ainf_lemma_sweep(cfg)
-    _emit_report(report, args.out, args.plot, args.plot_kind)
-    return _verdict(report)
+    return _run_suite(args, corollary_experiment, s_list=s_list)
 
 
 def _cmd_compare(args) -> int:
@@ -278,17 +250,8 @@ def _cmd_compare(args) -> int:
             "seed": args.seed, "weight": args.weight}
     _print_config(echo)
     report = maximal_comparison(w, eps, phi, config=echo)
-    _emit_report(report, args.out, None, args.plot_kind)
+    _emit_report(report, args.out)
     return 0
-
-
-def _cmd_replay(args) -> int:
-    _check_cap(args.n)
-    cfg = _base_config(args, bound=args.bound)
-    _print_config(cfg.to_dict())
-    report = replay_random_suite(cfg)
-    _emit_report(report, args.out, args.plot, args.plot_kind)
-    return _verdict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +259,68 @@ def _cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_grid_flags(p, n_default=10):
-    p.add_argument("--n", type=int, default=n_default,
-                   help=f"grid resolution, 2^n cells (default {n_default})")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    p.add_argument("--out", type=str, default=None,
-                   help="write a report here (.csv for per-trial CSV, JSON otherwise)")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _add_trial_flags(p, trials_default=100, bound_default=64.0):
-    p.add_argument("--trials", type=int, default=trials_default,
-                   help=f"number of random trials (default {trials_default})")
-    p.add_argument("--bound", type=float, default=bound_default,
-                   help=f"acceptance bound (default {bound_default})")
-    p.add_argument("--plot", type=str, default=None, help="write an SVG chart here")
-    p.add_argument("--plot-kind", type=str, default="scatter",
-                   choices=("scatter", "histogram", "line"), help="chart flavor")
+def _trials(default):
+    return _arg("--trials", type=int, default=default,
+                help=f"number of random trials (default {default})")
+
+
+def _bound(default):
+    return _arg("--bound", type=float, default=default,
+                help=f"acceptance bound (default {default})")
+
+
+WEIGHT = _arg("--weight", type=str, default="random", help=WEIGHT_FAMILY_HELP)
+EPS = _arg("--eps", type=str, default="log_pow:2", help="entropy bump spec")
+PHI = _arg("--phi", type=str, default=None, help="Orlicz bump spec")
+STOP_A = _arg("--a", type=float, default=4.0, help="stopping factor (default 4)")
+PLOT = (
+    _arg("--plot", type=str, default=None, help="write an SVG chart here"),
+    _arg("--plot-kind", type=str, default="scatter",
+         choices=("scatter", "histogram", "line"), help="chart flavor"),
+)
+
+# One row per subcommand: name, help, default --n, its arguments beyond
+# --n/--seed/--out, and the values set_defaults wires in. Every row sets
+# the handler; a suite whose gate is fixed pins the bound its report
+# records instead of taking a --bound that it would never read.
+COMMANDS = (
+    ("rho", "local oscillation table of a weight", 10, (WEIGHT,),
+     {"handler": _cmd_rho}),
+    ("maximal", "dyadic, entropy, and Orlicz maximal functions", 10, (WEIGHT, EPS, PHI),
+     {"handler": _cmd_maximal}),
+    ("sparse-split", "eight-way split of a Carleson collection", 10,
+     (_arg("--collection", type=str, default=None,
+           help="collection file to split (otherwise a random one is generated)"),
+      STOP_A),
+     {"handler": _cmd_sparse_split}),
+    ("domination", "sparse domination of random sign transforms", 10,
+     (_trials(100), _bound(16.0), *PLOT, STOP_A),
+     {"handler": _suite_command(domination_random_suite)}),
+    ("verify-main", "weak-type bound against the entropy majorant", 10,
+     (_trials(100), _bound(64.0), *PLOT, EPS,
+      _arg("--weight", type=str, default=None,
+           help="restrict to one weight family (power:<s>, a1gen, random)")),
+     {"handler": _suite_command(main_theorem_experiment)}),
+    ("verify-cor", "uniformity of the normalized power-weight quotients", 10,
+     (_trials(100), *PLOT,
+      _arg("--s-list", type=str, default="0,0.5,0.9,0.96875",
+           help="comma separated exponents in [0,1)")),
+     {"handler": _cmd_verify_cor, "bound": 64.0}),
+    ("verify-fs", "constant-one endpoint check for coefficient maximal functions", 8,
+     (_trials(200), *PLOT),
+     {"handler": _suite_command(fs_random_suite), "bound": 1.0}),
+    ("verify-ainf", "localized oscillation ratio sweep", 10, (_trials(100), *PLOT),
+     {"handler": _suite_command(ainf_lemma_sweep), "bound": 8.0}),
+    ("compare", "pointwise maximal function comparison for one weight", 10,
+     (WEIGHT, EPS, PHI), {"handler": _cmd_compare}),
+    ("replay", "step-by-step weak-type decomposition on random instances", 10,
+     (_trials(100), *PLOT, EPS, STOP_A),
+     {"handler": _suite_command(replay_random_suite), "bound": 16.0}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,78 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"entbump {VERSION}")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("rho", help="local oscillation table of a weight")
-    _add_grid_flags(p)
-    p.add_argument("--weight", type=str, default="random", help=WEIGHT_FAMILY_HELP)
-
-    p = sub.add_parser("maximal", help="dyadic, entropy, and Orlicz maximal functions")
-    _add_grid_flags(p)
-    p.add_argument("--weight", type=str, default="random", help=WEIGHT_FAMILY_HELP)
-    p.add_argument("--eps", type=str, default="log_pow:2", help="entropy bump spec")
-    p.add_argument("--phi", type=str, default=None, help="Orlicz bump spec")
-
-    p = sub.add_parser("sparse-split", help="eight-way split of a Carleson collection")
-    _add_grid_flags(p)
-    p.add_argument("--collection", type=str, default=None,
-                   help="collection file to split (otherwise a random one is generated)")
-    p.add_argument("--a", type=float, default=4.0, help="stopping factor (default 4)")
-
-    p = sub.add_parser("domination", help="sparse domination of random sign transforms")
-    _add_grid_flags(p)
-    _add_trial_flags(p, trials_default=100, bound_default=16.0)
-    p.add_argument("--a", type=float, default=4.0, help="stopping factor (default 4)")
-
-    p = sub.add_parser("verify-main", help="weak-type bound against the entropy majorant")
-    _add_grid_flags(p)
-    _add_trial_flags(p)
-    p.add_argument("--eps", type=str, default="log_pow:2", help="entropy bump spec")
-    p.add_argument("--weight", type=str, default=None,
-                   help="restrict to one weight family (power:<s>, a1gen, random)")
-
-    p = sub.add_parser("verify-cor", help="uniformity of the normalized power-weight quotients")
-    _add_grid_flags(p)
-    _add_trial_flags(p)
-    p.add_argument("--s-list", type=str, default="0,0.5,0.9,0.96875",
-                   help="comma separated exponents in [0,1)")
-
-    p = sub.add_parser("verify-fs", help="constant-one endpoint check for coefficient maximal functions")
-    _add_grid_flags(p, n_default=8)
-    _add_trial_flags(p, trials_default=200, bound_default=1.0)
-
-    p = sub.add_parser("verify-ainf", help="localized oscillation ratio sweep")
-    _add_grid_flags(p)
-    _add_trial_flags(p, bound_default=8.0)
-
-    p = sub.add_parser("compare", help="pointwise maximal function comparison for one weight")
-    _add_grid_flags(p)
-    p.add_argument("--weight", type=str, default="random", help=WEIGHT_FAMILY_HELP)
-    p.add_argument("--eps", type=str, default="log_pow:2", help="entropy bump spec")
-    p.add_argument("--phi", type=str, default=None, help="Orlicz bump spec")
-    p.add_argument("--plot-kind", type=str, default="scatter",
-                   choices=("scatter", "histogram", "line"))
-
-    p = sub.add_parser("replay", help="step-by-step weak-type decomposition on random instances")
-    _add_grid_flags(p)
-    _add_trial_flags(p, bound_default=16.0)
-    p.add_argument("--eps", type=str, default="log_pow:2", help="entropy bump spec")
-    p.add_argument("--a", type=float, default=4.0, help="stopping factor (default 4)")
-
+    for name, help_text, n_default, arguments, defaults in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", type=int, default=n_default,
+                       help=f"grid resolution, 2^n cells (default {n_default})")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+        p.add_argument("--out", type=str, default=None,
+                       help="write a report here (.csv for per-trial CSV, JSON otherwise)")
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(**defaults)
     return parser
-
-
-_DISPATCH = {
-    "rho": _cmd_rho,
-    "maximal": _cmd_maximal,
-    "sparse-split": _cmd_sparse_split,
-    "domination": _cmd_domination,
-    "verify-main": _cmd_verify_main,
-    "verify-cor": _cmd_verify_cor,
-    "verify-fs": _cmd_verify_fs,
-    "verify-ainf": _cmd_verify_ainf,
-    "compare": _cmd_compare,
-    "replay": _cmd_replay,
-}
 
 
 def run(argv=None) -> int:
@@ -407,7 +355,7 @@ def run(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

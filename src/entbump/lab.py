@@ -1,10 +1,12 @@
 """Randomized experiments against the weighted weak-type bounds.
 
 Every experiment is driven by a TrialConfig and returns an
-ExperimentReport. Reports are deterministic functions of the config: trial
-i draws from a generator seeded by (seed, i), and serialization avoids
-timestamps and environment-dependent fields, so re-running a config byte
-reproduces its JSON and CSV output.
+ExperimentReport. The suites share one trial loop, ``run_suite``: each suite
+is a per-trial function that returns a TrialRecord, plus the code that turns
+the records into aggregates and pass flags. Reports are deterministic
+functions of the config: trial i draws from a generator seeded by (seed, i),
+and serialization avoids timestamps and environment-dependent fields, so
+re-running a config byte reproduces its JSON and CSV output.
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ class TrialConfig:
         object.__setattr__(self, "function_families", tuple(self.function_families))
         self.eps_spec()  # fail fast on bad grammar
         self.phi_spec()
+
+    def weight_family(self, t: int) -> str:
+        """Weight family of trial t, round-robin over weight_families."""
+        return self.weight_families[t % len(self.weight_families)]
+
+    def function_family(self, t: int) -> str:
+        """Function family of trial t, round-robin over function_families."""
+        return self.function_families[t % len(self.function_families)]
 
     def eps_spec(self) -> EpsilonSpec:
         return EpsilonSpec.parse(self.eps)
@@ -290,6 +300,34 @@ def weak_type_quotient(g: GridFunction, w: GridFunction, f: GridFunction, majora
 
 
 # ---------------------------------------------------------------------------
+# Suite driver.
+# ---------------------------------------------------------------------------
+
+
+def run_suite(kind: str, cfg: TrialConfig, trial, count: int | None = None) -> ExperimentReport:
+    """The trial loop of every suite.
+
+    Trial t, for t in range(count) (``cfg.trials`` by default), returns the
+    TrialRecord of ``trial(t, trial_rng(cfg.seed, t))``. The report carries
+    the config and the records; the suite sets aggregates and pass flags.
+    """
+    count = cfg.trials if count is None else count
+    records = [trial(t, trial_rng(cfg.seed, t)) for t in range(count)]
+    return ExperimentReport(kind=kind, config=cfg.to_dict(), records=records)
+
+
+def _running_max(values, start: float = 0.0) -> tuple:
+    """(max, index) of the strict-``>`` fold of values from start: the first
+    of tied maxima wins, NaN never wins, and the index is None when nothing
+    beats start. This is the fold ``max(acc, x)`` computes."""
+    best, argmax = start, None
+    for i, x in enumerate(values):
+        if x > best:
+            best, argmax = x, i
+    return best, argmax
+
+
+# ---------------------------------------------------------------------------
 # Coefficient maximal function: endpoint check with constant one.
 # ---------------------------------------------------------------------------
 
@@ -327,14 +365,11 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float,
 
 def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
     """Random weights, functions, cube families, coefficients, and levels."""
-    report = ExperimentReport(kind="fs", config=cfg.to_dict())
     n = cfg.resolution
-    worst_slack = -math.inf
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        wfam = cfg.weight_families[i % len(cfg.weight_families)]
-        ffam = cfg.function_families[i % len(cfg.function_families)]
-        w, wlabel, _ = _draw_weight(rng, n, wfam)
+
+    def trial(t, rng):
+        ffam = cfg.function_family(t)
+        w, wlabel, _ = _draw_weight(rng, n, cfg.weight_family(t))
         f = _draw_function(rng, n, ffam, majorant=w.values)
         # Memberships and coefficients are drawn in (level, index) order into
         # one flat array, level l at [2^l - 1, 2^(l+1) - 1); an empty draw
@@ -352,16 +387,15 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
         lam = max(base * float(rng.uniform(0.3, 1.2)), 1e-300)
         res = fs_check(cubes, alpha, f, w, lam)
         slack = 0.0 if res.rhs == 0.0 else res.lhs / res.rhs
-        worst_slack = max(worst_slack, slack)
-        report.records.append(
-            TrialRecord(
-                trial=i, weight=wlabel, function=ffam, s=None, k_eps=None,
-                a1=None, ainf=None, quotient=slack, normalized_quotient=None,
-                passed=res.passed,
-            )
+        return TrialRecord(
+            trial=t, weight=wlabel, function=ffam, s=None, k_eps=None,
+            a1=None, ainf=None, quotient=slack, normalized_quotient=None,
+            passed=res.passed,
         )
+
+    report = run_suite("fs", cfg, trial)
     report.aggregates = {
-        "worst_lhs_over_rhs": worst_slack,
+        "worst_lhs_over_rhs": _running_max((r.quotient for r in report.records), -math.inf)[0],
         "trials": cfg.trials,
     }
     report.pass_flags = {"constant_one": all(r.passed for r in report.records)}
@@ -382,31 +416,25 @@ def main_theorem_experiment(cfg: TrialConfig) -> ExperimentReport:
     eps = cfg.eps_spec()
     ke = k_epsilon(eps)
     limit = math.inf if ke.diverged else cfg.bound * ke.value
-    report = ExperimentReport(kind="main", config=cfg.to_dict())
     n = cfg.resolution
-    max_q = 0.0
-    argmax = None
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        wfam = cfg.weight_families[i % len(cfg.weight_families)]
-        ffam = cfg.function_families[i % len(cfg.function_families)]
-        w, wlabel, s = _draw_weight(rng, n, wfam)
+
+    def trial(t, rng):
+        ffam = cfg.function_family(t)
+        w, wlabel, s = _draw_weight(rng, n, cfg.weight_family(t))
         majorant = m_entropy(w, eps)
         f = _draw_function(rng, n, ffam, majorant=majorant.values)
         spec = HaarSpec.from_rng(n, rng)
         tf = haar_transform(spec, f)
         q = weak_type_quotient(tf, w, f, majorant)
-        if q > max_q:
-            max_q = q
-            argmax = i
-        report.records.append(
-            TrialRecord(
-                trial=i, weight=wlabel, function=ffam, s=s, k_eps=ke.value,
-                a1=None, ainf=None, quotient=q, normalized_quotient=q / ke.value
-                if ke.value > 0 else None,
-                passed=q <= limit,
-            )
+        return TrialRecord(
+            trial=t, weight=wlabel, function=ffam, s=s, k_eps=ke.value,
+            a1=None, ainf=None, quotient=q, normalized_quotient=q / ke.value
+            if ke.value > 0 else None,
+            passed=q <= limit,
         )
+
+    report = run_suite("main", cfg, trial)
+    max_q, argmax = _running_max(r.quotient for r in report.records)
     report.aggregates = {
         "k_eps": ke.value,
         "k_eps_terms": ke.terms_used,
@@ -425,38 +453,41 @@ def corollary_experiment(cfg: TrialConfig, s_list=DEFAULT_S_LIST) -> ExperimentR
     """Power weights with exponents from s_list, quotient against the plain
     L1(w) norm, normalized by a1 * shifted_log2(ainf).
 
-    The normalized maxima must be uniform in s: max over s at most four
-    times the median over s.
+    Trial t runs exponent s_list[t // cfg.trials]. The normalized maxima
+    must be uniform in s: max over s at most four times the median over s.
     """
     if not s_list:
         raise ConfigError("s_list must be nonempty")
-    report = ExperimentReport(kind="corollary", config=cfg.to_dict())
-    report.config["s_list"] = [float(s) for s in s_list]
     n = cfg.resolution
-    per_s_max: dict[str, float] = {}
-    for s_idx, s in enumerate(s_list):
-        w = power_weight(float(s), n)
+    s_list = [float(s) for s in s_list]
+    per_s = []
+    for s in s_list:
+        w = power_weight(s, n)
         a1 = a1_constant(w)
         ainf = ainf_constant(w)
-        norm_factor = a1 * float(shifted_log2(ainf))
-        best = 0.0
-        for i in range(cfg.trials):
-            rng = trial_rng(cfg.seed, s_idx * cfg.trials + i)
-            ffam = cfg.function_families[i % len(cfg.function_families)]
-            f = _draw_function(rng, n, ffam, majorant=w.values)
-            spec = HaarSpec.from_rng(n, rng)
-            tf = haar_transform(spec, f)
-            q = weak_type_quotient(tf, w, f, w)
-            normalized = q / norm_factor
-            best = max(best, normalized)
-            report.records.append(
-                TrialRecord(
-                    trial=s_idx * cfg.trials + i, weight=f"power:{float(s)}",
-                    function=ffam, s=float(s), k_eps=None, a1=a1, ainf=ainf,
-                    quotient=q, normalized_quotient=normalized, passed=None,
-                )
-            )
-        per_s_max[repr(float(s))] = best
+        per_s.append((w, a1, ainf, a1 * float(shifted_log2(ainf))))
+
+    def trial(t, rng):
+        s_idx = t // cfg.trials
+        s = s_list[s_idx]
+        w, a1, ainf, norm_factor = per_s[s_idx]
+        ffam = cfg.function_family(t % cfg.trials)
+        f = _draw_function(rng, n, ffam, majorant=w.values)
+        spec = HaarSpec.from_rng(n, rng)
+        tf = haar_transform(spec, f)
+        q = weak_type_quotient(tf, w, f, w)
+        return TrialRecord(
+            trial=t, weight=f"power:{s}", function=ffam, s=s, k_eps=None,
+            a1=a1, ainf=ainf, quotient=q, normalized_quotient=q / norm_factor,
+            passed=None,
+        )
+
+    report = run_suite("corollary", cfg, trial, count=cfg.trials * len(s_list))
+    report.config["s_list"] = s_list
+    per_s_max: dict[str, float] = {}
+    for s_idx, s in enumerate(s_list):
+        block = report.records[s_idx * cfg.trials:(s_idx + 1) * cfg.trials]
+        per_s_max[repr(s)] = _running_max(r.normalized_quotient for r in block)[0]
     values = list(per_s_max.values())
     max_over_s = max(values)
     median_over_s = float(np.median(values))
@@ -479,13 +510,10 @@ def corollary_experiment(cfg: TrialConfig, s_list=DEFAULT_S_LIST) -> ExperimentR
 def ainf_lemma_sweep(cfg: TrialConfig) -> ExperimentReport:
     """Random (weight, cube, subset) triples for the localized ratio
     w(E) shifted_log2(|Q|/|E|) / (w(Q) rho); must stay at or below 8."""
-    report = ExperimentReport(kind="ainf", config=cfg.to_dict())
     n = cfg.resolution
-    max_ratio = 0.0
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        wfam = cfg.weight_families[i % len(cfg.weight_families)]
-        w, wlabel, s = _draw_weight(rng, n, wfam)
+
+    def trial(t, rng):
+        w, wlabel, s = _draw_weight(rng, n, cfg.weight_family(t))
         level = int(rng.integers(0, n + 1))
         index = int(rng.integers(0, 1 << level))
         cube = DyadicCube(level, index)
@@ -496,14 +524,14 @@ def ainf_lemma_sweep(cfg: TrialConfig) -> ExperimentReport:
         mask = np.zeros(1 << n, dtype=bool)
         mask[a:b] = sel
         ratio = ainf_lemma_ratio(w, cube, CellSet(n, mask))
-        max_ratio = max(max_ratio, ratio)
-        report.records.append(
-            TrialRecord(
-                trial=i, weight=wlabel, function=None, s=s, k_eps=None,
-                a1=None, ainf=None, quotient=ratio, normalized_quotient=None,
-                passed=ratio <= 8.0,
-            )
+        return TrialRecord(
+            trial=t, weight=wlabel, function=None, s=s, k_eps=None,
+            a1=None, ainf=None, quotient=ratio, normalized_quotient=None,
+            passed=ratio <= 8.0,
         )
+
+    report = run_suite("ainf", cfg, trial)
+    max_ratio = _running_max(r.quotient for r in report.records)[0]
     report.aggregates = {"max_ratio": max_ratio}
     report.pass_flags = {"ratio_bound": max_ratio <= 8.0}
     return report
@@ -514,16 +542,13 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
     full decomposition replay; every internal check must hold with measured
     constants at or below 16."""
     eps = cfg.eps_spec()
-    report = ExperimentReport(kind="replay", config=cfg.to_dict())
     n = cfg.resolution
-    worst = 0.0
-    all_ok = True
     vacuous = 0
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        wfam = cfg.weight_families[i % len(cfg.weight_families)]
-        ffam = cfg.function_families[i % len(cfg.function_families)]
-        w, wlabel, s = _draw_weight(rng, n, wfam)
+
+    def trial(t, rng):
+        nonlocal vacuous
+        ffam = cfg.function_family(t)
+        w, wlabel, s = _draw_weight(rng, n, cfg.weight_family(t))
         # heavy-tailed base so stopping trees reach a few generations
         base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
         coll = cz_stopping_collection(base, ROOT, cfg.stopping_a)
@@ -536,23 +561,21 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
         if integral(w, g_set) <= 0.0:
             g_set = CellSet.full(n)
         rep = proof_replay(coll, f, w, g_set, eps, constant_bound=16.0)
-        measured = rep.max_measured_constant()
-        worst = max(worst, measured)
-        all_ok = all_ok and rep.all_ok
         vacuous += int(rep.vacuous)
-        report.records.append(
-            TrialRecord(
-                trial=i, weight=wlabel, function=ffam, s=s, k_eps=None,
-                a1=None, ainf=None, quotient=measured, normalized_quotient=None,
-                passed=rep.all_ok,
-            )
+        return TrialRecord(
+            trial=t, weight=wlabel, function=ffam, s=s, k_eps=None,
+            a1=None, ainf=None, quotient=rep.max_measured_constant(),
+            normalized_quotient=None, passed=rep.all_ok,
         )
+
+    report = run_suite("replay", cfg, trial)
+    worst = _running_max(r.quotient for r in report.records)[0]
     report.aggregates = {
         "max_measured_constant": worst,
         "vacuous_trials": vacuous,
     }
     report.pass_flags = {
-        "decomposition": all_ok,
+        "decomposition": all(r.passed for r in report.records),
         "constants": worst <= 16.0,
     }
     return report
@@ -562,28 +585,23 @@ def domination_random_suite(cfg: TrialConfig) -> ExperimentReport:
     """Random sign transforms and test pairs against the sparse bilinear
     form over the stopping cubes of |f| + |g|; the measured pairing-to-form
     ratio must stay at or below cfg.bound."""
-    report = ExperimentReport(kind="domination", config=cfg.to_dict())
     n = cfg.resolution
-    max_ratio = 0.0
-    argmax = None
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        ffam = cfg.function_families[i % len(cfg.function_families)]
-        gfam = cfg.function_families[(i + 1) % len(cfg.function_families)]
+
+    def trial(t, rng):
+        ffam = cfg.function_family(t)
+        gfam = cfg.function_family(t + 1)
         f = _draw_function(rng, n, ffam)
         g = _draw_function(rng, n, gfam)
         spec = HaarSpec.from_rng(n, rng)
         res = sparse_dominate_bilinear(spec, f, g, a=cfg.stopping_a)
-        if res.measured_ratio > max_ratio:
-            max_ratio = res.measured_ratio
-            argmax = i
-        report.records.append(
-            TrialRecord(
-                trial=i, weight="none", function=f"{ffam}|{gfam}", s=None,
-                k_eps=None, a1=None, ainf=None, quotient=res.measured_ratio,
-                normalized_quotient=None, passed=res.measured_ratio <= cfg.bound,
-            )
+        return TrialRecord(
+            trial=t, weight="none", function=f"{ffam}|{gfam}", s=None,
+            k_eps=None, a1=None, ainf=None, quotient=res.measured_ratio,
+            normalized_quotient=None, passed=res.measured_ratio <= cfg.bound,
         )
+
+    report = run_suite("domination", cfg, trial)
+    max_ratio, argmax = _running_max(r.quotient for r in report.records)
     report.aggregates = {
         "max_ratio": max_ratio,
         "argmax_trial": argmax,

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from entbump import (
     SparseCollection,
     save_grid_function,
 )
-from entbump.cli import run
+from entbump.cli import build_parser, run
 from entbump.lab import MAX_RESOLUTION_ENV, VERSION
 
 
@@ -154,6 +156,19 @@ def test_verify_main_tiny_bound_fails(capsys):
     assert "RESULT: FAIL" in capsys.readouterr().out
 
 
+def test_domination_tiny_bound_fails(capsys):
+    assert run(["domination", "--n", "5", "--trials", "4", "--bound", "1e-12"]) == 1
+    assert "RESULT: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify-fs", "verify-ainf", "verify-cor", "replay"])
+def test_fixed_gate_suites_take_no_bound(command, capsys):
+    # These suites gate on the paper's fixed constants, so a --bound would
+    # be accepted and then ignored.
+    assert run([command, "--n", "4", "--trials", "2", "--bound", "1e-12"]) == 2
+    assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
+
 def test_verify_cor_small(capsys):
     code = run(["verify-cor", "--n", "6", "--trials", "6", "--s-list", "0,0.5,0.9"])
     assert code == 0
@@ -199,6 +214,11 @@ def test_compare_descriptive(capsys):
     assert "RESULT" not in out  # descriptive command, no verdict
 
 
+def test_compare_has_no_plot(tmp_path, capsys):
+    assert run(["compare", "--n", "4", "--plot", str(tmp_path / "x.svg")]) == 2
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+
+
 def test_resolution_cap_enforced(monkeypatch, capsys):
     monkeypatch.setenv(MAX_RESOLUTION_ENV, "8")
     assert run(["rho", "--n", "9"]) == 2
@@ -216,6 +236,17 @@ def test_stdout_deterministic(capsys):
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
+
+
+def test_readme_command_table_matches_parser():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.M)
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(listed) == sorted(sub.choices)
 
 
 def _child_env():

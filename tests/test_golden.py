@@ -3,9 +3,11 @@
 Each digest is the sha256 of the JSON file a suite writes (``save_json``) at
 one small fixed config, plus the file ``sparse-split --out`` writes, the
 stdout of ``rho --n 10`` and the ``--out`` file of ``maximal --n 10 --phi
-llog:0.5`` (the dyadic, entropy and Orlicz maximal arrays). A change
-that moves any of them on purpose bumps ``VERSION`` and says why in
-CHANGES.md; a refactor leaves them alone.
+llog:0.5`` (the dyadic, entropy and Orlicz maximal arrays). The command
+layer is pinned too: the stdout of each suite command at ``--n 6 --trials
+10 --seed 3``, the CSV of ``verify-main --out`` and the SVG of ``domination
+--plot`` at the same flags. A change that moves any of them on purpose bumps
+``VERSION`` and says why in CHANGES.md; a refactor leaves them alone.
 """
 
 import hashlib
@@ -46,6 +48,22 @@ DIGESTS = {
     "maximal": "0a089429177900ef1358eea852fe6740cae771cfcf5414a1c87d37900342ff9b",
 }
 
+CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]
+
+CLI_STDOUT_DIGESTS = {
+    "verify-fs": "8ddf96d968ea06887742eae3912b80c318d571950072ed743fe7015b9868604f",
+    "verify-main": "4d61d4e8ce48cda696a363efacf7794cda540a0061514bbe5d37c3b86458f505",
+    "verify-cor": "1e1bc451ebf502f7e95b9ceda6e962589e2b77295dbaeafa1e7b49698899bc8b",
+    "verify-ainf": "f0d0c845913e1efb4dace12e328c79fe3d2d33968991f147cba5b47045fd9158",
+    "domination": "573101ecbb9b7e7eb3d7fa26eca6ab21b9552bfa3796d0380a0146f6dc2c34eb",
+    "replay": "13266df1a6aa4229adb8c1b956bf00ba454e74d30b3c3284812df479c3fa124d",
+}
+
+CLI_FILE_DIGESTS = {
+    "verify-main.csv": "92a32bf1a715fda49f40398639f12b8c10f39ae585922d51ce15752c28f4a94f",
+    "domination.svg": "1944da1d5a1aefd38ceaec51b26728cf80ad8770356823c154fd5d77d735296a",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -74,3 +92,21 @@ def test_maximal_digest(tmp_path, capsys):
     path = tmp_path / "maximal.json"
     assert run(["maximal", "--n", "10", "--phi", "llog:0.5", "--out", str(path)]) == 0
     assert _sha256(path) == DIGESTS["maximal"]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_STDOUT_DIGESTS))
+def test_suite_command_stdout_digest(command, capsys):
+    assert run([command, *CLI_ARGS]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CLI_STDOUT_DIGESTS[command]
+
+
+@pytest.mark.parametrize(
+    "name, flag",
+    [("verify-main.csv", "--out"), ("domination.svg", "--plot")],
+)
+def test_suite_command_file_digest(name, flag, tmp_path, capsys):
+    command = name.rsplit(".", 1)[0]
+    path = tmp_path / name
+    assert run([command, *CLI_ARGS, flag, str(path)]) == 0
+    assert _sha256(path) == CLI_FILE_DIGESTS[name]

@@ -6,6 +6,8 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entbump import (
     ConfigError,
@@ -31,7 +33,7 @@ from entbump import (
     trial_rng,
     weak_type_quotient,
 )
-from entbump.lab import CSV_COLUMNS, MAX_RESOLUTION_ENV
+from entbump.lab import CSV_COLUMNS, MAX_RESOLUTION_ENV, _running_max
 
 from oracles import loop_fs_random_suite
 
@@ -72,6 +74,43 @@ class TestTrialRng:
         c = trial_rng(8, 3).random(4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestRunningMax:
+    """The suites' aggregate maxima against the plain ``max(acc, x)`` fold."""
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf]), st.floats()),
+            max_size=20,
+        ),
+        st.sampled_from([0.0, -math.inf]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_max_fold(self, values, start):
+        acc = start
+        for x in values:
+            acc = max(acc, x)
+        best, argmax = _running_max(values, start)
+        assert repr(best) == repr(acc)
+        if acc > start:
+            assert argmax == next(i for i, x in enumerate(values) if x == acc)
+        else:
+            assert argmax is None
+
+    def test_ties_keep_first_index(self):
+        assert _running_max([1.0, 3.0, 2.0, 3.0]) == (3.0, 1)
+
+    def test_nan_skipped(self):
+        assert _running_max([math.nan, 1.0, math.nan, 0.5]) == (1.0, 1)
+
+    def test_all_nan_returns_start(self):
+        assert _running_max([math.nan, math.nan], -math.inf) == (-math.inf, None)
+        assert _running_max([math.nan]) == (0.0, None)
+
+    def test_minus_inf_start_keeps_negative_values(self):
+        assert _running_max([-2.0, -1.0, -3.0], -math.inf) == (-1.0, 1)
+        assert _running_max([-2.0, -1.0]) == (0.0, None)
 
 
 class TestTrialConfig:
