@@ -64,12 +64,8 @@ def main() -> int:
             if band.regime == "coarse"
             else max(band.qt_weight_constant or 0.0, band.disjoint_constant or 0.0)
         )
-        ok = band.eq_disjoint_ok and all(
-            flag is not False
-            for flag in (band.coarse_ok, band.qt_measure_ok, band.qt_weight_ok, band.disjoint_ok)
-        )
         print(f"{band.part:>4} {band.r:>3} {band.k:>4} {band.regime:>7} "
-              f"{band.cube_count:>5} {constant:>10.4f} {'yes' if ok else 'NO':>3}")
+              f"{band.cube_count:>5} {constant:>10.4f} {'yes' if band.ok else 'NO':>3}")
 
     print(f"max measured constant: {report.max_measured_constant():.6g} (bound 16)")
     print(f"all checks: {'PASS' if report.all_ok else 'FAIL'}")

@@ -330,11 +330,13 @@ def entropy_norm(
     return float(_entropy_levels(w, eps, variant)[cube.level][cube.index])
 
 
-def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str) -> list:
-    """entropy_norm of every cube, one array per level, from one rho_all."""
+def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None) -> list:
+    """entropy_norm of every cube, one array per level, from one rho_all:
+    w's RhoTable ``table``, or a fresh one (which validates w) when None."""
     if variant not in ("full", "log"):
         raise ValueError(f"unknown entropy norm variant {variant!r}")
-    table = rho_all(w)  # validates w
+    if table is None:
+        table = rho_all(w)
     norms = []
     for avg, r, vac in zip(level_averages(w.values), table.values, table.vacuous):
         r = np.where(vac, 1.0, r)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .grid import (
     weak_l1_norm,
 )
 from .sparse import (
+    CONSTANT_BOUND,
     HaarSpec,
     SparseCollection,
     cz_stopping_collection,
@@ -160,18 +161,7 @@ class TrialRecord:
     passed: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "weight": self.weight,
-            "function": self.function,
-            "s": self.s,
-            "k_eps": self.k_eps,
-            "a1": self.a1,
-            "ainf": self.ainf,
-            "quotient": self.quotient,
-            "normalized_quotient": self.normalized_quotient,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 CSV_COLUMNS = ("trial", "s", "K_eps", "a1", "ainf", "quotient", "normalized_quotient", "pass")
@@ -331,6 +321,8 @@ def _running_max(values, start: float = 0.0) -> tuple:
 # Coefficient maximal function: endpoint check with constant one.
 # ---------------------------------------------------------------------------
 
+FS_REL_TOL = 1e-9  # float slack on the right-hand side of the constant-one check
+
 
 @dataclass(frozen=True)
 class FsCheckResult:
@@ -340,8 +332,7 @@ class FsCheckResult:
     passed: bool
 
 
-def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float,
-             rel_tol: float = 1e-9) -> FsCheckResult:
+def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCheckResult:
     """Check  w({M_alpha f > lam}) <= (1/lam) integral |f| M_alpha w.
 
     M_alpha is the coefficient maximal function ``m_coeff`` over the
@@ -360,7 +351,7 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float,
     mw = m_coeff(w, alpha, cubes)
     lhs = superlevel_weight(mf, lam, w)
     rhs = float(np.dot(np.abs(f.values), mw.values) * f.cell_width) / lam
-    return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + rel_tol))
+    return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + FS_REL_TOL))
 
 
 def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
@@ -560,7 +551,7 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
         g_set = CellSet(n, g_mask)
         if integral(w, g_set) <= 0.0:
             g_set = CellSet.full(n)
-        rep = proof_replay(coll, f, w, g_set, eps, constant_bound=16.0)
+        rep = proof_replay(coll, f, w, g_set, eps)
         vacuous += int(rep.vacuous)
         return TrialRecord(
             trial=t, weight=wlabel, function=ffam, s=s, k_eps=None,
@@ -576,7 +567,7 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
     }
     report.pass_flags = {
         "decomposition": all(r.passed for r in report.records),
-        "constants": worst <= 16.0,
+        "constants": worst <= CONSTANT_BOUND,
     }
     return report
 

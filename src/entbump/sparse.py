@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .bumps import EpsilonSpec, m_coeff, m_entropy, shifted_log2
+from .bumps import EpsilonSpec, _entropy_levels, m_coeff, shifted_log2
 from .errors import (
     FileFormatError,
     InvalidCubeError,
@@ -209,14 +210,25 @@ def _cell_ratios(s: SparseCollection, cells) -> np.ndarray:
     return _at_members(s, [c / (1 << (n - level)) for level, c in enumerate(cells)])
 
 
+def _distinct(values: np.ndarray) -> list:
+    """The distinct entries of an integer array, ascending. (np.unique
+    imports numpy.ma on first use, about 1 MB of resident memory.)"""
+    v = np.sort(values)
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first].tolist()
+
+
+def _member_coords(s: SparseCollection) -> tuple[np.ndarray, np.ndarray]:
+    """Level and index of every member, in (level, index) order."""
+    index = [np.flatnonzero(mem) for mem in s.members]
+    return np.repeat(np.arange(len(index)), [i.size for i in index]), np.concatenate(index)
+
+
 def _member_at(s: SparseCollection, pos: int) -> DyadicCube:
     """The member at position pos of the (level, index) order."""
-    for level, mem in enumerate(s.members):
-        index = np.flatnonzero(mem)
-        if pos < index.size:
-            return DyadicCube(level, int(index[pos]))
-        pos -= index.size
-    raise IndexError("member position out of range")
+    levels, index = _member_coords(s)
+    return DyadicCube(int(levels[pos]), int(index[pos]))
 
 
 def _first_max(s: SparseCollection, ratios: np.ndarray):
@@ -258,13 +270,32 @@ def carleson_check(
     return CarlesonReport(worst_ratio <= lam, lam, include_self, worst_cube, worst_ratio)
 
 
+class _EqSets(Mapping):
+    """E_Q per member, read-only: each CellSet is built from the owner
+    array when its member is read, so the mapping holds O(2^n) memory."""
+
+    def __init__(self, s: SparseCollection):
+        self._resolution = s.resolution
+        self._owner = _owner(s)
+        self._position = {cube: pos for pos, cube in enumerate(s.cubes)}
+
+    def __getitem__(self, cube: DyadicCube) -> CellSet:
+        return CellSet(self._resolution, self._owner == self._position[cube])
+
+    def __iter__(self):
+        return iter(self._position)
+
+    def __len__(self):
+        return len(self._position)
+
+
 @dataclass(frozen=True)
 class EqCertification:
     """Result of the disjoint-E_Q construction on a collection."""
 
     certified: bool
     collection: SparseCollection
-    eq_sets: dict
+    eq_sets: Mapping
     violator: DyadicCube | None
     worst_ratio: float
 
@@ -273,10 +304,9 @@ def build_disjoint_eq(s: SparseCollection) -> EqCertification:
     """Construct E_Q = Q minus its maximal strict members and certify the
     strict 1/2-sparseness |E_Q| > |Q|/2 for every member."""
     ratios = _cell_ratios(s, _eq_cells(s))
+    eq_sets = _EqSets(s)
     if not ratios.size:
-        return EqCertification(True, s, {}, None, 1.0)
-    owner = _owner(s)
-    eq_sets = {cube: CellSet(s.resolution, owner == pos) for pos, cube in enumerate(s.cubes)}
+        return EqCertification(True, s, eq_sets, None, 1.0)
     worst = float(ratios.min())
     certified = worst > 0.5
     violator = None if certified else _member_at(s, int(np.argmax(ratios <= 0.5)))
@@ -505,6 +535,9 @@ def sparse_dominate_bilinear(
 # Proof replay: the weak-type decomposition, step by step.
 # ---------------------------------------------------------------------------
 
+CONSTANT_BOUND = 16.0  # the decomposition constant every band is checked against
+REL_TOL = 1e-9  # float slack on the replay's inequalities
+
 
 @dataclass(frozen=True)
 class CubeClassRecord:
@@ -540,6 +573,15 @@ class BandRecord:
     disjoint_constant: float | None = None
     disjoint_ok: bool | None = None
 
+    @property
+    def ok(self) -> bool:
+        """The E_Q are disjoint and no check of the regime failed (None
+        marks a check of the other regime)."""
+        return self.eq_disjoint_ok and all(
+            flag is not False
+            for flag in (self.coarse_ok, self.qt_measure_ok, self.qt_weight_ok, self.disjoint_ok)
+        )
+
 
 @dataclass
 class ProofReplayReport:
@@ -553,23 +595,17 @@ class ProofReplayReport:
     doubling_ok: bool
     cube_records: list = field(default_factory=list)
     band_records: list = field(default_factory=list)
-    constant_bound: float = 16.0
+    constant_bound: float = CONSTANT_BOUND
     vacuous: bool = False
 
     @property
     def all_ok(self) -> bool:
-        if not (self.fs_ok and self.doubling_ok):
-            return False
-        for rec in self.cube_records:
-            if rec.discard_reason is None and not rec.eq1_ok:
-                return False
-        for band in self.band_records:
-            if not band.eq_disjoint_ok:
-                return False
-            for flag in (band.coarse_ok, band.qt_measure_ok, band.qt_weight_ok, band.disjoint_ok):
-                if flag is False:
-                    return False
-        return True
+        return (
+            self.fs_ok
+            and self.doubling_ok
+            and all(rec.discard_reason is not None or rec.eq1_ok for rec in self.cube_records)
+            and all(band.ok for band in self.band_records)
+        )
 
     def max_measured_constant(self) -> float:
         worst = 0.0
@@ -593,39 +629,8 @@ class ProofReplayReport:
             "constant_bound": self.constant_bound,
             "all_ok": self.all_ok,
             "max_measured_constant": self.max_measured_constant(),
-            "cubes": [
-                {
-                    "level": rec.level,
-                    "index": rec.index,
-                    "part": rec.part,
-                    "r": rec.r,
-                    "k": rec.k,
-                    "generation": rec.generation,
-                    "eq1_ok": rec.eq1_ok,
-                    "discard_reason": rec.discard_reason,
-                }
-                for rec in self.cube_records
-            ],
-            "bands": [
-                {
-                    "part": band.part,
-                    "r": band.r,
-                    "k": band.k,
-                    "regime": band.regime,
-                    "cube_count": band.cube_count,
-                    "band_sum": band.band_sum,
-                    "eq_disjoint_ok": band.eq_disjoint_ok,
-                    "coarse_constant": band.coarse_constant,
-                    "coarse_ok": band.coarse_ok,
-                    "qt_empty": band.qt_empty,
-                    "qt_measure_ok": band.qt_measure_ok,
-                    "qt_weight_constant": band.qt_weight_constant,
-                    "qt_weight_ok": band.qt_weight_ok,
-                    "disjoint_constant": band.disjoint_constant,
-                    "disjoint_ok": band.disjoint_ok,
-                }
-                for band in self.band_records
-            ],
+            "cubes": [asdict(rec) for rec in self.cube_records],
+            "bands": [asdict(band) for band in self.band_records],
         }
 
     def save_json(self, path) -> None:
@@ -634,26 +639,42 @@ class ProofReplayReport:
             fh.write("\n")
 
 
-def _level_class(avg_f: float, w_g: float) -> int:
-    """The k >= -1 with avg_f in (4^{-k-1}, 4^{-k}] / w(G)."""
+def _ceil_log2(x: np.ndarray) -> np.ndarray:
+    """ceil(log2 x) of every positive entry, read exactly off the binary
+    exponent: x = m 2^e with m in [1/2, 1) gives e, or e - 1 when m = 1/2."""
+    mant, exp = np.frexp(x)
+    return exp - (mant == 0.5)
+
+
+def _level_class(avg_f: np.ndarray, w_g: float) -> np.ndarray:
+    """Per entry, the k with x = avg_f w(G) in (4^{-k-1}, 4^{-k}], which is
+    floor(-ceil(log2 x) / 2); k >= -1 for x <= 4. An entry whose product
+    underflows to 0 gets the cap 1100."""
     x = avg_f * w_g
-    k = max(-1, int(math.floor(-math.log(x, 4.0))) - 1)
-    while 4.0 ** (-k) < x:
-        k -= 1
-    while k < 1100 and 4.0 ** (-k - 1) >= x:
-        k += 1
-    return k
+    return np.where(x > 0.0, -_ceil_log2(x) // 2, 1100)
 
 
-def _rho_bin(rho_value: float) -> tuple[int, float, bool]:
-    """The r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}]; returns
-    (r, shifted_log2(rho), band check flag)."""
+def _rho_bin(rho_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry, the r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}] and the
+    flag that it lies there: r = max(0, ceil(log2 shifted_log2(rho)) - 1),
+    which misses the band only when shifted_log2(rho) <= 1."""
     val = shifted_log2(rho_value)
-    r = 0
-    while val > 2.0 ** (r + 1):
-        r += 1
-    ok = (2.0 ** r) < val <= 2.0 ** (r + 1)
-    return r, val, ok
+    return np.maximum(_ceil_log2(val) - 1, 0), val > 1.0
+
+
+def _select(s: SparseCollection, keep: np.ndarray) -> SparseCollection:
+    """The members of s at which keep, a mask in (level, index) order, is True."""
+    flat = np.concatenate(s.members)
+    sel = np.zeros_like(flat)
+    sel[flat] = keep
+    return SparseCollection._from_members(split_levels(sel, s.resolution))
+
+
+def _chain_sums(s: SparseCollection, per_level) -> np.ndarray:
+    """At each member, the sum of per-level values over the member and its
+    ancestors in s: a top-down sum paint of the values at the members."""
+    terms = [np.where(mem, v, 0.0) for mem, v in zip(s.members, per_level)]
+    return _at_members(s, paint_down(terms, np.add))
 
 
 def proof_replay(
@@ -662,8 +683,6 @@ def proof_replay(
     w: GridFunction,
     g_set: CellSet,
     eps: EpsilonSpec,
-    constant_bound: float = 16.0,
-    rel_tol: float = 1e-9,
 ) -> ProofReplayReport:
     """Replay the weak-type decomposition over a sparse collection.
 
@@ -673,7 +692,10 @@ def proof_replay(
     parts; within each part bin members by rho and by the dyadic size of
     <f>_Q; peel generations, build the disjoint E_Q sets, and verify the
     coarse bound (k <= 10 * 2^r) or the far-regime Q_t and disjointness
-    bounds (k > 10 * 2^r) with measured constants against constant_bound.
+    bounds (k > 10 * 2^r) with measured constants against CONSTANT_BOUND.
+
+    Each part is classified at once on its member arrays, in (level, index)
+    order, and each (r, k) band is a mask of those arrays.
     """
     require_weight(w)
     n = f.resolution
@@ -685,8 +707,10 @@ def proof_replay(
     if not certify_half_sparse(s):
         raise SparsePreconditionError("collection is not strictly 1/2-sparse")
 
-    majorant = m_entropy(w, eps, variant="log")
-    denom = float(np.dot(np.abs(f.values), majorant.values) * f.cell_width)
+    # One rho table feeds the majorant (m_entropy's paint) and the rho-bins.
+    table = rho_all(w)
+    majorant = paint_down(_entropy_levels(w, eps, "log", table), np.maximum)[-1]
+    denom = float(np.dot(np.abs(f.values), majorant) * f.cell_width)
     threshold = 4.0 / w_g
     if denom == 0.0:
         # f is identically zero: every class is empty, all checks vacuous.
@@ -699,7 +723,6 @@ def proof_replay(
             threshold=threshold,
             fs_ok=True,
             doubling_ok=True,
-            constant_bound=constant_bound,
             vacuous=True,
         )
     fn = GridFunction(n, f.values / denom)
@@ -710,20 +733,16 @@ def proof_replay(
     h_mask = paint_down(favg, np.maximum)[-1] > threshold
     h_set = CellSet(n, h_mask)
     w_h = integral(w, h_set)
-    fs_ok = w_h <= 0.25 * w_g * (1.0 + rel_tol)
+    fs_ok = w_h <= 0.25 * w_g * (1.0 + REL_TOL)
 
     g_prime = g_set.difference(h_set)
     w_gprime = integral(w, g_prime)
-    doubling_ok = w_g <= 2.0 * w_gprime * (1.0 + rel_tol)
+    doubling_ok = w_g <= 2.0 * w_gprime * (1.0 + REL_TOL)
 
     # Per-cube w(G' ∩ Q) via one sum ladder over w restricted to G'.
-    wgp_sums = level_sums(restrict(w, g_prime).values)
+    wgp_cells = restrict(w, g_prime).values
+    wgp_sums = level_sums(wgp_cells)
     cell_width = f.cell_width
-
-    def w_gprime_on(cube: DyadicCube) -> float:
-        return float(wgp_sums[cube.level][cube.index]) * cell_width
-
-    table = rho_all(w)
     report = ProofReplayReport(
         resolution=n,
         normalization=denom,
@@ -733,127 +752,99 @@ def proof_replay(
         threshold=threshold,
         fs_ok=fs_ok,
         doubling_ok=doubling_ok,
-        constant_bound=constant_bound,
     )
 
     unit = [np.ones(1 << level) for level in range(n + 1)]
-    parts = split_eight(s)
-    for part_idx, part in enumerate(parts):
-        first_rec = len(report.cube_records)
-        groups: dict[tuple[int, int], list] = {}
-        bin_members: dict[int, list] = {}
-        for cube in part:
-            avg_f = float(favg[cube.level][cube.index])
-            if avg_f > threshold * (1.0 + 1e-12):
-                # The cube qualifies for H, so it is covered by H and meets
-                # G' in a null set.
-                assert w_gprime_on(cube) == 0.0
-                report.cube_records.append(
-                    CubeClassRecord(
-                        cube.level, cube.index, part_idx, None, None, None, None,
-                        "above-threshold",
+    for part_idx, part in enumerate(split_eight(s)):
+        avg = _at_members(part, favg)
+        wgp = _at_members(part, wgp_sums) * cell_width
+        rho_m = _at_members(part, table.values)
+        # A member above the threshold qualifies for H, so it is covered by
+        # H and meets G' in a null set.
+        above = avg > threshold * (1.0 + 1e-12)
+        assert not wgp[above].any()
+        zero = avg == 0.0
+        classified = ~above & ~zero
+        k = _level_class(avg, w_g)
+        r, eq1_ok = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
+        generation = np.zeros_like(r)
+
+        for rb in _distinct(r[classified]):
+            in_bin = classified & (r == rb)
+            # Coarse right-hand sides share M^S w over the full rho-bin.
+            m_s = m_coeff(w, unit, _select(part, in_bin))
+            rhs = float(np.dot(np.abs(fn.values), m_s.values) * cell_width)
+            for kb in _distinct(k[in_bin]):
+                in_band = in_bin & (k == kb)
+                band = _select(part, in_band)
+                depth = _ancestor_counts(band)
+                generation[in_band] = _at_members(band, depth)
+
+                # E_Q = Q minus the next generation of the class, its
+                # children cover. The E_Q are disjoint when their cells add
+                # up to the cells the class covers.
+                eq_disjoint_ok = int(_at_members(band, _eq_cells(band)).sum()) == int(
+                    np.count_nonzero(depth[n] + band.members[n])
+                )
+                # sum over the class of |Q| <f>_Q <w 1_G'>_Q, added in order
+                band_sum = float(np.cumsum(avg[in_band] * wgp[in_band])[-1])
+                count = int(np.count_nonzero(in_band))
+                shared = dict(
+                    part=part_idx, r=rb, k=kb, cube_count=count,
+                    band_sum=band_sum, eq_disjoint_ok=eq_disjoint_ok,
+                )
+
+                if kb <= 10 * (1 << rb):
+                    if band_sum == 0.0:
+                        constant = 0.0
+                    elif rhs == 0.0:
+                        constant = math.inf
+                    else:
+                        constant = band_sum / rhs
+                    report.band_records.append(
+                        BandRecord(
+                            regime="coarse", **shared,
+                            coarse_constant=constant,
+                            coarse_ok=constant <= CONSTANT_BOUND * (1.0 + REL_TOL),
+                        )
                     )
-                )
-                continue
-            if avg_f == 0.0:
-                report.cube_records.append(
-                    CubeClassRecord(
-                        cube.level, cube.index, part_idx, None, None, None, None,
-                        "zero-average",
-                    )
-                )
-                continue
-            k = _level_class(avg_f, w_g)
-            r, _, eq1_ok = _rho_bin(table.effective(cube))
-            groups.setdefault((r, k), []).append(cube)
-            bin_members.setdefault(r, []).append(cube)
-            # generation filled in below
-            report.cube_records.append(
-                CubeClassRecord(cube.level, cube.index, part_idx, r, k, None, eq1_ok, None)
-            )
-        rec_lookup = {
-            (rec.level, rec.index): i
-            for i, rec in enumerate(report.cube_records[first_rec:], start=first_rec)
-            if rec.discard_reason is None
-        }
-
-        # Coarse right-hand sides share M^S w over the full rho-bin.
-        coarse_rhs: dict[int, float] = {}
-        for r, members in bin_members.items():
-            m_s = m_coeff(w, unit, SparseCollection(n, members))
-            coarse_rhs[r] = float(
-                np.dot(np.abs(fn.values), m_s.values) * cell_width
-            )
-
-        for (r, k), members in sorted(groups.items()):
-            sub = SparseCollection(n, members)  # members are in (level, index) order
-            depth = _ancestor_counts(sub)
-            gens = _at_members(sub, depth).tolist()
-            by_gen: dict[int, list] = {}
-            for i, cube in enumerate(members):
-                by_gen.setdefault(gens[i], []).append(i)
-                j = rec_lookup[(cube.level, cube.index)]
-                old = report.cube_records[j]
-                report.cube_records[j] = CubeClassRecord(
-                    old.level, old.index, old.part, old.r, old.k, gens[i], old.eq1_ok, None
-                )
-
-            # E_Q = Q minus the next generation of the class, its children
-            # cover. The E_Q are disjoint when their cells add up to the cells
-            # the class covers.
-            eq_disjoint_ok = int(_at_members(sub, _eq_cells(sub)).sum()) == int(
-                np.count_nonzero(depth[n] + sub.members[n])
-            )
-
-            band_sum = sum(
-                float(favg[c.level][c.index]) * w_gprime_on(c) for c in members
-            )
-
-            if k <= 10 * (1 << r):
-                rhs = coarse_rhs[r]
-                if band_sum == 0.0:
-                    constant = 0.0
-                elif rhs == 0.0:
-                    constant = math.inf
                 else:
-                    constant = band_sum / rhs
-                report.band_records.append(
-                    BandRecord(
-                        part=part_idx, r=r, k=k, regime="coarse",
-                        cube_count=len(members), band_sum=band_sum,
-                        eq_disjoint_ok=eq_disjoint_ok,
-                        coarse_constant=constant,
-                        coarse_ok=constant <= constant_bound * (1.0 + rel_tol),
+                    # Q_t needs t = 2^k >= 2^11 more generations, and no grid
+                    # has that many levels: Q_t is empty and its checks hold
+                    # vacuously. Disjointness sums <f>_Q w(E_Q' ∩ G') over
+                    # members Q and class members Q' inside Q; per Q' that is
+                    # w(E_Q' ∩ G') times <f> summed over Q' and its class
+                    # ancestors.
+                    owner = _owner(band)
+                    eq_w = np.bincount(owner + 1, weights=wgp_cells, minlength=count + 1)
+                    disjoint_sum = float(
+                        np.dot(_chain_sums(band, favg), eq_w[1:] * cell_width)
                     )
-                )
-            else:
-                # Q_t needs t = 2^k >= 2^11 more generations, and no grid has
-                # that many levels: Q_t is empty and its checks hold vacuously.
-                # Disjointness: each member against its class descendants.
-                owner = _owner(sub)
-                disjoint_sum = 0.0
-                for i, cube in enumerate(members):
-                    avg_f = float(favg[cube.level][cube.index])
-                    for gen in range(gens[i], max(gens) + 1):
-                        for j in by_gen[gen]:
-                            if cube.contains(members[j]):
-                                eq = owner == j
-                                eq_w = float(
-                                    np.dot(w.values[eq], g_prime.mask[eq].astype(np.float64))
-                                ) * cell_width
-                                disjoint_sum += avg_f * eq_w
-                disjoint_limit = constant_bound * (2.0 ** (-k)) * (1.0 + rel_tol)
-                report.band_records.append(
-                    BandRecord(
-                        part=part_idx, r=r, k=k, regime="far",
-                        cube_count=len(members), band_sum=band_sum,
-                        eq_disjoint_ok=eq_disjoint_ok,
-                        qt_empty=True,
-                        qt_measure_ok=True,
-                        qt_weight_constant=0.0,
-                        qt_weight_ok=0.0 <= constant_bound * (1.0 + rel_tol),
-                        disjoint_constant=disjoint_sum * (2.0 ** k),
-                        disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
+                    disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
+                    report.band_records.append(
+                        BandRecord(
+                            regime="far", **shared,
+                            qt_empty=True,
+                            qt_measure_ok=True,
+                            qt_weight_constant=0.0,
+                            qt_weight_ok=0.0 <= CONSTANT_BOUND * (1.0 + REL_TOL),
+                            disjoint_constant=disjoint_sum * (2.0 ** kb),
+                            disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
+                        )
                     )
-                )
+
+        reason = np.full(avg.size, None)
+        reason[zero] = "zero-average"
+        reason[above] = "above-threshold"
+        levels, index = _member_coords(part)
+        report.cube_records += [
+            CubeClassRecord(lv, ix, part_idx, None, None, None, None, why)
+            if why
+            else CubeClassRecord(lv, ix, part_idx, rr, kk, gen, ok, None)
+            for lv, ix, rr, kk, gen, ok, why in zip(
+                levels.tolist(), index.tolist(), r.tolist(), k.tolist(),
+                generation.tolist(), eq1_ok.tolist(), reason.tolist(),
+            )
+        ]
     return report
+

@@ -33,10 +33,6 @@ from .grid import (
 VACUOUS = math.nan
 
 
-def is_vacuous(value: float) -> bool:
-    return math.isnan(value)
-
-
 def effective_rho(value: float) -> float:
     """rho with the vacuous sentinel replaced by 1."""
     return 1.0 if math.isnan(value) else value
@@ -91,9 +87,6 @@ class RhoTable:
 
     def is_vacuous(self, cube: DyadicCube) -> bool:
         return bool(self.vacuous[cube.level][cube.index])
-
-    def effective(self, cube: DyadicCube) -> float:
-        return effective_rho(self.lookup(cube))
 
     def max_rho(self) -> float:
         """Max over non-vacuous cubes; the A-infinity characteristic."""

@@ -459,3 +459,171 @@ def entries_rho_csv(table, path):
         writer.writerow(["level", "index", "rho", "vacuous"])
         for cube, value, vac in table.entries():
             writer.writerow([cube.level, cube.index, f"{value:.17g}", int(vac)])
+
+
+def level_class(avg_f, w_g):
+    """The k >= -1 with avg_f in (4^{-k-1}, 4^{-k}] / w(G), found by a
+    log guess and unit steps; k = -2 when avg_f w(G) is in (4, 16]."""
+    x = avg_f * w_g
+    k = max(-1, int(math.floor(-math.log(x, 4.0))) - 1)
+    while 4.0 ** (-k) < x:
+        k -= 1
+    while k < 1100 and 4.0 ** (-k - 1) >= x:
+        k += 1
+    return k
+
+
+def rho_bin(rho_value):
+    """The r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}], by unit steps;
+    returns (r, shifted_log2(rho), band check flag)."""
+    from entbump.bumps import shifted_log2
+
+    val = shifted_log2(rho_value)
+    r = 0
+    while val > 2.0 ** (r + 1):
+        r += 1
+    ok = (2.0 ** r) < val <= 2.0 ** (r + 1)
+    return r, val, ok
+
+
+def loop_proof_replay(s, f, w, g_set, eps):
+    """proof_replay member by member: DyadicCube groups per (r, k) band and
+    per rho-bin, records rewritten once generations are known, and the
+    far-band disjointness sum over every (member, band descendant) pair with
+    one E-set mask per pair."""
+    from entbump.bumps import m_coeff, m_entropy
+    from entbump.grid import (
+        CellSet,
+        GridFunction,
+        integral,
+        level_averages,
+        level_sums,
+        paint_down,
+        restrict,
+    )
+    from entbump.sparse import (
+        BandRecord,
+        CubeClassRecord,
+        ProofReplayReport,
+        SparseCollection,
+        _ancestor_counts,
+        _at_members,
+        _eq_cells,
+        _owner,
+        split_eight,
+    )
+    from entbump.weights import effective_rho, rho_all
+
+    constant_bound, rel_tol = 16.0, 1e-9
+    n = f.resolution
+    w_g = integral(w, g_set)
+    majorant = m_entropy(w, eps, variant="log")
+    denom = float(np.dot(np.abs(f.values), majorant.values) * f.cell_width)
+    threshold = 4.0 / w_g
+    if denom == 0.0:
+        return ProofReplayReport(
+            resolution=n, normalization=0.0, w_g=w_g, w_h=0.0, w_gprime=w_g,
+            threshold=threshold, fs_ok=True, doubling_ok=True, vacuous=True,
+        )
+    fn = GridFunction(n, f.values / denom)
+    favg = level_averages(np.abs(fn.values))
+    h_set = CellSet(n, paint_down(favg, np.maximum)[-1] > threshold)
+    w_h = integral(w, h_set)
+    g_prime = g_set.difference(h_set)
+    w_gprime = integral(w, g_prime)
+    wgp_sums = level_sums(restrict(w, g_prime).values)
+    cell_width = f.cell_width
+
+    def w_gprime_on(cube):
+        return float(wgp_sums[cube.level][cube.index]) * cell_width
+
+    table = rho_all(w)
+    report = ProofReplayReport(
+        resolution=n, normalization=denom, w_g=w_g, w_h=w_h, w_gprime=w_gprime,
+        threshold=threshold,
+        fs_ok=w_h <= 0.25 * w_g * (1.0 + rel_tol),
+        doubling_ok=w_g <= 2.0 * w_gprime * (1.0 + rel_tol),
+    )
+    unit = [np.ones(1 << level) for level in range(n + 1)]
+    for part_idx, part in enumerate(split_eight(s)):
+        first_rec = len(report.cube_records)
+        groups, bin_members = {}, {}
+        for cube in part:
+            avg_f = float(favg[cube.level][cube.index])
+            if avg_f > threshold * (1.0 + 1e-12):
+                assert w_gprime_on(cube) == 0.0
+                report.cube_records.append(CubeClassRecord(
+                    cube.level, cube.index, part_idx, None, None, None, None,
+                    "above-threshold"))
+                continue
+            if avg_f == 0.0:
+                report.cube_records.append(CubeClassRecord(
+                    cube.level, cube.index, part_idx, None, None, None, None,
+                    "zero-average"))
+                continue
+            k = level_class(avg_f, w_g)
+            r, _, eq1_ok = rho_bin(effective_rho(table.lookup(cube)))
+            groups.setdefault((r, k), []).append(cube)
+            bin_members.setdefault(r, []).append(cube)
+            report.cube_records.append(
+                CubeClassRecord(cube.level, cube.index, part_idx, r, k, None, eq1_ok, None))
+        rec_lookup = {
+            (rec.level, rec.index): i
+            for i, rec in enumerate(report.cube_records[first_rec:], start=first_rec)
+            if rec.discard_reason is None
+        }
+        coarse_rhs = {}
+        for r, members in bin_members.items():
+            m_s = m_coeff(w, unit, SparseCollection(n, members))
+            coarse_rhs[r] = float(np.dot(np.abs(fn.values), m_s.values) * cell_width)
+
+        for (r, k), members in sorted(groups.items()):
+            sub = SparseCollection(n, members)
+            depth = _ancestor_counts(sub)
+            gens = _at_members(sub, depth).tolist()
+            by_gen = {}
+            for i, cube in enumerate(members):
+                by_gen.setdefault(gens[i], []).append(i)
+                j = rec_lookup[(cube.level, cube.index)]
+                old = report.cube_records[j]
+                report.cube_records[j] = CubeClassRecord(
+                    old.level, old.index, old.part, old.r, old.k, gens[i], old.eq1_ok, None)
+            eq_disjoint_ok = int(_at_members(sub, _eq_cells(sub)).sum()) == int(
+                np.count_nonzero(depth[n] + sub.members[n]))
+            band_sum = sum(float(favg[c.level][c.index]) * w_gprime_on(c) for c in members)
+            if k <= 10 * (1 << r):
+                rhs = coarse_rhs[r]
+                if band_sum == 0.0:
+                    constant = 0.0
+                elif rhs == 0.0:
+                    constant = math.inf
+                else:
+                    constant = band_sum / rhs
+                report.band_records.append(BandRecord(
+                    part=part_idx, r=r, k=k, regime="coarse",
+                    cube_count=len(members), band_sum=band_sum,
+                    eq_disjoint_ok=eq_disjoint_ok, coarse_constant=constant,
+                    coarse_ok=constant <= constant_bound * (1.0 + rel_tol)))
+            else:
+                owner = _owner(sub)
+                disjoint_sum = 0.0
+                for i, cube in enumerate(members):
+                    avg_f = float(favg[cube.level][cube.index])
+                    for gen in range(gens[i], max(gens) + 1):
+                        for j in by_gen[gen]:
+                            if cube.contains(members[j]):
+                                eq = owner == j
+                                eq_w = float(np.dot(
+                                    w.values[eq], g_prime.mask[eq].astype(np.float64)
+                                )) * cell_width
+                                disjoint_sum += avg_f * eq_w
+                disjoint_limit = constant_bound * (2.0 ** (-k)) * (1.0 + rel_tol)
+                report.band_records.append(BandRecord(
+                    part=part_idx, r=r, k=k, regime="far",
+                    cube_count=len(members), band_sum=band_sum,
+                    eq_disjoint_ok=eq_disjoint_ok, qt_empty=True, qt_measure_ok=True,
+                    qt_weight_constant=0.0,
+                    qt_weight_ok=0.0 <= constant_bound * (1.0 + rel_tol),
+                    disjoint_constant=disjoint_sum * (2.0 ** k),
+                    disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit)))
+    return report

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from entbump import (
     strong_sparseness_check,
 )
 from entbump.grid import average, integral, level_averages
-from entbump.sparse import _descendant_cells
+from entbump.sparse import BandRecord, _descendant_cells, _level_class, _rho_bin
 
 from oracles import (
     brute_bilinear,
@@ -44,8 +46,11 @@ from oracles import (
     brute_generation_depths,
     brute_haar_apply,
     brute_sparse_apply,
+    level_class,
     loop_bilinear,
+    loop_proof_replay,
     loop_sparse_apply,
+    rho_bin,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -203,6 +208,24 @@ class TestDisjointEq:
                 outside[a:b] = False
                 assert not outside.any()
             assert total.max() <= 1
+
+    def test_eq_sets_stay_linear_in_memory(self):
+        # One full-length mask per member would take members x 2^16 bytes.
+        _, s = random_collection(16, 0)
+        assert len(s) > 1000
+        tracemalloc.start()
+        try:
+            cert = build_disjoint_eq(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        # the last member lies on the deepest level, so E_Q is all of Q
+        cube = s.cubes[-1]
+        assert cert.eq_sets[cube] == CellSet.from_cube(16, cube)
+        assert len(cert.eq_sets) == len(s) and ROOT in cert.eq_sets
+        with pytest.raises(TypeError):
+            cert.eq_sets[ROOT] = CellSet.full(16)
 
     @given(st.integers(0, 100))
     @settings(max_examples=40, deadline=None)
@@ -778,3 +801,147 @@ class TestProofReplay:
             report.save_json(path)
             with open(path) as fh:
                 assert json.load(fh) == back
+
+
+# Edges of the level classes: x = avg_f w(G) at the powers of 4 that a
+# double can hold and one ulp either side, x just above 4 (k = -2), and the
+# smallest positive doubles.
+POW4 = st.integers(-537, 1).map(lambda j: 4.0**j)
+LEVEL_X = st.one_of(
+    POW4,
+    st.tuples(POW4, st.sampled_from([0.0, math.inf]))
+    .map(lambda p: float(np.nextafter(*p)))
+    .filter(lambda x: x > 0.0),
+    st.floats(4.0, 4.0 * (1.0 + 1e-12), exclude_min=True),
+    st.floats(5e-324, 1e-300),
+    st.floats(1e-300, 4.0),
+)
+
+
+def rho_near_pow2(j, ulps):
+    """A rho ulps steps from 2^(2^j) - 2, where shifted_log2(rho) = 2^j."""
+    edge = np.array([2.0 ** (2**j) - 2.0])
+    bits = edge.view(np.int64) + (abs(ulps) if edge[0] == 0.0 else ulps)
+    return float(bits.view(np.float64)[0])
+
+
+RHO = st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(-64, 64)).map(lambda p: rho_near_pow2(*p)),
+    st.floats(0.0, 1e30),
+)
+
+
+class TestReplayClassifiers:
+    @given(st.lists(LEVEL_X, min_size=1, max_size=20))
+    @example([4.0 * (1.0 + 1e-12), 5e-324, 1.0, float(np.nextafter(1.0, 2.0))])
+    @settings(max_examples=200, deadline=None)
+    def test_level_class_matches_loop_at_edges(self, xs):
+        assert _level_class(np.array(xs), 1.0).tolist() == [level_class(x, 1.0) for x in xs]
+
+    @given(st.lists(st.floats(1e-150, 4.0), min_size=1, max_size=20), st.floats(1e-100, 1e100))
+    @settings(max_examples=100, deadline=None)
+    def test_level_class_matches_loop(self, xs, w_g):
+        avg = np.array(xs) / w_g
+        avg = avg[(avg > 0.0) & (avg * w_g > 0.0) & (avg * w_g <= 4.0)]
+        assert _level_class(avg, w_g).tolist() == [level_class(a, w_g) for a in avg.tolist()]
+
+    def test_level_class_edges(self):
+        assert _level_class(np.array([4.0 * (1.0 + 1e-12), 4.0, 5e-324]), 1.0).tolist() == [
+            -2, -1, 537
+        ]
+        # A product that underflows to 0 reaches the cap, where the loop's
+        # log guess has no value.
+        assert _level_class(np.array([5e-324]), 0.25).tolist() == [1100]
+        with pytest.raises(ValueError):
+            level_class(5e-324, 0.25)
+
+    @given(st.lists(RHO, min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_rho_bin_matches_loop(self, rhos):
+        r, ok = _rho_bin(np.array(rhos))
+        want = [rho_bin(x) for x in rhos]
+        assert r.tolist() == [w[0] for w in want]
+        assert ok.tolist() == [w[2] for w in want]
+
+    def test_rho_bin_edges(self):
+        # shifted_log2(rho) = 1, 2, 4, 8, log2(257): 1 is in no band, 2^j
+        # tops band j - 1
+        r, ok = _rho_bin(np.array([0.0, 2.0, 14.0, 254.0, 255.0]))
+        assert r.tolist() == [0, 0, 1, 2, 3]
+        assert ok.tolist() == [False, True, True, True, True]
+
+
+def far_instance(seed, n=10):
+    """A 2^60 spike on a lognormal weight, kept out of G: <f> w(G) is tiny,
+    so most classes land in the far regime (k > 10 * 2^r)."""
+    rng = np.random.default_rng(seed)
+    wv = np.exp(rng.normal(0.0, 0.3, 1 << n))
+    spike = int(rng.integers(0, 1 << n))
+    wv[spike] = 2.0**60
+    f = GridFunction(n, np.exp(rng.normal(0.0, 0.2, 1 << n)))
+    g = rng.random(1 << n) < 0.5
+    g[spike] = False
+    base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
+    s = cz_stopping_collection(base, ROOT, 4.0)
+    return s, f, GridFunction(n, wv), CellSet(n, g), EpsilonSpec.constant(1.0)
+
+
+def mixed_instance(seed):
+    """Coarse instances with zero averages and above-threshold members."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
+    s = cz_stopping_collection(base, ROOT, 4.0)
+    w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
+    fv = np.abs(rng.standard_normal(1 << n)) * (rng.random(1 << n) < 0.6)
+    fv[int(rng.integers(0, 1 << n))] += 1e3 * rng.random()
+    g = rng.random(1 << n) < 0.5
+    g[0] = True
+    eps = EpsilonSpec.log_pow(2.0) if seed % 2 else EpsilonSpec.constant(1.0)
+    return s, GridFunction(n, fv), w, CellSet(n, g), eps
+
+
+# The far-band disjointness sum adds its positive terms in another order
+# than the loop; measured at most 1.9e-15 apart over 400 far instances.
+FAR_REL_TOL = 1e-13
+
+
+class TestReplayAgainstLoop:
+    def check(self, args):
+        want, got = loop_proof_replay(*args), proof_replay(*args)
+        assert dataclasses.replace(want, band_records=[]) == dataclasses.replace(
+            got, band_records=[]
+        )
+        assert len(got.band_records) == len(want.band_records)
+        for a, b in zip(want.band_records, got.band_records):
+            assert a.band_sum == b.band_sum
+            if a.regime == "far":
+                assert b.disjoint_constant == pytest.approx(a.disjoint_constant, rel=FAR_REL_TOL)
+                b = dataclasses.replace(b, disjoint_constant=a.disjoint_constant)
+            assert a == b
+        return got
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_far_instances(self, seed):
+        self.check(far_instance(seed))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_instances(self, seed):
+        self.check(mixed_instance(seed))
+
+    def test_far_recipe_reaches_multi_member_bands(self):
+        multi = 0
+        for seed in range(40):
+            bands = self.check(far_instance(seed)).band_records
+            far = [band for band in bands if band.regime == "far"]
+            assert far
+            multi += sum(band.cube_count > 1 for band in far)
+        assert multi > 0
+
+    def test_band_ok(self):
+        band = BandRecord(0, 0, 0, "coarse", 1, 0.0, True, 0.5, True)
+        assert band.ok
+        assert not dataclasses.replace(band, coarse_ok=False).ok
+        assert not dataclasses.replace(band, eq_disjoint_ok=False).ok
