@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, InvalidCubeError, InvalidSpecError
-from .grid import DyadicCube, GridFunction, level_averages, paint_down, require_weight
+from .grid import (
+    DyadicCube,
+    GridFunction,
+    level_averages,
+    paint_down,
+    reduce_up,
+    require_weight,
+)
 from .weights import rho_all
 
 _LN2 = math.log(2.0)
@@ -347,16 +354,99 @@ def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None)
     return norms
 
 
-def _level_orlicz(blocks: np.ndarray, phi, tol: float) -> np.ndarray:
+_WIDTH = 4e-16  # machine bracket width: a row is solved once hi - lo <= _WIDTH * hi
+_SLACK = 1e-9  # relative float slack of the Phi-mean monotonicity checks
+
+
+def _phi_means(phi, blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """<Phi(w/lam)>_Q of every row of ``blocks``, each at its own lam (the
+    bits of np.mean, without its per-call overhead)."""
+    return np.add.reduce(phi(blocks / lam[:, None]), axis=1) / blocks.shape[1]
+
+
+def _search(blocks: np.ndarray, lam0: np.ndarray, phi) -> tuple:
+    """Geometric bracket (lo, hi, Phi-mean at lo, Phi-mean at hi) of every
+    row's unit Phi-mean, grown from lam0 = <w>_Q.
+
+    Rows above the unit mean at lam0 double hi, the others halve lo, at most
+    60 steps each way; lam0 stays the other end. A Phi-mean that moves the
+    wrong way by more than the float slack raises InvalidSpecError.
+    """
+    m0 = _phi_means(phi, blocks, lam0)
+    up = m0 > 1.0
+    probe, m_probe = lam0.copy(), m0.copy()
+    rows = np.arange(lam0.size)
+    for _ in range(60):
+        rising = up[rows]
+        probe[rows] *= np.where(rising, 2.0, 0.5)
+        m = _phi_means(phi, blocks[rows], probe[rows])
+        prev = m_probe[rows]
+        if np.any(np.where(rising, m > prev * (1.0 + _SLACK),
+                           (m < prev * (1.0 - _SLACK)) & (m < 1.0))):
+            raise InvalidSpecError("Phi-mean is not decreasing in lambda")
+        m_probe[rows] = m
+        rows = rows[~np.where(rising, m <= 1.0, m >= 1.0)]
+        if rows.size == 0:
+            break
+    else:
+        side = "above" if up[rows[0]] else "below"
+        raise BracketingError(f"could not bracket the unit Phi-mean from {side}")
+    return (np.where(up, lam0, probe), np.where(up, probe, lam0),
+            np.where(up, m0, m_probe), np.where(up, m_probe, m0))
+
+
+def _illinois(blocks: np.ndarray, phi, lo, hi, m_lo, m_hi) -> tuple:
+    """Close every row's bracket, Phi-mean > 1 at lo and <= 1 at hi, to
+    machine width; returns the final hi ends and their Phi-means.
+
+    Each step is the regula falsi point of Phi-mean - 1 on [lo, hi], with
+    the retained end's value halved when the same end moves twice running
+    (the Illinois rule). A point that is not finite falls back to the
+    midpoint, and every point keeps 2e-16 hi away from both ends, so a step
+    next to the root crosses it instead of creeping up to it at the noise
+    floor. All open rows share one Phi call per step.
+    """
+    out, m_out = hi.copy(), m_hi.copy()
+    rows = np.arange(hi.size)
+    f_lo, f_hi = m_lo - 1.0, m_hi - 1.0
+    last = np.zeros(hi.size)  # +1: lo moved last, -1: hi moved last
+    for _ in range(200):
+        done = hi - lo <= _WIDTH * hi
+        if done.any():
+            out[rows[done]], m_out[rows[done]] = hi[done], m_hi[done]
+            keep = ~done
+            rows, lo, hi, f_lo, f_hi, m_hi, last = (
+                a[keep] for a in (rows, lo, hi, f_lo, f_hi, m_hi, last))
+            blocks = blocks[keep]
+        if rows.size == 0:
+            break
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        x = np.where(np.isfinite(x), x, 0.5 * (lo + hi))
+        pad = 0.5 * _WIDTH * hi  # 2e-16 hi; an open row has room for both pads
+        x = np.minimum(np.maximum(x, lo + pad), hi - pad)
+        m = _phi_means(phi, blocks, x)
+        above = m > 1.0
+        f_lo = np.where(above, m - 1.0, np.where(last < 0, 0.5 * f_lo, f_lo))
+        f_hi = np.where(above, np.where(last > 0, 0.5 * f_hi, f_hi), m - 1.0)
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        m_hi = np.where(above, m_hi, m)
+        last = np.where(above, 1.0, -1.0)
+    out[rows], m_out[rows] = hi, m_hi
+    return out, m_out
+
+
+def _level_orlicz(blocks: np.ndarray, phi, tol: float, lo=None, hi=None) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
     ``blocks``, one row per cube of a level.
 
-    Each row takes the same steps a one-cube solve would: zero-mean rows give
-    0; the bracket grows or shrinks geometrically from lam0 = <w>_Q (at most
-    60 doublings each way, with lam0 kept as the other end); bisection runs
-    to machine bracket width, a row freezing at its last midpoint once
-    hi - lo <= 4e-16 hi; and every row is certified by
-    |<Phi(w/lam)>_Q - 1| <= tol. All active rows share one Phi call per step.
+    Zero-mean rows give 0. ``lo`` / ``hi`` bracket each row's norm, as the
+    min / max of its two children's norms do: the Phi-means at both ends
+    come from one Phi call, a bracket already at machine width keeps its hi
+    end, and an open one goes to the Illinois steps if its ends straddle
+    the unit mean. Every other row, and every row when no bracket is given,
+    is bracketed by the geometric search from <w>_Q first. A Phi-mean lower
+    at lo than at hi beyond the float slack raises InvalidSpecError. The
+    result is the hi end, certified by |<Phi(w/lam)>_Q - 1| <= tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -365,56 +455,36 @@ def _level_orlicz(blocks: np.ndarray, phi, tol: float) -> np.ndarray:
     live = np.flatnonzero(lam0 != 0.0)
     if live.size == 0:
         return out
-    blocks, lam0 = blocks[live], lam0[live]
-    every = np.arange(live.size)
-
-    def phi_mean(rows, lam):
-        sel = blocks if rows.size == every.size else blocks[rows]
-        with np.errstate(over="ignore"):
-            return np.mean(phi(sel / lam[:, None]), axis=1)
-
-    # Rows above the unit mean double hi, the others halve lo; lam0 stays the
-    # other end of the bracket.
-    m_prev = phi_mean(every, lam0)
-    up = m_prev > 1.0
-    probe = lam0.copy()
-    unbracketed = every
-    for _ in range(60):
-        rising = up[unbracketed]
-        probe[unbracketed] *= np.where(rising, 2.0, 0.5)
-        m = phi_mean(unbracketed, probe[unbracketed])
-        prev = m_prev[unbracketed]
-        if np.any(np.where(rising, m > prev * (1.0 + 1e-9),
-                           (m < prev * (1.0 - 1e-9)) & (m < 1.0))):
-            raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-        m_prev[unbracketed] = m
-        unbracketed = unbracketed[~np.where(rising, m <= 1.0, m >= 1.0)]
-        if unbracketed.size == 0:
-            break
-    else:
-        side = "above" if up[unbracketed[0]] else "below"
-        raise BracketingError(f"could not bracket the unit Phi-mean from {side}")
-    lo = np.where(up, lam0, probe)
-    hi = np.where(up, probe, lam0)
-
-    # Bisect all the way to machine bracket width; tol only certifies the
-    # result, it never loosens it.
-    mid = np.empty_like(lo)
-    active = every
-    for _ in range(200):
-        mid[active] = 0.5 * (lo[active] + hi[active])
-        active = active[hi[active] - lo[active] > 4e-16 * hi[active]]
-        if active.size == 0:
-            break
-        above = phi_mean(active, mid[active]) > 1.0
-        lo[active[above]] = mid[active[above]]
-        hi[active[~above]] = mid[active[~above]]
-    gap = np.abs(phi_mean(every, mid) - 1.0)
-    if np.any(gap > tol):
+    if live.size < lam0.size:
+        blocks, lam0 = blocks[live], lam0[live]
+    # Phi of a huge w / lam may overflow to inf; a step from an infinite
+    # Phi-mean falls back to the midpoint.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lo is None:
+            lo, hi, m_lo, m_hi = _search(blocks, lam0, phi)
+            solve = slice(None)
+        else:
+            lo, hi = lo[live], hi[live]
+            is_open = hi - lo > _WIDTH * hi
+            ends = np.flatnonzero(is_open & (lo > 0.0))
+            m = _phi_means(phi, np.concatenate((blocks, blocks[ends])),
+                           np.concatenate((hi, lo[ends])))
+            m_hi, m_lo = m[:hi.size], np.full(hi.size, math.nan)
+            m_lo[ends] = m[hi.size:]
+            if np.any(m_lo < m_hi * (1.0 - _SLACK)):
+                raise InvalidSpecError("Phi-mean is not decreasing in lambda")
+            redo = np.flatnonzero(is_open & ~((m_lo > 1.0) & (m_hi <= 1.0)))
+            if redo.size:
+                lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(blocks[redo], lam0[redo], phi)
+            solve = np.flatnonzero(is_open)
+        hi[solve], m_hi[solve] = _illinois(blocks[solve], phi, lo[solve], hi[solve],
+                                           m_lo[solve], m_hi[solve])
+    gap = np.abs(m_hi - 1.0)
+    if not np.all(gap <= tol):
         raise BracketingError(
             f"bisection stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol"
         )
-    out[live] = mid
+    out[live] = hi
     return out
 
 
@@ -427,9 +497,10 @@ def orlicz_norm(
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of w on one cube.
 
     A one-row call of the level solver ``_level_orlicz``: geometric
-    bracketing from lam0 = <w>_Q, bisection to machine bracket width, and the
-    certificate |<Phi(w/lam)>_Q - 1| <= tol, checked before the value is
-    returned (BracketingError otherwise). Identically-zero w on Q gives 0.
+    bracketing from lam0 = <w>_Q, Illinois steps to machine bracket width,
+    and the certificate |<Phi(w/lam)>_Q - 1| <= tol, checked before the
+    value is returned (BracketingError otherwise). Identically-zero w on Q
+    gives 0.
     """
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
@@ -471,15 +542,20 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
     cubes containing it.
 
     One ``_level_orlicz`` call per level solves all 2^l cubes of level l at
-    once on the (2^l, 2^(n-l)) view of w; every cube's certificate
+    once on the (2^l, 2^(n-l)) view of w, from the finest level up. A
+    parent's Phi-mean is the mean of its children's, each decreasing in
+    lambda, so its norm lies between theirs: level l starts from the
+    pairwise min / max of level l+1's norms. Every cube's certificate
     |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so a level with
     one uncertified cube raises BracketingError.
     """
     require_weight(w)
-    per_level = [
-        _level_orlicz(w.values.reshape(1 << level, -1), phi, tol)
-        for level in range(w.resolution + 1)
-    ]
+
+    def parent(left, right):
+        blocks = w.values.reshape(left.size, -1)
+        return _level_orlicz(blocks, phi, tol, np.minimum(left, right), np.maximum(left, right))
+
+    per_level = reduce_up(_level_orlicz(w.values[:, None], phi, tol), parent)
     return GridFunction(w.resolution, paint_down(per_level, np.maximum)[-1])
 
 

@@ -106,8 +106,10 @@ def _base_config(args) -> TrialConfig:
         "seed": args.seed,
         "eps": getattr(args, "eps", "log_pow:2"),
         "stopping_a": getattr(args, "a", 4.0),
-        "bound": args.bound,
     }
+    bound = getattr(args, "bound", None)
+    if bound is not None:
+        fields["bound"] = bound
     weight = getattr(args, "weight", None)
     if weight is not None:
         fields["weight_families"] = (weight,)
@@ -216,11 +218,11 @@ def _cmd_sparse_split(args) -> int:
 
 
 def _run_suite(args, suite, **suite_kwargs) -> int:
-    """The tail every suite command shares: config line, report, verdict."""
+    """The tail every suite command shares: the report's config line, its
+    aggregates and checks, and the verdict."""
     _check_cap(args.n)
-    cfg = _base_config(args)
-    _print_config({**cfg.to_dict(), **suite_kwargs})
-    report = suite(cfg, **suite_kwargs)
+    report = suite(_base_config(args), **suite_kwargs)
+    _print_config(report.config)
     _emit_report(report, args.out, args.plot, args.plot_kind)
     return _verdict(report)
 
@@ -285,8 +287,7 @@ PLOT = (
 
 # One row per subcommand: name, help, default --n, its arguments beyond
 # --n/--seed/--out, and the values set_defaults wires in. Every row sets
-# the handler; a suite whose gate is fixed pins the bound its report
-# records instead of taking a --bound that it would never read.
+# the handler; only the suites whose gate reads a bound take --bound.
 COMMANDS = (
     ("rho", "local oscillation table of a weight", 10, (WEIGHT,),
      {"handler": _cmd_rho}),
@@ -309,17 +310,17 @@ COMMANDS = (
      (_trials(100), *PLOT,
       _arg("--s-list", type=str, default="0,0.5,0.9,0.96875",
            help="comma separated exponents in [0,1)")),
-     {"handler": _cmd_verify_cor, "bound": 64.0}),
+     {"handler": _cmd_verify_cor}),
     ("verify-fs", "constant-one endpoint check for coefficient maximal functions", 8,
      (_trials(200), *PLOT),
-     {"handler": _suite_command(fs_random_suite), "bound": 1.0}),
+     {"handler": _suite_command(fs_random_suite)}),
     ("verify-ainf", "localized oscillation ratio sweep", 10, (_trials(100), *PLOT),
-     {"handler": _suite_command(ainf_lemma_sweep), "bound": 8.0}),
+     {"handler": _suite_command(ainf_lemma_sweep)}),
     ("compare", "pointwise maximal function comparison for one weight", 10,
      (WEIGHT, EPS, PHI), {"handler": _cmd_compare}),
     ("replay", "step-by-step weak-type decomposition on random instances", 10,
      (_trials(100), *PLOT, EPS, STOP_A),
-     {"handler": _suite_command(replay_random_suite), "bound": 16.0}),
+     {"handler": _suite_command(replay_random_suite)}),
 )
 
 

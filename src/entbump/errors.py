@@ -23,7 +23,7 @@ class InvalidSpecError(ValueError):
 
 
 class BracketingError(ValueError):
-    """The Luxemburg-norm bisection could not bracket the unit mean."""
+    """The Luxemburg-norm solve could not bracket or certify the unit mean."""
 
 
 class SparsePreconditionError(ValueError):

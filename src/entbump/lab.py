@@ -57,7 +57,7 @@ from .weights import (
     power_weight,
 )
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 MAX_RESOLUTION_ENV = "ENDPOINT_LAB_MAX_N"
 
@@ -294,16 +294,25 @@ def weak_type_quotient(g: GridFunction, w: GridFunction, f: GridFunction, majora
 # ---------------------------------------------------------------------------
 
 
+# The suites whose gate reads TrialConfig.bound; the others check fixed
+# constants, and their report configs leave the bound out.
+_BOUND_GATED = ("main", "domination")
+
+
 def run_suite(kind: str, cfg: TrialConfig, trial, count: int | None = None) -> ExperimentReport:
     """The trial loop of every suite.
 
     Trial t, for t in range(count) (``cfg.trials`` by default), returns the
     TrialRecord of ``trial(t, trial_rng(cfg.seed, t))``. The report carries
-    the config and the records; the suite sets aggregates and pass flags.
+    the config (without the bound unless ``kind`` is in _BOUND_GATED) and the
+    records; the suite sets aggregates and pass flags.
     """
     count = cfg.trials if count is None else count
     records = [trial(t, trial_rng(cfg.seed, t)) for t in range(count)]
-    return ExperimentReport(kind=kind, config=cfg.to_dict(), records=records)
+    config = cfg.to_dict()
+    if kind not in _BOUND_GATED:
+        del config["bound"]
+    return ExperimentReport(kind=kind, config=config, records=records)
 
 
 def _running_max(values, start: float = 0.0) -> tuple:

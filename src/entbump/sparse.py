@@ -597,12 +597,15 @@ class ProofReplayReport:
     band_records: list = field(default_factory=list)
     constant_bound: float = CONSTANT_BOUND
     vacuous: bool = False
+    # every member above the threshold meets G' in a null set
+    above_null_ok: bool = True
 
     @property
     def all_ok(self) -> bool:
         return (
             self.fs_ok
             and self.doubling_ok
+            and self.above_null_ok
             and all(rec.discard_reason is not None or rec.eq1_ok for rec in self.cube_records)
             and all(band.ok for band in self.band_records)
         )
@@ -626,6 +629,7 @@ class ProofReplayReport:
             "fs_ok": self.fs_ok,
             "doubling_ok": self.doubling_ok,
             "vacuous": self.vacuous,
+            "above_null_ok": self.above_null_ok,
             "constant_bound": self.constant_bound,
             "all_ok": self.all_ok,
             "max_measured_constant": self.max_measured_constant(),
@@ -762,7 +766,7 @@ def proof_replay(
         # A member above the threshold qualifies for H, so it is covered by
         # H and meets G' in a null set.
         above = avg > threshold * (1.0 + 1e-12)
-        assert not wgp[above].any()
+        report.above_null_ok &= not wgp[above].any()
         zero = avg == 0.0
         classified = ~above & ~zero
         k = _level_class(avg, w_g)

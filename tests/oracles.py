@@ -338,17 +338,75 @@ def brute_orlicz_norm(values, level, index, resolution, phi, tol=1e-10):
     return mid
 
 
-def brute_m_orlicz(values, resolution, phi, tol=1e-10):
-    """Orlicz maximal function per cell: the max of brute_orlicz_norm over
-    the cell's ancestor cubes, each cube solved once."""
-    norms = [
-        [brute_orlicz_norm(values, level, j, resolution, phi, tol) for j in range(1 << level)]
-        for level in range(resolution + 1)
-    ]
+def ancestor_max(norm, resolution):
+    """Per cell, the max of norm(level, index) over the cell's ancestor
+    cubes, each cube evaluated once."""
+    norms = [[norm(level, j) for j in range(1 << level)] for level in range(resolution + 1)]
     return np.array([
         max(norms[level][cell >> (resolution - level)] for level in range(resolution + 1))
         for cell in range(1 << resolution)
     ])
+
+
+def brute_m_orlicz(values, resolution, phi, tol=1e-10):
+    """Orlicz maximal function per cell: the max of brute_orlicz_norm over
+    the cell's ancestor cubes."""
+    return ancestor_max(
+        lambda level, j: brute_orlicz_norm(values, level, j, resolution, phi, tol), resolution
+    )
+
+
+def mp_phi_value(name, params, t):
+    """Orlicz bump value at t >= 0 in high precision, from its definition."""
+    import mpmath as mp
+
+    if name == "power":
+        return t ** mp.mpf(params["r"])
+    if name == "llog":
+        return t * mp_shifted_log2(t) ** (1 + mp.mpf(params["delta"]))
+    if name == "dlr":
+        l2 = mp_shifted_log2(mp_shifted_log2(t))
+        return t * l2 * mp_shifted_log2(l2) ** (1 + mp.mpf(params["delta"]))
+    if name == "logprod":
+        out, log_i = t, t
+        for i in range(1, 5):
+            log_i = mp_shifted_log2(log_i)
+            out *= log_i ** mp.mpf(params.get(f"e{i}", 0.0))
+        return out
+    raise ValueError(name)
+
+
+def mp_orlicz_norm(values, level, index, resolution, phi):
+    """Luxemburg norm of one cube as a high-precision root: the lam where
+    the exact mean of Phi(w/lam) over the cube's cells equals 1, bracketed
+    by doubling or halving from the mean and closed by Ridders' method at
+    40 digits, then rounded to the nearest float. ``phi`` is an OrliczSpec,
+    evaluated through mp_phi_value; zero w on Q gives 0."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    width = 1 << (resolution - level)
+    cells = [mp.mpf(float(v)) for v in values[index * width : (index + 1) * width]]
+    params = dict(phi.params)
+    lo = hi = mp.fsum(cells) / width
+    if lo == 0:
+        return 0.0
+
+    def excess(lam):
+        return mp.fsum(mp_phi_value(phi.name, params, c / lam) for c in cells) / width - 1
+
+    while excess(hi) > 0:
+        hi *= 2
+    while excess(lo) <= 0:
+        lo /= 2
+    return float(mp.findroot(excess, (lo, hi), solver="ridder"))
+
+
+def mp_m_orlicz(values, resolution, phi):
+    """Orlicz maximal function per cell from the mp_orlicz_norm roots."""
+    return ancestor_max(
+        lambda level, j: mp_orlicz_norm(values, level, j, resolution, phi), resolution
+    )
 
 
 def brute_entropy_norm(w, cube, eps, variant="log"):
@@ -411,7 +469,9 @@ def loop_fs_random_suite(cfg):
         trial_rng,
     )
 
-    report = ExperimentReport(kind="fs", config=cfg.to_dict())
+    # the fs gate is constant one, so the config leaves the bound out
+    config = {key: value for key, value in cfg.to_dict().items() if key != "bound"}
+    report = ExperimentReport(kind="fs", config=config)
     n = cfg.resolution
     worst_slack = -math.inf
     for i in range(cfg.trials):
@@ -551,7 +611,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
         for cube in part:
             avg_f = float(favg[cube.level][cube.index])
             if avg_f > threshold * (1.0 + 1e-12):
-                assert w_gprime_on(cube) == 0.0
+                report.above_null_ok &= w_gprime_on(cube) == 0.0
                 report.cube_records.append(CubeClassRecord(
                     cube.level, cube.index, part_idx, None, None, None, None,
                     "above-threshold"))

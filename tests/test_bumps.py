@@ -26,6 +26,7 @@ from entbump import (
     rho,
     shifted_log2,
 )
+from entbump.bumps import _level_orlicz
 from entbump.grid import average
 
 from oracles import (
@@ -34,6 +35,8 @@ from oracles import (
     brute_orlicz_norm,
     loop_m_coeff,
     mp_k_epsilon,
+    mp_m_orlicz,
+    mp_orlicz_norm,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -379,34 +382,124 @@ class TestMOrlicz:
 ORACLE_PHIS = ("power:2", "power:0.5", "llog:0.5", "dlr:0.25", "logprod:e1=1,e2=0.5")
 
 
-class TestOrliczLevelSolver:
-    """The per-level vectorized solve against the one-cube scalar oracle."""
+# Largest distance in ulps allowed between the Orlicz solve and either
+# oracle (bisection and mpmath root); the largest measured is 5.
+ORLICZ_ULPS = 8
 
-    @given(
-        st.integers(0, 6),
-        st.sampled_from(ORACLE_PHIS),
-        st.integers(0, 2**32 - 1),
-        st.booleans(),
-    )
+
+def ulps(got, want):
+    """Largest distance between got and want in units of want's last place."""
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))))
+
+
+def orlicz_case(n, seed, zero_block):
+    """A lognormal weight with sigma 3, optionally zero on one cube."""
+    rng = np.random.default_rng(seed)
+    vals = np.exp(rng.normal(0.0, 3.0, 1 << n))
+    if zero_block:
+        # a vacuous cube, and everything below it
+        level = int(rng.integers(0, n + 1))
+        width = 1 << (n - level)
+        a = int(rng.integers(0, 1 << level)) * width
+        vals[a : a + width] = 0.0
+    return vals, rng
+
+
+ORLICZ_CASES = (
+    st.integers(0, 6),
+    st.sampled_from(ORACLE_PHIS),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+
+
+class TestOrliczLevelSolver:
+    """The child-bracket Illinois solve against the bisection and mpmath oracles."""
+
+    @given(*ORLICZ_CASES)
     @example(0, "llog:0.5", 0, False)
     @example(0, "dlr:0.25", 0, True)
     @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_oracle_bit_for_bit(self, n, text, seed, zero_block):
-        rng = np.random.default_rng(seed)
-        vals = np.exp(rng.normal(0.0, 3.0, 1 << n))
-        if zero_block:
-            # a vacuous cube, and everything below it
-            level = int(rng.integers(0, n + 1))
-            width = 1 << (n - level)
-            a = int(rng.integers(0, 1 << level)) * width
-            vals[a : a + width] = 0.0
+    def test_matches_both_oracles_within_ulps(self, n, text, seed, zero_block):
+        vals, rng = orlicz_case(n, seed, zero_block)
         phi = OrliczSpec.parse(text)
         w = GridFunction(n, vals)
-        np.testing.assert_array_equal(m_orlicz(w, phi).values, brute_m_orlicz(vals, n, phi))
+        got = m_orlicz(w, phi).values
+        assert ulps(got, brute_m_orlicz(vals, n, phi)) <= ORLICZ_ULPS
+        assert ulps(got, mp_m_orlicz(vals, n, phi)) <= ORLICZ_ULPS
         level = int(rng.integers(0, n + 1))
         index = int(rng.integers(0, 1 << level))
-        got = orlicz_norm(w, DyadicCube(level, index), phi)
-        assert got == brute_orlicz_norm(vals, level, index, n, phi)
+        one = orlicz_norm(w, DyadicCube(level, index), phi)
+        assert ulps(one, brute_orlicz_norm(vals, level, index, n, phi)) <= ORLICZ_ULPS
+        assert ulps(one, mp_orlicz_norm(vals, level, index, n, phi)) <= ORLICZ_ULPS
+
+    @given(*ORLICZ_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_parent_norm_lies_between_its_childrens(self, n, text, seed, zero_block):
+        vals, _ = orlicz_case(n, seed, zero_block)
+        phi = OrliczSpec.parse(text)
+        w = GridFunction(n, vals)
+        for level in range(n):
+            for index in range(1 << level):
+                parent = orlicz_norm(w, DyadicCube(level, index), phi)
+                kids = [orlicz_norm(w, DyadicCube(level + 1, 2 * index + i), phi) for i in (0, 1)]
+                slack = ORLICZ_ULPS * np.spacing(max(kids))
+                assert min(kids) - slack <= parent <= max(kids) + slack
+
+    def test_machine_width_bracket_goes_to_the_certificate(self):
+        # equal children give a bracket of width 0: every level above the
+        # finest takes one Phi call, for its certificate, and keeps the
+        # finest level's norm
+        calls = []
+        phi = OrliczSpec.llog(0.5)
+
+        def counted(t):
+            calls.append(t.shape)
+            return phi(t)
+
+        w = GridFunction(4, np.full(16, 3.0))
+        got = m_orlicz(w, counted).values
+        leaf = orlicz_norm(GridFunction(0, [3.0]), ROOT, phi)
+        assert list(got) == [leaf] * 16
+        assert calls[-4:] == [(1 << level, 16 >> level) for level in (3, 2, 1, 0)]
+
+    @pytest.mark.parametrize("text", ORACLE_PHIS)
+    def test_phi_call_budget(self, text):
+        # 13-19 Phi calls per level here; bisection took about 55, and
+        # without the 2e-16 hi keep-off the Illinois steps creep at the
+        # noise floor up to the 200-step cap
+        phi = OrliczSpec.parse(text)
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape)
+            return phi(t)
+
+        w = GridFunction(10, np.exp(np.random.default_rng(0).normal(0.0, 2.0, 1 << 10)))
+        m_orlicz(w, counted)
+        assert len(calls) <= 22 * 11
+
+    def test_infinite_phi_mean_at_lo(self):
+        # the root's bracket starts at the children's norms, about 1e-300
+        # and 1e300, where Phi(1e300 / lo) overflows: the first step from
+        # that infinite Phi-mean is the midpoint
+        vals = np.array([1e-300, 1e300])
+        phi = OrliczSpec.llog(0.5)
+        got = m_orlicz(GridFunction(1, vals), phi).values
+        assert ulps(got, brute_m_orlicz(vals, 1, phi)) <= ORLICZ_ULPS
+
+    def test_bracket_with_rising_phi_mean_is_invalid(self):
+        # Phi jumps to 3 on (0.4, 0.6), so on w = 1 the Phi-mean is 4/9 at
+        # lo = 1.5 and 3 at hi = 2; the geometric search from lam0 = 1 alone
+        # would bracket [0.5, 1] and certify 1
+        def bump(t):
+            return np.where((t > 0.4) & (t < 0.6), 3.0, t * t)
+
+        blocks = np.ones((1, 1))
+        assert _level_orlicz(blocks, bump, 1e-10) == [1.0]
+        with pytest.raises(InvalidSpecError):
+            _level_orlicz(blocks, bump, 1e-10, np.array([1.5]), np.array([2.0]))
 
     def test_all_zero_weight(self):
         w = GridFunction(3, np.zeros(8))

@@ -371,9 +371,10 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["verify_all.py", "--n", "3", "--trials", "2"])
-    assert module.main() == 3
+    assert module.main() == 4
     out = capsys.readouterr().out
-    # replay runs at --n and at the n = 18 cap
-    assert "failed: replay (exit 1), replay (exit 1), maximal (raised)" in out
+    # replay runs at --n and at the n = 18 cap, maximal --phi at the cap and at --n
+    assert "failed: replay (exit 1), maximal (raised), replay (exit 1), maximal (raised)" in out
     orlicz = [argv for argv in seen if "--phi" in argv]
-    assert [argv[0] for argv in orlicz] == ["compare", "maximal"]
+    assert [argv[0] for argv in orlicz] == ["maximal", "compare", "maximal"]
+    assert ["--n", "18"] == orlicz[0][1:3]

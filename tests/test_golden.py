@@ -37,26 +37,26 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "c7be06abfbd287fce385f92bef79dca3fafa2c3e2dd9a046eb4f642d5493a088",
-    "main": "986deb3415bc70686e67e6076f43669806fdb306eb546b7aee41c9aae27d2ab7",
-    "corollary": "6b804b722b60a7597355db7e49f1c874ac8d04b824c9379cb278a3cb93ee9b66",
-    "ainf": "bc2e28b8931075b53446211f04aa48667ebfedaa22922d353ba8261306232b04",
-    "domination": "f7de9323dc849134789f6ae016d4cc0e7f7301ca9dafb4110ac6c33071433b62",
-    "replay": "28fcfdad47a7c3e6a55a3e0b447996f6f236c24fe8297feba395b017f6721488",
+    "fs": "5f76daad3a1302549ab1c7447a7ad53c33477e3076be6f24fdbf4e4f76ed97fc",
+    "main": "1fdcffa516462a561d0eb8bb27db3bc9dae5ff1406ab71d65096557b04590b24",
+    "corollary": "2a39a968f69fb5f865dd7308f89744bba4abd4a6df6598af98040569137b8e3b",
+    "ainf": "798e56e4a908fda3c7fb3ddf9e5346f6209aaf87201733af914fab1f04b76216",
+    "domination": "3fa0f4c95875bf8040bb25af3bbff2992475fbe1143ced5a792b4e8141774572",
+    "replay": "03f52e52bc0a979e592b6aabe5356ad100b8eaebee68c6497967e26bbad4e671",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
-    "maximal": "0a089429177900ef1358eea852fe6740cae771cfcf5414a1c87d37900342ff9b",
+    "maximal": "1477fb90730b49c7bb82a7bf8ac4796e06207577fa214f331f0da70f2b892e67",
 }
 
 CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]
 
 CLI_STDOUT_DIGESTS = {
-    "verify-fs": "8ddf96d968ea06887742eae3912b80c318d571950072ed743fe7015b9868604f",
+    "verify-fs": "a71a57e24764bc110ab38bb9384fdce9068d9ecaa6ba4061ea14a53ed331f7e9",
     "verify-main": "4d61d4e8ce48cda696a363efacf7794cda540a0061514bbe5d37c3b86458f505",
-    "verify-cor": "1e1bc451ebf502f7e95b9ceda6e962589e2b77295dbaeafa1e7b49698899bc8b",
-    "verify-ainf": "f0d0c845913e1efb4dace12e328c79fe3d2d33968991f147cba5b47045fd9158",
+    "verify-cor": "7b0beddf2fb756cfc4ac48ff10a77b495284c76e750ba199b77e629052099ea9",
+    "verify-ainf": "24c83e73a58858a8d0d21a22475321298c4192d1b27a47aa61c39c6a659484e5",
     "domination": "573101ecbb9b7e7eb3d7fa26eca6ab21b9552bfa3796d0380a0146f6dc2c34eb",
-    "replay": "13266df1a6aa4229adb8c1b956bf00ba454e74d30b3c3284812df479c3fa124d",
+    "replay": "2234b61d00d0f7f0d510e6dab2152f88d87e4a2d2e9e3a2862339b465934473f",
 }
 
 CLI_FILE_DIGESTS = {

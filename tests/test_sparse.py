@@ -1,15 +1,18 @@
+import ast
 import dataclasses
 import json
 import math
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entbump
 from entbump import (
     ROOT,
     CellSet,
@@ -710,6 +713,20 @@ class TestProofReplay:
         assert band.regime == "coarse"
         assert band.coarse_constant == pytest.approx(14.0 / 16.0, rel=1e-12)
         assert report.all_ok
+        # (4, 0) lies above the threshold, so it is checked to meet G' in a
+        # null set; that recorded check feeds all_ok and the JSON report
+        assert report.above_null_ok and report.to_json_dict()["above_null_ok"]
+        assert not dataclasses.replace(report, above_null_ok=False).all_ok
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, so no check may be one
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(entbump.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
     def test_far_regime_band(self):
         n = 6
