@@ -4,12 +4,13 @@
 Also runs the Orlicz path (`compare --phi`, `maximal --phi`), `verify-fs`
 at n = 14 with 20 trials, and at the n = 18 resolution cap `sparse-split`,
 `maximal` without and with `--phi llog:0.5` (the max paints, and the
-Orlicz level solve with every cube certified), and `domination` and
-`replay` with 5 trials each (the stopping tree, Haar and sparse sweeps,
-and the decomposition replay on per-level arrays). Exit code is the
-number of failed checks, so CI can gate on zero; a check fails when its
-command exits nonzero or raises. Pass --n / --trials / --seed to
-rescale; the defaults finish in well under a minute.
+Orlicz level solve with every cube certified), and `domination`,
+`verify-main` and `replay` with 5 trials each (the stopping tree, Haar and
+sparse sweeps, the weak-type quotient with its entropy majorant and
+weak-L1 sort, and the decomposition replay on per-level arrays). Exit
+code is the number of failed checks, so CI can gate on zero; a check
+fails when its command exits nonzero or raises. Pass --n / --trials /
+--seed to rescale; the defaults finish in well under a minute.
 """
 
 import argparse
@@ -40,6 +41,7 @@ def main() -> int:
         ["maximal", "--n", "18", "--seed", seed],
         ["maximal", "--n", "18", "--seed", seed, "--phi", "llog:0.5"],
         ["domination", "--n", "18", "--trials", "5", "--seed", seed],
+        ["verify-main", "--n", "18", "--trials", "5", "--seed", seed],
         ["replay", "--n", "18", "--trials", "5", "--seed", seed],
         ["compare", "--n", n, "--seed", seed, "--phi", "llog:0.5"],
         ["maximal", "--n", n, "--seed", seed, "--phi", "dlr:0.25"],

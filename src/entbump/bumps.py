@@ -38,6 +38,7 @@ from .grid import (
 from .weights import rho_all
 
 _LN2 = math.log(2.0)
+_LOG2_3 = float(np.log2(3.0))
 
 
 def shifted_log2(t):
@@ -109,6 +110,12 @@ def _check_increasing(func, lo: float, label: str) -> None:
         raise InvalidSpecError(f"{label} is not nondecreasing")
 
 
+def _check_eps_domain(arr: np.ndarray) -> None:
+    """An entropy bump's domain is t >= 1, up to float noise in rho."""
+    if (arr < 1.0 - 1e-9).any():
+        raise ValueError("bump domain is t >= 1")
+
+
 @dataclass(frozen=True)
 class EpsilonSpec:
     """An entropy bump: a named increasing map [1, inf) -> [1, inf).
@@ -136,6 +143,7 @@ class EpsilonSpec:
         else:
             raise InvalidSpecError(f"unknown bump {self.name!r}")
         object.__setattr__(self, "params", tuple(sorted(p.items())))
+        object.__setattr__(self, "_p", p)
         _check_increasing(self, 1.0, f"bump {self.serialize()!r}")
 
     @classmethod
@@ -161,7 +169,7 @@ class EpsilonSpec:
 
     def _eval_from_log(self, first_log):
         """Evaluate the bump given L1 = shifted_log2(t)."""
-        p = dict(self.params)
+        p = self._p
         if self.name == "constant":
             like = np.asarray(first_log, dtype=np.float64)
             return np.full_like(like, p["c"]) if like.ndim else p["c"]
@@ -173,8 +181,7 @@ class EpsilonSpec:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 1.0 - 1e-9):
-            raise ValueError("bump domain is t >= 1")
+        _check_eps_domain(arr)
         # values an ulp below 1 (float noise in rho) are clipped to 1
         arr = np.maximum(arr, 1.0)
         out = self._eval_from_log(np.log2(2.0 + arr))
@@ -221,6 +228,7 @@ class OrliczSpec:
         else:
             raise InvalidSpecError(f"unknown Orlicz bump {self.name!r}")
         object.__setattr__(self, "params", tuple(sorted(p.items())))
+        object.__setattr__(self, "_p", p)
         _check_increasing(self, 0.0, f"Orlicz bump {self.serialize()!r}")
 
     @classmethod
@@ -250,9 +258,9 @@ class OrliczSpec:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ValueError("Orlicz bump domain is t >= 0")
-        p = dict(self.params)
+        p = self._p
         if self.name == "power":
             out = np.power(arr, p["r"])
         elif self.name == "llog":
@@ -347,8 +355,11 @@ def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None)
     norms = []
     for avg, r, vac in zip(level_averages(w.values), table.values, table.vacuous):
         r = np.where(vac, 1.0, r)
-        factor = r if variant == "full" else np.log2(2.0 + r)
-        vals = avg * factor * eps(r)
+        _check_eps_domain(r)
+        log_r = np.log2(2.0 + r)
+        factor = r if variant == "full" else log_r
+        # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
+        vals = avg * factor * eps._eval_from_log(np.where(r < 1.0, _LOG2_3, log_r))
         vals[vac] = 0.0
         norms.append(vals)
     return norms

@@ -261,14 +261,23 @@ def weak_l1_norm(g: GridFunction, w: GridFunction) -> float:
     For step functions the sup is attained: it equals the maximum over the
     distinct values v of |g| of v * w({|g| >= v}). Computed by sorting cells
     by |g| once, O(n log n).
+
+    The cells are summed in the order of a stable descending sort. An
+    unstable sort gives that same order when the sorted values hold no tie
+    (every sort then yields the one permutation), so the stable sort runs
+    only on inputs with a tie.
     """
     _same_resolution(g, w)
     require_weight(w)
     vals = np.abs(g.values)
     if not np.any(vals > 0):
         return 0.0
-    order = np.argsort(-vals, kind="stable")
+    neg = -vals
+    order = np.argsort(neg)
     v_sorted = vals[order]
+    if (v_sorted[1:] == v_sorted[:-1]).any():
+        order = np.argsort(neg, kind="stable")
+        v_sorted = vals[order]
     cum_w = np.cumsum(w.values[order]) * w.cell_width
     # Within a run of equal values the last position dominates, so a plain
     # max over all positions is the max over distinct values.

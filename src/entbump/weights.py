@@ -133,7 +133,10 @@ def rho_all(w: GridFunction) -> RhoTable:
     For a cell x inside a level-l cube Q, M(w 1_Q)(x) is the suffix maximum
     (from level l down to the leaves) of the averages along x's ancestor
     path. Sweeping l from the leaves up keeps one suffix-max array at leaf
-    granularity and aggregates per-cube sums with a reshape per level.
+    granularity, updated in place on its (2^l, 2^(n-l)) view, and sums each
+    row of that view for the per-cube sums. Width-2 rows are added as two
+    columns (one addition, so the same bits as the reduction); wider rows
+    keep numpy's row sum, whose summation order the reports depend on.
     """
     require_weight(w)
     n_levels = w.resolution + 1
@@ -144,9 +147,13 @@ def rho_all(w: GridFunction) -> RhoTable:
     vac: list = [None] * n_levels
     suffix = avgs[w.resolution].copy()
     for level in range(w.resolution, -1, -1):
+        rows = suffix.reshape(1 << level, n >> level)
         if level < w.resolution:
-            suffix = np.maximum(np.repeat(avgs[level], n >> level), suffix)
-        m_sums = suffix.reshape(1 << level, n >> level).sum(axis=1)
+            np.maximum(avgs[level][:, None], rows, out=rows)
+        if rows.shape[1] == 2:
+            m_sums = rows[:, 0] + rows[:, 1]
+        else:
+            m_sums = rows.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = m_sums / wsums[level]
         vacuous_mask = wsums[level] == 0.0

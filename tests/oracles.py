@@ -51,6 +51,29 @@ def brute_rho(values, level, index, resolution):
     return m_avg / w_avg
 
 
+def repeat_rho_all(w):
+    """rho_all's leaf-granularity suffix-max ladder, rebuilt every level with
+    np.repeat and a fresh np.maximum. Returns (values, vacuous), one array
+    per level, NaN on vacuous cubes."""
+    from entbump.grid import level_averages, level_sums
+
+    avgs = level_averages(w.values)
+    wsums = level_sums(w.values)
+    n = w.n_cells
+    values, vac = [None] * (w.resolution + 1), [None] * (w.resolution + 1)
+    suffix = avgs[w.resolution].copy()
+    for level in range(w.resolution, -1, -1):
+        if level < w.resolution:
+            suffix = np.maximum(np.repeat(avgs[level], n >> level), suffix)
+        m_sums = suffix.reshape(1 << level, n >> level).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = m_sums / wsums[level]
+        vac[level] = wsums[level] == 0.0
+        r[vac[level]] = np.nan
+        values[level] = r
+    return values, vac
+
+
 def brute_weak_l1(g_values, w_values, resolution):
     """sup over levels of lam * w({|g| > lam}) by sweeping just below each
     distinct |g| value. Returns (value, maximizing |g| value)."""
@@ -68,6 +91,17 @@ def brute_weak_l1(g_values, w_values, resolution):
             best = lam * mass
             best_level = v
     return best, best_level
+
+
+def stable_weak_l1(g_values, w_values, resolution):
+    """weak_l1_norm with the cells always in stable descending order of |g|:
+    cumulative weights at each position, max of value times mass."""
+    vals = np.abs(np.asarray(g_values, dtype=np.float64))
+    if not np.any(vals > 0):
+        return 0.0
+    order = np.argsort(-vals, kind="stable")
+    cum_w = np.cumsum(np.asarray(w_values, dtype=np.float64)[order]) * 2.0**-resolution
+    return float(np.max(vals[order] * cum_w))
 
 
 def brute_haar_apply(signs_per_level, f_values, resolution):

@@ -14,6 +14,7 @@ from entbump import (
     InvalidCubeError,
     InvalidSpecError,
     OrliczSpec,
+    RhoTable,
     SparseCollection,
     dyadic_maximal,
     entropy_norm,
@@ -26,8 +27,8 @@ from entbump import (
     rho,
     shifted_log2,
 )
-from entbump.bumps import _level_orlicz
-from entbump.grid import average
+from entbump.bumps import _entropy_levels, _level_orlicz
+from entbump.grid import average, level_averages
 
 from oracles import (
     brute_entropy_norm,
@@ -253,6 +254,42 @@ class TestEntropyNorm:
             entropy_norm(w, DyadicCube(3, 0), EpsilonSpec.log_pow(2.0))
         with pytest.raises(ValueError):
             entropy_norm(w, ROOT, EpsilonSpec.log_pow(2.0), variant="nope")
+
+
+class TestEntropyLevels:
+    # A hand-built RhoTable with rho just below 1, where eps clips its
+    # argument to 1 before taking the log; 1 - 2^-30 keeps log2(2 + rho)
+    # apart from log2(3), 1 - 2^-52 does not.
+    EPS = [EpsilonSpec.constant(2.0), EpsilonSpec.log_pow(2.0), EpsilonSpec.loglog(0.5)]
+
+    @staticmethod
+    def _table(w, rho_value):
+        avgs = level_averages(w.values)
+        vac = tuple(a == 0.0 for a in avgs)
+        values = tuple(np.where(v, np.nan, rho_value) for v in vac)
+        return avgs, RhoTable(w.resolution, values, vac)
+
+    @pytest.mark.parametrize("variant", ["log", "full"])
+    @pytest.mark.parametrize("eps", EPS, ids=lambda e: e.name)
+    @pytest.mark.parametrize("rho_value", [1.0 - 2.0**-52, 1.0 - 2.0**-30])
+    def test_rho_below_one_matches_eps_call(self, variant, eps, rho_value):
+        rng = np.random.default_rng(4)
+        w = GridFunction(5, rng.lognormal(0.0, 2.0, 32))
+        w = GridFunction(5, np.where(np.arange(32) < 8, 0.0, w.values))  # vacuous cubes
+        avgs, table = self._table(w, rho_value)
+        norms = _entropy_levels(w, eps, variant, table)
+        for avg, vac, got in zip(avgs, table.vacuous, norms):
+            r = np.full(avg.size, rho_value)
+            factor = r if variant == "full" else np.log2(2.0 + r)
+            want = np.where(vac, 0.0, avg * factor * eps(r))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("eps", EPS, ids=lambda e: e.name)
+    def test_rho_outside_the_bump_domain_raises(self, eps):
+        w = GridFunction(3, np.arange(1.0, 9.0))
+        _, table = self._table(w, 1.0 - 1e-8)
+        with pytest.raises(ValueError, match="bump domain is t >= 1"):
+            _entropy_levels(w, eps, "log", table)
 
 
 class TestMEntropy:

@@ -31,8 +31,9 @@ from entbump import (
 )
 
 from entbump.grid import paint_down, reduce_up, split_levels
+from entbump.sparse import HaarSpec, haar_transform
 
-from oracles import brute_weak_l1, cube_average
+from oracles import brute_weak_l1, cube_average, stable_weak_l1
 
 
 def grid_values(resolution, elements=None):
@@ -308,6 +309,66 @@ class TestSuperlevelAndWeakL1:
         oracle, _ = brute_weak_l1(g_vals, w_vals, resolution)
         w_total = float(np.sum(w_vals)) / size
         assert abs(mine - oracle) <= 1e-12 * max(mine, oracle) + 2.0**-40 * max(w_total, 1.0)
+
+    # weak_l1_norm keeps an unstable sort's order only when the sorted values
+    # hold no tie; these compare it bit for bit with the stable-order oracle.
+
+    @given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.floats(1e-300, 1e300))
+    @settings(max_examples=60, deadline=None)
+    def test_weak_l1_tie_free_matches_stable_order(self, resolution, seed, scale):
+        rng = np.random.default_rng(seed)
+        size = 1 << resolution
+        g_vals = rng.permutation(size) + rng.random(size)  # distinct magnitudes
+        g_vals *= rng.choice([-scale, scale], size)
+        assert np.unique(np.abs(g_vals)).size == size
+        w_vals = rng.lognormal(0.0, 2.0, size) * (rng.random(size) < 0.8)
+        g, w = GridFunction(resolution, g_vals), GridFunction(resolution, w_vals)
+        assert weak_l1_norm(g, w) == stable_weak_l1(g_vals, w_vals, resolution)
+
+    @given(
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weak_l1_ties_match_stable_order(self, resolution, seed, three):
+        # values from a 3-element set, +-v pairs, 0.0 and -0.0
+        rng = np.random.default_rng(seed)
+        size = 1 << resolution
+        a, b, c = three
+        pool = np.array([a, -a, b, c, -c, 0.0, -0.0])
+        g_vals = pool[rng.integers(0, pool.size, size)]
+        w_vals = rng.lognormal(0.0, 2.0, size) * (rng.random(size) < 0.8)
+        g, w = GridFunction(resolution, g_vals), GridFunction(resolution, w_vals)
+        assert weak_l1_norm(g, w) == stable_weak_l1(g_vals, w_vals, resolution)
+
+    @given(st.integers(8, 12), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_weak_l1_single_tie_matches_stable_order(self, resolution, seed, swap):
+        # One +-v pair under the top cell, among weightless distinct values.
+        # With weights 1, then a = 0.75 * 2^-52 and b = 1 + 2^-52, the running
+        # sum ends at 2 + 2^-51 in the order (a, b) and at 2 in (b, a).
+        rng = np.random.default_rng(seed)
+        size = 1 << resolution
+        g_vals = rng.permutation(size) * (0.25 / size) * rng.choice([-1.0, 1.0], size)
+        w_vals = np.zeros(size)
+        top, i, j = rng.choice(size, 3, replace=False)
+        g_vals[[top, i, j]] = [1.0, 0.75, -0.75]
+        pair = [0.75 * 2.0**-52, 1.0 + 2.0**-52]
+        w_vals[[top, i, j]] = [1.0] + (pair[::-1] if swap else pair)
+        g, w = GridFunction(resolution, g_vals), GridFunction(resolution, w_vals)
+        assert weak_l1_norm(g, w) == stable_weak_l1(g_vals, w_vals, resolution)
+
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_weak_l1_haar_output_at_the_cap(self, tie_heavy):
+        rng = np.random.default_rng(18)
+        n = 18
+        f = (np.arange(1 << n) < 3000).astype(float) if tie_heavy else rng.standard_normal(1 << n)
+        tf = haar_transform(HaarSpec.from_rng(n, rng), GridFunction(n, f))
+        w = GridFunction(n, rng.lognormal(0.0, 2.0, 1 << n))
+        distinct = np.unique(np.abs(tf.values)).size
+        assert distinct < 64 if tie_heavy else distinct == 1 << n
+        assert weak_l1_norm(tf, w) == stable_weak_l1(tf.values, w.values, n)
 
 
 class TestEnumerate:

@@ -24,7 +24,13 @@ from entbump import (
     rho_all,
 )
 
-from oracles import brute_maximal, brute_rho, entries_rho_csv, mp_power_cell_averages
+from oracles import (
+    brute_maximal,
+    brute_rho,
+    entries_rho_csv,
+    mp_power_cell_averages,
+    repeat_rho_all,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -36,6 +42,15 @@ def weight_values(resolution, allow_zero=True):
     positive = st.floats(min_value=1e-9, max_value=50.0, allow_nan=False)
     cell = st.one_of(st.just(0.0), positive) if allow_zero else positive
     return st.lists(cell, min_size=size, max_size=size)
+
+
+def _assert_table_bits(table, w):
+    values, vacuous = repeat_rho_all(w)
+    assert len(table.values) == len(values) == w.resolution + 1
+    for got, ref, got_vac, ref_vac in zip(table.values, values, table.vacuous, vacuous):
+        assert np.array_equal(got_vac, ref_vac)
+        assert np.array_equal(np.isnan(got), got_vac)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestDyadicMaximal:
@@ -118,6 +133,29 @@ class TestRho:
                 assert table.is_vacuous(q)
             else:
                 assert table.lookup(q) == pytest.approx(single, rel=1e-12)
+
+    @given(
+        st.integers(0, 10),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.3, 0.9]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_repeat_ladder_bit_for_bit(self, resolution, seed, zero_share, data):
+        rng = np.random.default_rng(seed)
+        size = 1 << resolution
+        vals = rng.lognormal(0.0, 3.0, size) * (rng.random(size) >= zero_share)
+        level = data.draw(st.integers(0, resolution))
+        width = size >> level
+        start = width * data.draw(st.integers(0, (1 << level) - 1))
+        vals[start:start + width] = 0.0  # an all-zero subtree (the whole grid at level 0)
+        w = GridFunction(resolution, vals)
+        _assert_table_bits(rho_all(w), w)
+
+    def test_table_matches_repeat_ladder_at_the_cap(self):
+        rng = np.random.default_rng(18)
+        w = GridFunction(18, rng.lognormal(0.0, 2.0, 1 << 18))
+        _assert_table_bits(rho_all(w), w)
 
     def test_csv(self, tmp_path):
         w = GridFunction(1, [1.0, 3.0])
