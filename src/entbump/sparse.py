@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from .bumps import EpsilonSpec, _entropy_levels, m_coeff, shifted_log2
+from .bumps import EpsilonSpec, _entropy_levels, shifted_log2
 from .errors import (
     FileFormatError,
     InvalidCubeError,
@@ -210,15 +210,6 @@ def _cell_ratios(s: SparseCollection, cells) -> np.ndarray:
     return _at_members(s, [c / (1 << (n - level)) for level, c in enumerate(cells)])
 
 
-def _distinct(values: np.ndarray) -> list:
-    """The distinct entries of an integer array, ascending. (np.unique
-    imports numpy.ma on first use, about 1 MB of resident memory.)"""
-    v = np.sort(values)
-    first = np.ones(v.size, dtype=bool)
-    first[1:] = v[1:] != v[:-1]
-    return v[first].tolist()
-
-
 def _member_coords(s: SparseCollection) -> tuple[np.ndarray, np.ndarray]:
     """Level and index of every member, in (level, index) order."""
     index = [np.flatnonzero(mem) for mem in s.members]
@@ -237,13 +228,14 @@ def _first_max(s: SparseCollection, ratios: np.ndarray):
     return _member_at(s, pos), float(ratios[pos])
 
 
-def _owner(s: SparseCollection) -> np.ndarray:
-    """Per cell, the position in (level, index) order of the deepest member
-    containing it, -1 where none does. A deeper member comes later in that
-    order, so this is a top-down max paint of the member positions."""
+def _positions(s: SparseCollection) -> list:
+    """Per level and cube, the position in (level, index) order of the
+    deepest member at or above it, -1 where none is; at the last level, the
+    owner of each cell. A deeper member comes later in that order, so this
+    is a top-down max paint of the member positions."""
     flat = np.concatenate(s.members)
     position = np.where(flat, np.cumsum(flat) - 1, -1)
-    return paint_down(split_levels(position, s.resolution), np.maximum)[-1]
+    return paint_down(split_levels(position, s.resolution), np.maximum)
 
 
 @dataclass(frozen=True)
@@ -276,7 +268,7 @@ class _EqSets(Mapping):
 
     def __init__(self, s: SparseCollection):
         self._resolution = s.resolution
-        self._owner = _owner(s)
+        self._owner = _positions(s)[-1]
         self._position = {cube: pos for pos, cube in enumerate(s.cubes)}
 
     def __getitem__(self, cube: DyadicCube) -> CellSet:
@@ -553,6 +545,9 @@ class CubeClassRecord:
     discard_reason: str | None
 
 
+_CUBE_KEYS = tuple(f.name for f in fields(CubeClassRecord))
+
+
 @dataclass(frozen=True)
 class BandRecord:
     """Per (part, rho-bin, level-class) verification record."""
@@ -593,20 +588,28 @@ class ProofReplayReport:
     threshold: float
     fs_ok: bool
     doubling_ok: bool
-    cube_records: list = field(default_factory=list)
+    # the CubeClassRecord fields as columns, one tuple each, in record order
+    cube_columns: tuple = ((),) * len(_CUBE_KEYS)
     band_records: list = field(default_factory=list)
     constant_bound: float = CONSTANT_BOUND
     vacuous: bool = False
     # every member above the threshold meets G' in a null set
     above_null_ok: bool = True
 
+    @cached_property
+    def cube_records(self) -> list:
+        """One CubeClassRecord per member, built from the columns when first read."""
+        return [CubeClassRecord(*row) for row in zip(*self.cube_columns)]
+
     @property
     def all_ok(self) -> bool:
+        # eq1_ok is None on a discarded record, so only a classified one can fail
+        eq1_ok = self.cube_columns[_CUBE_KEYS.index("eq1_ok")]
         return (
             self.fs_ok
             and self.doubling_ok
             and self.above_null_ok
-            and all(rec.discard_reason is not None or rec.eq1_ok for rec in self.cube_records)
+            and False not in eq1_ok
             and all(band.ok for band in self.band_records)
         )
 
@@ -633,7 +636,7 @@ class ProofReplayReport:
             "constant_bound": self.constant_bound,
             "all_ok": self.all_ok,
             "max_measured_constant": self.max_measured_constant(),
-            "cubes": [asdict(rec) for rec in self.cube_records],
+            "cubes": [dict(zip(_CUBE_KEYS, row)) for row in zip(*self.cube_columns)],
             "bands": [asdict(band) for band in self.band_records],
         }
 
@@ -666,19 +669,48 @@ def _rho_bin(rho_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(_ceil_log2(val) - 1, 0), val > 1.0
 
 
-def _select(s: SparseCollection, keep: np.ndarray) -> SparseCollection:
-    """The members of s at which keep, a mask in (level, index) order, is True."""
-    flat = np.concatenate(s.members)
-    sel = np.zeros_like(flat)
-    sel[flat] = keep
-    return SparseCollection._from_members(split_levels(sel, s.resolution))
+def _runs(values: np.ndarray) -> list:
+    """(start, end) of each run of equal entries."""
+    cut = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    return list(zip([0, *cut], [*cut, values.size])) if values.size else []
 
 
-def _chain_sums(s: SparseCollection, per_level) -> np.ndarray:
-    """At each member, the sum of per-level values over the member and its
-    ancestors in s: a top-down sum paint of the values at the members."""
-    terms = [np.where(mem, v, 0.0) for mem, v in zip(s.members, per_level)]
-    return _at_members(s, paint_down(terms, np.add))
+def _cells(n: int, level: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per cell, the value of the deepest of the cubes (given in (level,
+    index) order) that contains it, or 0: the cubes are written coarse to fine."""
+    out = np.zeros(1 << n, dtype=values.dtype)
+    for lo, hi in _runs(level):
+        out.reshape(1 << int(level[lo]), -1)[index[lo:hi]] = values[lo:hi, None]
+    return out
+
+
+def _down(parent: np.ndarray, own: np.ndarray, op, root, levels: list) -> np.ndarray:
+    """Per member, op(value at its parent, own value), or op(root, own value)
+    without parent (-1): parents first, one step per run of ``levels``."""
+    out = np.empty(own.size + 1, dtype=np.result_type(own, root))
+    out[-1] = root
+    for lo, hi in levels:
+        out[lo:hi] = op(out[parent[lo:hi]], own[lo:hi])
+    return out[:-1]
+
+
+def _nearest_same(parent: np.ndarray, key: np.ndarray, todo: np.ndarray) -> np.ndarray:
+    """For each member in todo, the nearest one up its chain of parent links
+    (-1 ends it) with the same key, or -1; all chains advance at once."""
+    out, up = np.full(parent.size, -1), parent[todo]
+    while todo.size:
+        todo, up = todo[up >= 0], up[up >= 0]
+        same = key[up] == key[todo]
+        out[todo[same]] = up[same]
+        todo, up = todo[~same], parent[up[~same]]
+    return out
+
+
+def _majorant(w: GridFunction, eps: EpsilonSpec) -> tuple:
+    """w's RhoTable and the cells of m_entropy(w, eps): one rho table feeds
+    the majorant and the rho-bins."""
+    table = rho_all(w)
+    return table, paint_down(_entropy_levels(w, eps, "log", table), np.maximum)[-1]
 
 
 def proof_replay(
@@ -698,9 +730,17 @@ def proof_replay(
     coarse bound (k <= 10 * 2^r) or the far-regime Q_t and disjointness
     bounds (k > 10 * 2^r) with measured constants against CONSTANT_BOUND.
 
-    Each part is classified at once on its member arrays, in (level, index)
-    order, and each (r, k) band is a mask of those arrays.
+    S is one member table in (level, index) order, classified at once. A
+    member's band parent is its nearest S-ancestor in the same (part, r, k)
+    band; generations, |E_Q| and the coarse right-hand sides follow those
+    links, with no sweep of the grid per band.
     """
+    return _proof_replay(s, f, w, g_set, eps, None, None)
+
+
+def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
+    """proof_replay on (table, majorant) from _majorant(w, eps) when the
+    caller holds them, None to build them."""
     require_weight(w)
     n = f.resolution
     if w.resolution != n or s.resolution != n or g_set.resolution != n:
@@ -711,144 +751,129 @@ def proof_replay(
     if not certify_half_sparse(s):
         raise SparsePreconditionError("collection is not strictly 1/2-sparse")
 
-    # One rho table feeds the majorant (m_entropy's paint) and the rho-bins.
-    table = rho_all(w)
-    majorant = paint_down(_entropy_levels(w, eps, "log", table), np.maximum)[-1]
+    if table is None:
+        table, majorant = _majorant(w, eps)
     denom = float(np.dot(np.abs(f.values), majorant) * f.cell_width)
     threshold = 4.0 / w_g
     if denom == 0.0:
         # f is identically zero: every class is empty, all checks vacuous.
         return ProofReplayReport(
-            resolution=n,
-            normalization=0.0,
-            w_g=w_g,
-            w_h=0.0,
-            w_gprime=w_g,
-            threshold=threshold,
-            fs_ok=True,
-            doubling_ok=True,
-            vacuous=True,
+            resolution=n, normalization=0.0, w_g=w_g, w_h=0.0, w_gprime=w_g,
+            threshold=threshold, fs_ok=True, doubling_ok=True, vacuous=True,
         )
-    fn = GridFunction(n, f.values / denom)
-    favg = level_averages(np.abs(fn.values))
+    abs_fn = np.abs(GridFunction(n, f.values / denom).values)
+    favg = level_averages(abs_fn)
 
     # H: the union of the maximal dyadic cubes with <f>_Q above the
     # threshold, i.e. the cells with some ancestor above it.
-    h_mask = paint_down(favg, np.maximum)[-1] > threshold
-    h_set = CellSet(n, h_mask)
+    h_set = CellSet(n, paint_down(favg, np.maximum)[-1] > threshold)
     w_h = integral(w, h_set)
-    fs_ok = w_h <= 0.25 * w_g * (1.0 + REL_TOL)
-
     g_prime = g_set.difference(h_set)
     w_gprime = integral(w, g_prime)
-    doubling_ok = w_g <= 2.0 * w_gprime * (1.0 + REL_TOL)
 
     # Per-cube w(G' ∩ Q) via one sum ladder over w restricted to G'.
     wgp_cells = restrict(w, g_prime).values
-    wgp_sums = level_sums(wgp_cells)
     cell_width = f.cell_width
-    report = ProofReplayReport(
-        resolution=n,
-        normalization=denom,
-        w_g=w_g,
-        w_h=w_h,
-        w_gprime=w_gprime,
-        threshold=threshold,
-        fs_ok=fs_ok,
-        doubling_ok=doubling_ok,
-    )
 
-    unit = [np.ones(1 << level) for level in range(n + 1)]
-    for part_idx, part in enumerate(split_eight(s)):
-        avg = _at_members(part, favg)
-        wgp = _at_members(part, wgp_sums) * cell_width
-        rho_m = _at_members(part, table.values)
-        # A member above the threshold qualifies for H, so it is covered by
-        # H and meets G' in a null set.
-        above = avg > threshold * (1.0 + 1e-12)
-        report.above_null_ok &= not wgp[above].any()
-        zero = avg == 0.0
-        classified = ~above & ~zero
-        k = _level_class(avg, w_g)
-        r, eq1_ok = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
-        generation = np.zeros_like(r)
+    # The member table. The member at flat offset o = 2^l - 1 + index has
+    # its parent cube at offset (o - 1) // 2, where the position paint
+    # holds its S-parent.
+    level, index = _member_coords(s)
+    offset = (1 << level) - 1 + index
+    levels = _runs(level)
+    size = 1 << (n - level)
+    painted = np.concatenate(_positions(s))
+    s_parent = np.where(offset > 0, painted[(offset - 1) >> 1], -1)
+    part = _down(s_parent, np.ones_like(level), np.add, -1, levels) % 8
+    avg = _at_members(s, favg)
+    wgp = _at_members(s, level_sums(wgp_cells)) * cell_width
+    rho_m = _at_members(s, table.values)
 
-        for rb in _distinct(r[classified]):
-            in_bin = classified & (r == rb)
-            # Coarse right-hand sides share M^S w over the full rho-bin.
-            m_s = m_coeff(w, unit, _select(part, in_bin))
-            rhs = float(np.dot(np.abs(fn.values), m_s.values) * cell_width)
-            for kb in _distinct(k[in_bin]):
-                in_band = in_bin & (k == kb)
-                band = _select(part, in_band)
-                depth = _ancestor_counts(band)
-                generation[in_band] = _at_members(band, depth)
+    # A member above the threshold qualifies for H, so it is covered by H
+    # and meets G' in a null set.
+    above = avg > threshold * (1.0 + 1e-12)
+    zero = avg == 0.0
+    classified = ~above & ~zero
+    k = _level_class(avg, w_g)
+    r, eq1_ok = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
 
-                # E_Q = Q minus the next generation of the class, its
-                # children cover. The E_Q are disjoint when their cells add
-                # up to the cells the class covers.
-                eq_disjoint_ok = int(_at_members(band, _eq_cells(band)).sum()) == int(
-                    np.count_nonzero(depth[n] + band.members[n])
-                )
-                # sum over the class of |Q| <f>_Q <w 1_G'>_Q, added in order
-                band_sum = float(np.cumsum(avg[in_band] * wgp[in_band])[-1])
-                count = int(np.count_nonzero(in_band))
-                shared = dict(
-                    part=part_idx, r=rb, k=kb, cube_count=count,
-                    band_sum=band_sum, eq_disjoint_ok=eq_disjoint_ok,
-                )
+    # A member's bin parent is its nearest S-ancestor in the same part and
+    # rho-bin, its band parent the nearest of those in the same level class.
+    todo = np.flatnonzero(classified)
+    bin_key = np.where(classified, part + 8 * r, -1)
+    bin_parent = _nearest_same(s_parent, bin_key, todo)
+    band_parent = _nearest_same(bin_parent, k, todo)
+    generation = _down(band_parent, np.ones_like(k), np.add, -1, levels)
+    # |E_Q| = |Q| minus the cells of its band children.
+    child = band_parent >= 0
+    eq_cells = size - np.bincount(band_parent[child], size[child], level.size).astype(np.int64)
+    # M^S w of the rho-bin at a member: the max of <w> over the member and
+    # its bin ancestors.
+    w_avg = _at_members(s, level_averages(np.abs(w.values)))
+    bin_max = _down(bin_parent, w_avg, np.maximum, -math.inf, levels)
 
-                if kb <= 10 * (1 << rb):
-                    if band_sum == 0.0:
-                        constant = 0.0
-                    elif rhs == 0.0:
-                        constant = math.inf
-                    else:
-                        constant = band_sum / rhs
-                    report.band_records.append(
-                        BandRecord(
-                            regime="coarse", **shared,
-                            coarse_constant=constant,
-                            coarse_ok=constant <= CONSTANT_BOUND * (1.0 + REL_TOL),
-                        )
-                    )
-                else:
-                    # Q_t needs t = 2^k >= 2^11 more generations, and no grid
-                    # has that many levels: Q_t is empty and its checks hold
-                    # vacuously. Disjointness sums <f>_Q w(E_Q' ∩ G') over
-                    # members Q and class members Q' inside Q; per Q' that is
-                    # w(E_Q' ∩ G') times <f> summed over Q' and its class
-                    # ancestors.
-                    owner = _owner(band)
-                    eq_w = np.bincount(owner + 1, weights=wgp_cells, minlength=count + 1)
-                    disjoint_sum = float(
-                        np.dot(_chain_sums(band, favg), eq_w[1:] * cell_width)
-                    )
-                    disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
-                    report.band_records.append(
-                        BandRecord(
-                            regime="far", **shared,
-                            qt_empty=True,
-                            qt_measure_ok=True,
-                            qt_weight_constant=0.0,
-                            qt_weight_ok=0.0 <= CONSTANT_BOUND * (1.0 + REL_TOL),
-                            disjoint_constant=disjoint_sum * (2.0 ** kb),
-                            disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
-                        )
-                    )
-
-        reason = np.full(avg.size, None)
-        reason[zero] = "zero-average"
-        reason[above] = "above-threshold"
-        levels, index = _member_coords(part)
-        report.cube_records += [
-            CubeClassRecord(lv, ix, part_idx, None, None, None, None, why)
-            if why
-            else CubeClassRecord(lv, ix, part_idx, rr, kk, gen, ok, None)
-            for lv, ix, rr, kk, gen, ok, why in zip(
-                levels.tolist(), index.tolist(), r.tolist(), k.tolist(),
-                generation.tolist(), eq1_ok.tolist(), reason.tolist(),
+    band_records = []
+    order = todo[np.lexsort((k[todo], r[todo], part[todo]))]
+    for blo, bhi in _runs(bin_key[order]):
+        in_bin = order[blo:bhi]
+        # The coarse right-hand side integrates M^S w over the rho-bin.
+        cubes = np.sort(in_bin)
+        m_s = _cells(n, level[cubes], index[cubes], bin_max[cubes])
+        rhs = float(np.dot(abs_fn, m_s) * cell_width)
+        for lo, hi in _runs(k[in_bin]):
+            band = in_bin[lo:hi]
+            rb, kb, count = int(r[band[0]]), int(k[band[0]]), hi - lo
+            # The E_Q are disjoint when their cells add up to the cells the
+            # band covers, those of its roots.
+            eq_disjoint_ok = int(eq_cells[band].sum()) == int(
+                size[band][band_parent[band] < 0].sum()
             )
-        ]
-    return report
+            # sum over the class of |Q| <f>_Q <w 1_G'>_Q, added in order
+            band_sum = float(np.cumsum(avg[band] * wgp[band])[-1])
+            shared = dict(
+                part=int(part[band[0]]), r=rb, k=kb, cube_count=count,
+                band_sum=band_sum, eq_disjoint_ok=eq_disjoint_ok,
+            )
 
+            if kb <= 10 * (1 << rb):
+                constant = 0.0 if band_sum == 0.0 else band_sum / rhs if rhs else math.inf
+                band_records.append(BandRecord(
+                    regime="coarse", **shared, coarse_constant=constant,
+                    coarse_ok=constant <= CONSTANT_BOUND * (1.0 + REL_TOL),
+                ))
+            else:
+                # Q_t needs t = 2^k >= 2^11 more generations, and no grid
+                # has that many levels: Q_t is empty and its checks hold
+                # vacuously. Disjointness sums <f>_Q w(E_Q' ∩ G') over
+                # members Q and class members Q' inside Q; per Q' that is
+                # w(E_Q' ∩ G') times <f> summed over Q' and its class
+                # ancestors, added root first.
+                owner = _cells(n, level[band], index[band], np.arange(1, count + 1))
+                eq_w = np.bincount(owner, weights=wgp_cells, minlength=count + 1)
+                chain = _down(band_parent, avg, np.add, 0.0, levels)[band]
+                disjoint_sum = float(np.dot(chain, eq_w[1:] * cell_width))
+                disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
+                band_records.append(BandRecord(
+                    regime="far", **shared, qt_empty=True, qt_measure_ok=True,
+                    qt_weight_constant=0.0,
+                    qt_weight_ok=0.0 <= CONSTANT_BOUND * (1.0 + REL_TOL),
+                    disjoint_constant=disjoint_sum * (2.0 ** kb),
+                    disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
+                ))
+
+    reason = np.full(level.size, None)
+    reason[zero] = "zero-average"
+    reason[above] = "above-threshold"
+    kept = [np.where(classified, col, None) for col in (r, k, generation, eq1_ok)]
+    by_part = np.argsort(part, kind="stable")
+    return ProofReplayReport(
+        resolution=n, normalization=denom, w_g=w_g, w_h=w_h, w_gprime=w_gprime,
+        threshold=threshold,
+        fs_ok=w_h <= 0.25 * w_g * (1.0 + REL_TOL),
+        doubling_ok=w_g <= 2.0 * w_gprime * (1.0 + REL_TOL),
+        cube_columns=tuple(
+            tuple(col[by_part].tolist()) for col in (level, index, part, *kept, reason)
+        ),
+        band_records=band_records,
+        above_null_ok=not wgp[above].any(),
+    )

@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -603,7 +604,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
         _ancestor_counts,
         _at_members,
         _eq_cells,
-        _owner,
+        _positions,
         split_eight,
     )
     from entbump.weights import effective_rho, rho_all
@@ -639,19 +640,20 @@ def loop_proof_replay(s, f, w, g_set, eps):
         doubling_ok=w_g <= 2.0 * w_gprime * (1.0 + rel_tol),
     )
     unit = [np.ones(1 << level) for level in range(n + 1)]
+    records = []
     for part_idx, part in enumerate(split_eight(s)):
-        first_rec = len(report.cube_records)
+        first_rec = len(records)
         groups, bin_members = {}, {}
         for cube in part:
             avg_f = float(favg[cube.level][cube.index])
             if avg_f > threshold * (1.0 + 1e-12):
                 report.above_null_ok &= w_gprime_on(cube) == 0.0
-                report.cube_records.append(CubeClassRecord(
+                records.append(CubeClassRecord(
                     cube.level, cube.index, part_idx, None, None, None, None,
                     "above-threshold"))
                 continue
             if avg_f == 0.0:
-                report.cube_records.append(CubeClassRecord(
+                records.append(CubeClassRecord(
                     cube.level, cube.index, part_idx, None, None, None, None,
                     "zero-average"))
                 continue
@@ -659,11 +661,11 @@ def loop_proof_replay(s, f, w, g_set, eps):
             r, _, eq1_ok = rho_bin(effective_rho(table.lookup(cube)))
             groups.setdefault((r, k), []).append(cube)
             bin_members.setdefault(r, []).append(cube)
-            report.cube_records.append(
+            records.append(
                 CubeClassRecord(cube.level, cube.index, part_idx, r, k, None, eq1_ok, None))
         rec_lookup = {
             (rec.level, rec.index): i
-            for i, rec in enumerate(report.cube_records[first_rec:], start=first_rec)
+            for i, rec in enumerate(records[first_rec:], start=first_rec)
             if rec.discard_reason is None
         }
         coarse_rhs = {}
@@ -679,8 +681,8 @@ def loop_proof_replay(s, f, w, g_set, eps):
             for i, cube in enumerate(members):
                 by_gen.setdefault(gens[i], []).append(i)
                 j = rec_lookup[(cube.level, cube.index)]
-                old = report.cube_records[j]
-                report.cube_records[j] = CubeClassRecord(
+                old = records[j]
+                records[j] = CubeClassRecord(
                     old.level, old.index, old.part, old.r, old.k, gens[i], old.eq1_ok, None)
             eq_disjoint_ok = int(_at_members(sub, _eq_cells(sub)).sum()) == int(
                 np.count_nonzero(depth[n] + sub.members[n]))
@@ -699,7 +701,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
                     eq_disjoint_ok=eq_disjoint_ok, coarse_constant=constant,
                     coarse_ok=constant <= constant_bound * (1.0 + rel_tol)))
             else:
-                owner = _owner(sub)
+                owner = _positions(sub)[-1]
                 disjoint_sum = 0.0
                 for i, cube in enumerate(members):
                     avg_f = float(favg[cube.level][cube.index])
@@ -720,4 +722,160 @@ def loop_proof_replay(s, f, w, g_set, eps):
                     qt_weight_ok=0.0 <= constant_bound * (1.0 + rel_tol),
                     disjoint_constant=disjoint_sum * (2.0 ** k),
                     disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit)))
-    return report
+    return dataclasses.replace(report, cube_columns=cube_columns(records))
+
+
+def cube_columns(records):
+    """CubeClassRecords as the report's cube columns: one tuple per field of
+    CubeClassRecord, in record order (its eight fields empty for no record)."""
+    return tuple(zip(*(dataclasses.astuple(rec) for rec in records))) or ((),) * 8
+
+
+def level_proof_replay(s, f, w, g_set, eps):
+    """proof_replay part by part on per-level arrays: each of the eight
+    parts classified in one pass, each (r, k) band a member mask of the part
+    with whole-grid sweeps for its generations and E_Q cells, and one
+    m_coeff paint per rho-bin for the coarse right-hand side."""
+    from entbump.bumps import _entropy_levels, m_coeff
+    from entbump.grid import (
+        CellSet,
+        GridFunction,
+        integral,
+        level_averages,
+        level_sums,
+        paint_down,
+        require_weight,
+        restrict,
+        split_levels,
+    )
+    from entbump.sparse import (
+        CONSTANT_BOUND,
+        REL_TOL,
+        BandRecord,
+        CubeClassRecord,
+        ProofReplayReport,
+        SparseCollection,
+        _ancestor_counts,
+        _at_members,
+        _eq_cells,
+        _level_class,
+        _member_coords,
+        _positions,
+        _rho_bin,
+        split_eight,
+    )
+    from entbump.weights import rho_all
+
+    def select(part, keep):
+        flat = np.concatenate(part.members)
+        sel = np.zeros_like(flat)
+        sel[flat] = keep
+        return SparseCollection._from_members(split_levels(sel, part.resolution))
+
+    def distinct(values):
+        return sorted(set(values.tolist()))
+
+    def chain_sums(part, per_level):
+        terms = [np.where(mem, v, 0.0) for mem, v in zip(part.members, per_level)]
+        return _at_members(part, paint_down(terms, np.add))
+
+    require_weight(w)
+    n = f.resolution
+    w_g = integral(w, g_set)
+    table = rho_all(w)
+    majorant = paint_down(_entropy_levels(w, eps, "log", table), np.maximum)[-1]
+    denom = float(np.dot(np.abs(f.values), majorant) * f.cell_width)
+    threshold = 4.0 / w_g
+    if denom == 0.0:
+        return ProofReplayReport(
+            resolution=n, normalization=0.0, w_g=w_g, w_h=0.0, w_gprime=w_g,
+            threshold=threshold, fs_ok=True, doubling_ok=True, vacuous=True,
+        )
+    fn = GridFunction(n, f.values / denom)
+    favg = level_averages(np.abs(fn.values))
+    h_set = CellSet(n, paint_down(favg, np.maximum)[-1] > threshold)
+    w_h = integral(w, h_set)
+    g_prime = g_set.difference(h_set)
+    w_gprime = integral(w, g_prime)
+    wgp_cells = restrict(w, g_prime).values
+    wgp_sums = level_sums(wgp_cells)
+    cell_width = f.cell_width
+    report = ProofReplayReport(
+        resolution=n, normalization=denom, w_g=w_g, w_h=w_h, w_gprime=w_gprime,
+        threshold=threshold,
+        fs_ok=w_h <= 0.25 * w_g * (1.0 + REL_TOL),
+        doubling_ok=w_g <= 2.0 * w_gprime * (1.0 + REL_TOL),
+    )
+
+    records = []
+    unit = [np.ones(1 << level) for level in range(n + 1)]
+    for part_idx, part in enumerate(split_eight(s)):
+        avg = _at_members(part, favg)
+        wgp = _at_members(part, wgp_sums) * cell_width
+        rho_m = _at_members(part, table.values)
+        above = avg > threshold * (1.0 + 1e-12)
+        report.above_null_ok &= not wgp[above].any()
+        zero = avg == 0.0
+        classified = ~above & ~zero
+        k = _level_class(avg, w_g)
+        r, eq1_ok = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
+        generation = np.zeros_like(r)
+
+        for rb in distinct(r[classified]):
+            in_bin = classified & (r == rb)
+            m_s = m_coeff(w, unit, select(part, in_bin))
+            rhs = float(np.dot(np.abs(fn.values), m_s.values) * cell_width)
+            for kb in distinct(k[in_bin]):
+                in_band = in_bin & (k == kb)
+                band = select(part, in_band)
+                depth = _ancestor_counts(band)
+                generation[in_band] = _at_members(band, depth)
+                eq_disjoint_ok = int(_at_members(band, _eq_cells(band)).sum()) == int(
+                    np.count_nonzero(depth[n] + band.members[n])
+                )
+                band_sum = float(np.cumsum(avg[in_band] * wgp[in_band])[-1])
+                count = int(np.count_nonzero(in_band))
+                shared = dict(
+                    part=part_idx, r=rb, k=kb, cube_count=count,
+                    band_sum=band_sum, eq_disjoint_ok=eq_disjoint_ok,
+                )
+                if kb <= 10 * (1 << rb):
+                    if band_sum == 0.0:
+                        constant = 0.0
+                    elif rhs == 0.0:
+                        constant = math.inf
+                    else:
+                        constant = band_sum / rhs
+                    report.band_records.append(BandRecord(
+                        regime="coarse", **shared, coarse_constant=constant,
+                        coarse_ok=constant <= CONSTANT_BOUND * (1.0 + REL_TOL),
+                    ))
+                else:
+                    owner = _positions(band)[-1]
+                    eq_w = np.bincount(owner + 1, weights=wgp_cells, minlength=count + 1)
+                    disjoint_sum = float(
+                        np.dot(chain_sums(band, favg), eq_w[1:] * cell_width)
+                    )
+                    disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
+                    report.band_records.append(BandRecord(
+                        regime="far", **shared, qt_empty=True, qt_measure_ok=True,
+                        qt_weight_constant=0.0,
+                        qt_weight_ok=0.0 <= CONSTANT_BOUND * (1.0 + REL_TOL),
+                        disjoint_constant=disjoint_sum * (2.0 ** kb),
+                        disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
+                    ))
+
+        reason = np.full(avg.size, None)
+        reason[zero] = "zero-average"
+        reason[above] = "above-threshold"
+        levels, index = _member_coords(part)
+        records += [
+            CubeClassRecord(lv, ix, part_idx, None, None, None, None, why)
+            if why
+            else CubeClassRecord(lv, ix, part_idx, rr, kk, gen, ok, None)
+            for lv, ix, rr, kk, gen, ok, why in zip(
+                levels.tolist(), index.tolist(), r.tolist(), k.tolist(),
+                generation.tolist(), eq1_ok.tolist(), reason.tolist(),
+            )
+        ]
+    return dataclasses.replace(report, cube_columns=cube_columns(records))

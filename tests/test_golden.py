@@ -6,14 +6,21 @@ stdout of ``rho --n 10`` and the ``--out`` file of ``maximal --n 10 --phi
 llog:0.5`` (the dyadic, entropy and Orlicz maximal arrays). The command
 layer is pinned too: the stdout of each suite command at ``--n 6 --trials
 10 --seed 3``, the CSV of ``verify-main --out`` and the SVG of ``domination
---plot`` at the same flags. A change that moves any of them on purpose bumps
-``VERSION`` and says why in CHANGES.md; a refactor leaves them alone.
+--plot`` at the same flags, and the stdout and ``--out`` JSON of
+``scripts/replay_demo.py --n 8``, the one script that prints cube records. A
+change that moves any of them on purpose bumps ``VERSION`` and says why in
+CHANGES.md; a refactor leaves them alone.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entbump
 from entbump import (
     TrialConfig,
     ainf_lemma_sweep,
@@ -65,6 +72,12 @@ CLI_FILE_DIGESTS = {
 }
 
 
+REPLAY_DEMO_DIGESTS = {
+    "stdout": "00bdc9345699670de34b5d5675883fb4f4426b09c9846d4d109bc07aa4a2a838",
+    "replay_demo.json": "37568ae1d511269c23c19d042fd352276583a58ad6f7e38b7a739314ba032c3d",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -110,3 +123,19 @@ def test_suite_command_file_digest(name, flag, tmp_path, capsys):
     path = tmp_path / name
     assert run([command, *CLI_ARGS, flag, str(path)]) == 0
     assert _sha256(path) == CLI_FILE_DIGESTS[name]
+
+
+def test_replay_demo_digests(tmp_path):
+    # the child imports the entbump under test, and writes its report into
+    # its working directory under the name its stdout prints
+    script = Path(__file__).resolve().parents[1] / "scripts" / "replay_demo.py"
+    src = str(Path(entbump.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n", "8", "--out", "replay_demo.json"],
+        capture_output=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPLAY_DEMO_DIGESTS["stdout"]
+    assert _sha256(tmp_path / "replay_demo.json") == REPLAY_DEMO_DIGESTS["replay_demo.json"]

@@ -148,6 +148,19 @@ class TestTrialConfig:
     def test_phi_spec(self):
         assert small(phi="llog:0.5").phi_spec() == OrliczSpec.llog(0.5)
 
+    def test_specs_parsed_once(self, monkeypatch):
+        cfg = small(phi="llog:0.5")
+        monkeypatch.setattr(EpsilonSpec, "parse", None)
+        monkeypatch.setattr(OrliczSpec, "parse", None)
+        assert cfg.eps_spec() is cfg.eps_spec()
+        assert cfg.phi_spec() is cfg.phi_spec()
+        monkeypatch.undo()
+        # the parsed specs are not fields: equality, hash and repr see the
+        # spec strings only
+        twin = small(phi="llog:0.5")
+        assert cfg == twin and hash(cfg) == hash(twin) and repr(cfg) == repr(twin)
+        assert "_eps" not in repr(cfg) and "_phi" not in cfg.to_dict()
+
 
 class TestWeakTypeQuotient:
     def test_constant_instance(self):
@@ -265,6 +278,19 @@ class TestStructuralSweeps:
         assert report.all_passed
         assert report.pass_flags["decomposition"]
         assert report.aggregates["max_measured_constant"] <= 16.0
+
+    def test_adversarial_replay_trial_builds_one_rho_table(self, monkeypatch):
+        import entbump.bumps
+        import entbump.sparse
+        import entbump.weights
+
+        calls = []
+        real = entbump.weights.rho_all
+        for module in (entbump.weights, entbump.bumps, entbump.sparse):
+            monkeypatch.setattr(module, "rho_all", lambda w: calls.append(w) or real(w))
+        cfg = small(resolution=6, trials=1, function_families=("adversarial",))
+        assert replay_random_suite(cfg).all_passed
+        assert len(calls) == 1
 
     def test_domination_suite(self):
         cfg = small(resolution=5, trials=12, bound=16.0)

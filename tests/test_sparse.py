@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,6 +32,7 @@ from entbump import (
     certify_half_sparse,
     cz_stopping_collection,
     haar_transform,
+    m_entropy,
     proof_replay,
     sparse_dominate_bilinear,
     sparse_operator,
@@ -38,7 +40,9 @@ from entbump import (
     strong_sparseness_check,
 )
 from entbump.grid import average, integral, level_averages
+from entbump.lab import _draw_function, _draw_weight, trial_rng
 from entbump.sparse import BandRecord, _descendant_cells, _level_class, _rho_bin
+from entbump.weights import rho_all
 
 from oracles import (
     brute_bilinear,
@@ -50,6 +54,7 @@ from oracles import (
     brute_haar_apply,
     brute_sparse_apply,
     level_class,
+    level_proof_replay,
     loop_bilinear,
     loop_proof_replay,
     loop_sparse_apply,
@@ -718,6 +723,24 @@ class TestProofReplay:
         assert report.above_null_ok and report.to_json_dict()["above_null_ok"]
         assert not dataclasses.replace(report, above_null_ok=False).all_ok
 
+    def test_all_ok_reads_eq1_of_classified_cubes(self):
+        n = 4
+        fv = np.zeros(16)
+        fv[0] = 1.0
+        s = SparseCollection(n, [ROOT, DyadicCube(4, 0), DyadicCube(4, 15)])
+        report = proof_replay(
+            s, GridFunction(n, fv), GridFunction(n, np.ones(16)), CellSet.full(n),
+            EpsilonSpec.constant(1.0),
+        )
+        assert report.all_ok
+        level, index, part, r, k, gen, eq1_ok, why = report.cube_columns
+        assert eq1_ok == (True, None, None) and why[0] is None
+        failed = dataclasses.replace(
+            report, cube_columns=(level, index, part, r, k, gen, (False, None, None), why)
+        )
+        assert not failed.all_ok and failed.to_json_dict()["all_ok"] is False
+        assert failed.cube_records[0].eq1_ok is False
+
     def test_package_has_no_assert_statements(self):
         # python -O strips assert statements, so no check may be one
         found = [
@@ -962,3 +985,157 @@ class TestReplayAgainstLoop:
         assert band.ok
         assert not dataclasses.replace(band, coarse_ok=False).ok
         assert not dataclasses.replace(band, eq_disjoint_ok=False).ok
+
+
+# The families of the replay workload's calls, drawn in replay_random_suite's
+# order; one trial per instance.
+WORKLOAD_WEIGHTS = ("power:0", "power:0.5", "power:0.9", "power:0.99", "a1gen")
+WORKLOAD_FUNCTIONS = ("indicator", "random", "haar_packet", "adversarial")
+
+
+def workload_instance(n, seed, weight, function):
+    rng = trial_rng(seed, 0)
+    eps = EpsilonSpec.log_pow(2.0)
+    w = _draw_weight(rng, n, weight)[0]
+    base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
+    s = cz_stopping_collection(base, ROOT, 4.0)
+    majorant = m_entropy(w, eps).values if function == "adversarial" else None
+    f = _draw_function(rng, n, function, majorant=majorant)
+    g = CellSet(n, rng.random(1 << n) < 0.5)
+    if integral(w, g) <= 0.0:
+        g = CellSet.full(n)
+    return s, f, w, g, eps
+
+
+def float_bits(value):
+    """A float as its IEEE bytes, so NaN equals NaN and -0.0 differs from 0.0."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+class TestReplayAgainstLevels:
+    """proof_replay on one member table against level_proof_replay, the form
+    with one pass per part and one grid sweep per band: the same records in
+    the same order, and every band field bit for bit."""
+
+    def check(self, args):
+        want, got = level_proof_replay(*args), proof_replay(*args)
+        assert got.cube_records == want.cube_records
+        assert dataclasses.replace(got, band_records=[]) == dataclasses.replace(
+            want, band_records=[]
+        )
+        def bits(report):
+            return [list(map(float_bits, dataclasses.astuple(b))) for b in report.band_records]
+
+        assert bits(got) == bits(want)
+        # the report's cube dicts read the columns; they match the records
+        assert got.to_json_dict()["cubes"] == [dataclasses.asdict(rec) for rec in got.cube_records]
+        return got
+
+    @given(
+        st.integers(6, 12),
+        st.integers(0, 10**6),
+        st.sampled_from(WORKLOAD_WEIGHTS),
+        st.sampled_from(WORKLOAD_FUNCTIONS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_workload_instances(self, n, seed, weight, function):
+        self.check(workload_instance(n, seed, weight, function))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_far_instances(self, seed):
+        bands = self.check(far_instance(seed)).band_records
+        assert any(band.regime == "far" for band in bands)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_instances(self, seed):
+        self.check(mixed_instance(seed))
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_stopping_tree_at_the_cap(self, n):
+        rng = np.random.default_rng(n)
+        base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
+        s = cz_stopping_collection(base, ROOT, 4.0)
+        w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
+        f = GridFunction(n, np.abs(rng.standard_normal(1 << n)))
+        g = CellSet(n, rng.random(1 << n) < 0.5)
+        report = self.check((s, f, w, g, EpsilonSpec.log_pow(2.0)))
+        assert len(report.cube_records) == len(s) > 1000
+
+    @pytest.mark.parametrize("case", ["coarse", "far", "split"])
+    def test_nested_members_of_one_part(self, case):
+        # Each generation of a strictly 1/2-sparse chain sits at least two
+        # levels below the last, so a part holds nested members only from
+        # n = 16 on: ROOT and the cell (16, 0) at S-depth 8 share part 0,
+        # and with rho <= 2 they share a rho-bin. With f = 1 they share a
+        # band too: a coarse band reads M^S w, which peaks on the deeper
+        # member, and a far band takes G' to be that one cell, where w is
+        # tiny. A spike of f on the cell puts them in two bands of one bin.
+        n = 16
+        chain = SparseCollection(n, [DyadicCube(level, 0) for level in range(0, n + 1, 2)])
+        wv, fv = np.ones(1 << n), np.ones(1 << n)
+        wv[0] = 1e-10 if case == "far" else 1.5
+        fv[0] = 4.0 if case == "split" else 1.0
+        g = CellSet.from_indices(n, [0]) if case == "far" else CellSet.full(n)
+        args = (chain, GridFunction(n, fv), GridFunction(n, wv), g, EpsilonSpec.log_pow(2.0))
+        report = self.check(args)
+        root, cell = report.cube_records[:2]
+        assert (cell.level, cell.part, cell.r) == (16, root.part, root.r)
+        if case == "split":
+            assert cell.k < root.k and cell.generation == 0
+        else:
+            [band] = [band for band in report.band_records if band.cube_count == 2]
+            assert band.regime == case and cell.generation == 1
+        assert report.all_ok
+
+    def test_single_cell_grid(self):
+        args = (
+            SparseCollection(0, [ROOT]), GridFunction(0, [2.0]), GridFunction(0, [3.0]),
+            CellSet.full(0), EpsilonSpec.log_pow(2.0),
+        )
+        report = self.check(args)
+        [rec] = report.cube_records
+        assert (rec.level, rec.index, rec.part, rec.generation) == (0, 0, 0, 0)
+        assert len(report.band_records) == 1 and report.all_ok
+
+    def test_empty_collection(self):
+        n = 4
+        args = (
+            SparseCollection(n, []), GridFunction(n, np.ones(16)), GridFunction(n, np.ones(16)),
+            CellSet.full(n), EpsilonSpec.log_pow(2.0),
+        )
+        report = self.check(args)
+        assert not report.vacuous and report.all_ok
+        assert report.cube_records == [] and report.band_records == []
+
+    def test_part_with_every_member_discarded(self):
+        # (2, 3) is the only member of part 1, and f vanishes on it
+        n = 4
+        fv = np.ones(16)
+        fv[12:] = 0.0
+        s = SparseCollection(n, [ROOT, DyadicCube(2, 3)])
+        args = (s, GridFunction(n, fv), GridFunction(n, np.ones(16)), CellSet.full(n),
+                EpsilonSpec.constant(1.0))
+        report = self.check(args)
+        assert [(rec.part, rec.discard_reason) for rec in report.cube_records] == [
+            (0, None), (1, "zero-average")
+        ]
+        assert {band.part for band in report.band_records} == {0}
+        assert report.to_json_dict()["cubes"][1]["r"] is None
+
+    def test_vacuous_cube(self):
+        # w vanishes on (1, 1), so rho of the member (2, 3) is NaN and the
+        # replay reads it as 1: shifted_log2(1) = log2(3) lies in band r = 0
+        n = 4
+        wv = np.ones(16)
+        wv[8:] = 0.0
+        w = GridFunction(n, wv)
+        assert math.isnan(rho_all(w).values[2][3])
+        s = SparseCollection(n, [ROOT, DyadicCube(2, 3)])
+        args = (s, GridFunction(n, np.ones(16)), w, CellSet.full(n), EpsilonSpec.log_pow(2.0))
+        report = self.check(args)
+        rec = report.cube_records[1]
+        assert (rec.level, rec.index, rec.r, rec.eq1_ok) == (2, 3, 0, True)
+        assert rec.discard_reason is None
+        assert report.all_ok
