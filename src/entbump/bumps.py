@@ -34,6 +34,7 @@ from .grid import (
     paint_down,
     reduce_up,
     require_weight,
+    split_levels,
 )
 from .weights import rho_all
 
@@ -167,17 +168,25 @@ class EpsilonSpec:
         items = ",".join(f"{k}={v!r}" for k, v in self.params)
         return f"{self.name}:{items}" if items else self.name
 
-    def _eval_from_log(self, first_log):
-        """Evaluate the bump given L1 = shifted_log2(t)."""
+    def _eval_from_log(self, first_log, out=None):
+        """Evaluate the bump given L1 = shifted_log2(t); with ``out``, an
+        array of first_log's shape (first_log itself allowed), the values
+        go there."""
         p = self._p
         if self.name == "constant":
+            if out is not None:
+                out.fill(p["c"])
+                return out
             like = np.asarray(first_log, dtype=np.float64)
             return np.full_like(like, p["c"]) if like.ndim else p["c"]
         if self.name == "log_pow":
-            return np.power(first_log, p["p"])
-        second = np.log2(2.0 + np.asarray(first_log, dtype=np.float64))
+            return np.power(first_log, p["p"], out=out)
+        if out is None:
+            second = np.log2(2.0 + np.asarray(first_log, dtype=np.float64))
+        else:
+            second = np.log2(np.add(2.0, first_log, out=out), out=out)
         third = np.log2(2.0 + second)
-        return second * np.power(third, 1.0 + p["delta"])
+        return np.multiply(second, np.power(third, 1.0 + p["delta"]), out=out)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
@@ -347,21 +356,30 @@ def entropy_norm(
 
 def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None) -> list:
     """entropy_norm of every cube, one array per level, from one rho_all:
-    w's RhoTable ``table``, or a fresh one (which validates w) when None."""
+    w's RhoTable ``table``, or a fresh one (which validates w) when None.
+
+    The levels are views of one flat array. Per level, log2(2 + rho) and
+    then eps of it go through one cell-size buffer, and ``rho < 1`` through
+    one boolean buffer. Vacuous cubes keep their NaN rho, which passes the
+    domain check and is zeroed at the end.
+    """
     if variant not in ("full", "log"):
         raise ValueError(f"unknown entropy norm variant {variant!r}")
     if table is None:
         table = rho_all(w)
-    norms = []
-    for avg, r, vac in zip(level_averages(w.values), table.values, table.vacuous):
-        r = np.where(vac, 1.0, r)
-        _check_eps_domain(r)
-        log_r = np.log2(2.0 + r)
-        factor = r if variant == "full" else log_r
-        # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
-        vals = avg * factor * eps._eval_from_log(np.where(r < 1.0, _LOG2_3, log_r))
+    norms = split_levels(np.empty((2 << w.resolution) - 1), w.resolution)
+    log_buf, low_buf = np.empty(w.n_cells), np.empty(w.n_cells, dtype=bool)
+    for avg, r, vac, vals in zip(level_averages(w.values), table.values, table.vacuous, norms):
+        low = np.less(r, 1.0, out=low_buf[: r.size])
+        log_r = np.add(2.0, r, out=log_buf[: r.size])
+        np.log2(log_r, out=log_r)
+        np.multiply(avg, r if variant == "full" else log_r, out=vals)
+        if low.any():
+            _check_eps_domain(r[low])
+            # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
+            log_r[low] = _LOG2_3
+        vals *= eps._eval_from_log(log_r, out=log_r)
         vals[vac] = 0.0
-        norms.append(vals)
     return norms
 
 
@@ -544,8 +562,10 @@ def m_entropy(
                 ok |= mem
         norms = [np.where(ok, v, -math.inf) for ok, v in zip(allowed, norms)]
     out = paint_down(norms, np.maximum)[-1]
-    out = np.where(np.isneginf(out), 0.0, out)
-    return GridFunction(w.resolution, out)
+    if collections is not None:
+        # -inf marks the cells no member covers; with all cubes there are none
+        out = np.where(np.isneginf(out), 0.0, out)
+    return GridFunction._adopt(w.resolution, out)
 
 
 def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFunction:

@@ -89,8 +89,8 @@ class DyadicCube:
 ROOT = DyadicCube(0, 0)
 
 
-def _as_grid_values(values, resolution: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+def _as_grid_values(values, resolution: int, copy=True) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, copy=copy).reshape(-1)
     if arr.size != (1 << resolution):
         raise ValueError(
             f"expected {1 << resolution} cells at resolution {resolution}, "
@@ -113,6 +113,16 @@ class GridFunction:
         if not isinstance(self.resolution, int) or self.resolution < 0:
             raise ValueError(f"resolution must be a nonnegative int, got {self.resolution}")
         object.__setattr__(self, "values", _as_grid_values(self.values, self.resolution))
+
+    @classmethod
+    def _adopt(cls, resolution: int, values: np.ndarray) -> "GridFunction":
+        """The GridFunction on ``values`` itself: a fresh float64 array of
+        the cells that its maker hands over and no longer writes. Checked
+        like any other, made read-only, but not copied."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "resolution", resolution)
+        object.__setattr__(out, "values", _as_grid_values(values, resolution, copy=None))
+        return out
 
     @classmethod
     def constant(cls, resolution: int, value: float) -> "GridFunction":
@@ -266,22 +276,29 @@ def weak_l1_norm(g: GridFunction, w: GridFunction) -> float:
     unstable sort gives that same order when the sorted values hold no tie
     (every sort then yields the one permutation), so the stable sort runs
     only on inputs with a tie.
+
+    Two cell-size buffers carry the work: -|g| (the sort key) and the
+    sorted values. Once the order is final, the first takes the gathered
+    weights, their running sum, its scaling and the product in place.
     """
     _same_resolution(g, w)
     require_weight(w)
-    vals = np.abs(g.values)
-    if not np.any(vals > 0):
+    neg = np.abs(g.values)
+    if not neg.any():
         return 0.0
-    neg = -vals
+    np.negative(neg, out=neg)
     order = np.argsort(neg)
-    v_sorted = vals[order]
+    v_sorted = np.take(neg, order)
     if (v_sorted[1:] == v_sorted[:-1]).any():
         order = np.argsort(neg, kind="stable")
-        v_sorted = vals[order]
-    cum_w = np.cumsum(w.values[order]) * w.cell_width
+        np.take(neg, order, out=v_sorted)
+    np.negative(v_sorted, out=v_sorted)
+    cum_w = np.take(w.values, order, out=neg)
+    np.cumsum(cum_w, out=cum_w)
+    cum_w *= w.cell_width
     # Within a run of equal values the last position dominates, so a plain
     # max over all positions is the max over distinct values.
-    return float(np.max(v_sorted * cum_w))
+    return float(np.max(np.multiply(v_sorted, cum_w, out=cum_w)))
 
 
 def enumerate_cubes(resolution: int, levels=None) -> list[DyadicCube]:
@@ -347,7 +364,14 @@ def level_averages(values: np.ndarray) -> list[np.ndarray]:
     ``values`` over each level-l cube, built by pairwise halving so every
     caller shares one floating-point path.
     """
-    return reduce_up(np.asarray(values, dtype=np.float64), lambda a, b: (a + b) * 0.5)
+    return reduce_up(np.asarray(values, dtype=np.float64), _half_sum)
+
+
+def _half_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) * 0.5 with one fresh array: the sum, halved in place."""
+    out = np.add(a, b)
+    out *= 0.5
+    return out
 
 
 def level_sums(values: np.ndarray) -> list[np.ndarray]:

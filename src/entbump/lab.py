@@ -359,7 +359,12 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCh
     require_weight(w)
     if lam <= 0.0:
         raise ValueError(f"level must be positive, got {lam}")
-    mf = m_coeff(f, alpha, cubes)
+    return _fs_check(cubes, alpha, f, w, lam, m_coeff(f, alpha, cubes))
+
+
+def _fs_check(cubes, alpha, f, w, lam, mf) -> FsCheckResult:
+    """fs_check on a valid weight and level, with mf = m_coeff(f, alpha,
+    cubes) already computed."""
     mw = m_coeff(w, alpha, cubes)
     lhs = superlevel_weight(mf, lam, w)
     rhs = float(np.dot(np.abs(f.values), mw.values) * f.cell_width) / lam
@@ -384,11 +389,11 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
         coeff[member] = rng.uniform(0.1, 2.0, int(np.count_nonzero(member)))
         cubes = SparseCollection._from_members(split_levels(member, n))
         alpha = split_levels(coeff, n)
-        mf_vals = m_coeff(f, alpha, cubes).values
-        positive = mf_vals[mf_vals > 0]
+        mf = m_coeff(f, alpha, cubes)
+        positive = mf.values[mf.values > 0]
         base = float(np.quantile(positive, float(rng.uniform(0.1, 0.9)))) if positive.size else 1.0
         lam = max(base * float(rng.uniform(0.3, 1.2)), 1e-300)
-        res = fs_check(cubes, alpha, f, w, lam)
+        res = _fs_check(cubes, alpha, f, w, lam, mf)
         slack = 0.0 if res.rhs == 0.0 else res.lhs / res.rhs
         return TrialRecord(
             trial=t, weight=wlabel, function=ffam, s=None, k_eps=None,

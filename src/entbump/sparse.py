@@ -451,14 +451,24 @@ class HaarSpec:
         )
 
     @classmethod
+    def _from_signs(cls, signs) -> "HaarSpec":
+        """The spec of per-level float arrays of +/-1 that the caller built
+        in the right sizes; no check."""
+        out = cls.__new__(cls)
+        for arr in signs:
+            arr.setflags(write=False)
+        out.resolution = len(signs)
+        out.signs = tuple(signs)
+        return out
+
+    @classmethod
     def from_rng(cls, resolution: int, rng) -> "HaarSpec":
-        return cls(
-            resolution,
-            [
-                rng.choice(np.array([-1.0, 1.0]), size=1 << level)
-                for level in range(resolution)
-            ],
-        )
+        if resolution < 0:
+            raise ValueError(f"negative resolution {resolution}")
+        return cls._from_signs([
+            rng.choice(np.array([-1.0, 1.0]), size=1 << level)
+            for level in range(resolution)
+        ])
 
     @classmethod
     def from_mapping(cls, resolution: int, mapping) -> "HaarSpec":
@@ -482,11 +492,17 @@ def haar_transform(spec: HaarSpec, f: GridFunction) -> GridFunction:
     if spec.resolution != f.resolution:
         raise ResolutionMismatchError("sign assignment resolution does not match f")
     avgs = level_averages(f.values)
-    terms = [np.zeros(1)] + [
-        np.repeat(sigma, 2) * (avgs[level + 1] - np.repeat(avgs[level], 2))
-        for level, sigma in enumerate(spec.signs)
-    ]
-    return GridFunction(f.resolution, paint_down(terms, np.add)[-1])
+    # The partial sum over levels < l lives in one of two cell-size buffers,
+    # and level l's terms go to the other, as its (2, 2^l) view of left and
+    # right children; order="C" runs the inner loop along the 2^l parents.
+    done, todo = np.zeros(f.n_cells), np.empty(f.n_cells)
+    for level, sigma in enumerate(spec.signs):
+        kids = todo[: 2 << level].reshape(-1, 2).T
+        np.subtract(avgs[level + 1].reshape(-1, 2).T, avgs[level], out=kids, order="C")
+        np.multiply(sigma, kids, out=kids, order="C")
+        np.add(done[: 1 << level], kids, out=kids, order="C")
+        done, todo = todo, done
+    return GridFunction._adopt(f.resolution, done)
 
 
 @dataclass(frozen=True)

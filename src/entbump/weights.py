@@ -222,14 +222,20 @@ def power_weight(s: float, resolution: int) -> GridFunction:
     if s == 0.0:
         return GridFunction.constant(resolution, 1.0)
     t = 1.0 - s
-    j = np.arange(n, dtype=np.float64)
-    diffs = np.empty(n)
+    diffs = np.arange(n, dtype=np.float64)
+    jj = diffs[1:]
+    # (j+1)^t - j^t = j^t expm1(t log1p(1/j)), cancellation-free; the
+    # expm1 factor goes through one buffer, j^t overwrites j in place
+    growth = np.divide(1.0, jj)
+    np.log1p(growth, out=growth)
+    growth *= t
+    np.expm1(growth, out=growth)
+    np.power(jj, t, out=jj)
+    jj *= growth
     diffs[0] = 1.0  # (1)^t - 0^t
-    jj = j[1:]
-    # (j+1)^t - j^t = j^t expm1(t log1p(1/j)), cancellation-free
-    diffs[1:] = np.power(jj, t) * np.expm1(t * np.log1p(1.0 / jj))
-    values = (2.0 ** (resolution * s)) * diffs / t
-    return GridFunction(resolution, values)
+    diffs *= 2.0 ** (resolution * s)
+    diffs /= t
+    return GridFunction._adopt(resolution, diffs)
 
 
 def a1_generator(g: GridFunction, s: float) -> GridFunction:

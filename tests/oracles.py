@@ -13,6 +13,12 @@ import math
 import numpy as np
 
 
+def ieee_bits(values):
+    """The IEEE-754 bit patterns of float64 values, for bit-for-bit checks
+    (NaN payloads and the sign of zero included)."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 def cube_average(values, level, index, resolution):
     width = 1 << (resolution - level)
     a = index * width
@@ -103,6 +109,40 @@ def stable_weak_l1(g_values, w_values, resolution):
     order = np.argsort(-vals, kind="stable")
     cum_w = np.cumsum(np.asarray(w_values, dtype=np.float64)[order]) * 2.0**-resolution
     return float(np.max(vals[order] * cum_w))
+
+
+def temp_weak_l1(g, w):
+    """weak_l1_norm with a fresh array per step: |g|, its negation, the
+    sorted values, the gathered weights, their cumsum, its scaled copy and
+    the product (the unstable sort, redone stable on a tie)."""
+    from entbump.grid import require_weight
+
+    require_weight(w)
+    vals = np.abs(g.values)
+    if not np.any(vals > 0):
+        return 0.0
+    neg = -vals
+    order = np.argsort(neg)
+    v_sorted = vals[order]
+    if (v_sorted[1:] == v_sorted[:-1]).any():
+        order = np.argsort(neg, kind="stable")
+        v_sorted = vals[order]
+    cum_w = np.cumsum(w.values[order]) * w.cell_width
+    return float(np.max(v_sorted * cum_w))
+
+
+def repeat_haar_transform(spec, f):
+    """haar_transform as one term array per level, built from np.repeat
+    copies of the signs and the parent averages, then summed by a repeat
+    paint. Returns the cell values."""
+    from entbump.grid import level_averages, paint_down
+
+    avgs = level_averages(f.values)
+    terms = [np.zeros(1)] + [
+        np.repeat(sigma, 2) * (avgs[level + 1] - np.repeat(avgs[level], 2))
+        for level, sigma in enumerate(spec.signs)
+    ]
+    return paint_down(terms, np.add)[-1]
 
 
 def brute_haar_apply(signs_per_level, f_values, resolution):
@@ -458,6 +498,42 @@ def brute_entropy_norm(w, cube, eps, variant="log"):
     r = rho(w, cube)
     factor = r if variant == "full" else shifted_log2(r)
     return avg * factor * eps(r)
+
+
+def temp_entropy_levels(w, eps, variant="log", table=None):
+    """bumps._entropy_levels with fresh temporaries per level: vacuous rho
+    replaced by 1, the domain check, log2(2 + rho), the clipped eps argument
+    and the products, each a new array. One array of norms per level."""
+    from entbump.bumps import _LOG2_3, _check_eps_domain
+    from entbump.grid import level_averages
+    from entbump.weights import rho_all
+
+    if table is None:
+        table = rho_all(w)
+    norms = []
+    for avg, r, vac in zip(level_averages(w.values), table.values, table.vacuous):
+        r = np.where(vac, 1.0, r)
+        _check_eps_domain(r)
+        log_r = np.log2(2.0 + r)
+        factor = r if variant == "full" else log_r
+        vals = avg * factor * eps._eval_from_log(np.where(r < 1.0, _LOG2_3, log_r))
+        vals[vac] = 0.0
+        norms.append(vals)
+    return norms
+
+
+def temp_power_weight(s, resolution):
+    """power_weight's cell values with a fresh array per step."""
+    n = 1 << resolution
+    if s == 0.0:
+        return np.ones(n)
+    t = 1.0 - s
+    j = np.arange(n, dtype=np.float64)
+    diffs = np.empty(n)
+    diffs[0] = 1.0
+    jj = j[1:]
+    diffs[1:] = np.power(jj, t) * np.expm1(t * np.log1p(1.0 / jj))
+    return (2.0 ** (resolution * s)) * diffs / t
 
 
 def loop_m_coeff(f, alpha, cubes):

@@ -28,16 +28,18 @@ from entbump import (
     shifted_log2,
 )
 from entbump.bumps import _entropy_levels, _level_orlicz
-from entbump.grid import average, level_averages
+from entbump.grid import average, level_averages, paint_down
 
 from oracles import (
     brute_entropy_norm,
     brute_m_orlicz,
     brute_orlicz_norm,
+    ieee_bits,
     loop_m_coeff,
     mp_k_epsilon,
     mp_m_orlicz,
     mp_orlicz_norm,
+    temp_entropy_levels,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -290,6 +292,55 @@ class TestEntropyLevels:
         _, table = self._table(w, 1.0 - 1e-8)
         with pytest.raises(ValueError, match="bump domain is t >= 1"):
             _entropy_levels(w, eps, "log", table)
+
+
+class TestEntropyBuffers:
+    # _entropy_levels and m_entropy against their fresh-temporaries form,
+    # as IEEE bits
+    EPS = TestEntropyLevels.EPS
+
+    @staticmethod
+    def _weights(resolution):
+        rng = np.random.default_rng(resolution)
+        size = 1 << resolution
+        rough = rng.lognormal(0.0, 2.0, size)
+        return [rough, np.where(np.arange(size) % 8 < 4, 0.0, rough),  # zero subtrees
+                np.zeros(size), np.ones(size)]
+
+    @pytest.mark.parametrize("variant", ["log", "full"])
+    @pytest.mark.parametrize("eps", EPS, ids=lambda e: e.name)
+    @pytest.mark.parametrize("resolution", [0, 1, 2, 9])
+    def test_levels_and_maximal_match_oracle(self, variant, eps, resolution):
+        for vals in self._weights(resolution):
+            w = GridFunction(resolution, vals)
+            want = temp_entropy_levels(w, eps, variant)
+            got = _entropy_levels(w, eps, variant)
+            assert len(got) == len(want) == resolution + 1
+            for a, b in zip(got, want):
+                assert np.array_equal(ieee_bits(a), ieee_bits(b))
+            painted = paint_down(want, np.maximum)[-1]
+            assert np.array_equal(ieee_bits(m_entropy(w, eps, variant=variant).values),
+                                  ieee_bits(painted))
+
+    def test_cap_matches_oracle(self):
+        w = GridFunction(18, self._weights(18)[1])
+        eps = EpsilonSpec.log_pow(2.0)
+        want = paint_down(temp_entropy_levels(w, eps), np.maximum)[-1]
+        assert np.array_equal(ieee_bits(m_entropy(w, eps).values), ieee_bits(want))
+
+    @pytest.mark.parametrize("eps", EPS, ids=lambda e: e.name)
+    def test_collections_zero_uncovered_cells(self, eps):
+        w = GridFunction(6, self._weights(6)[1])
+        coll = SparseCollection(6, [DyadicCube(2, 1), DyadicCube(4, 13), DyadicCube(6, 60)])
+        norms = [np.where(ok, v, -math.inf)
+                 for ok, v in zip(coll.members, temp_entropy_levels(w, eps))]
+        painted = paint_down(norms, np.maximum)[-1]
+        want = np.where(np.isneginf(painted), 0.0, painted)
+        got = m_entropy(w, eps, collections=[coll]).values
+        assert np.array_equal(ieee_bits(got), ieee_bits(want))
+        covered = np.zeros(64, dtype=bool)
+        covered[16:32] = covered[52:56] = covered[60] = True
+        assert np.all(got[~covered] == 0.0) and np.all(np.isfinite(got))
 
 
 class TestMEntropy:

@@ -6,7 +6,8 @@ stdout of ``rho --n 10`` and the ``--out`` file of ``maximal --n 10 --phi
 llog:0.5`` (the dyadic, entropy and Orlicz maximal arrays). The command
 layer is pinned too: the stdout of each suite command at ``--n 6 --trials
 10 --seed 3``, the CSV of ``verify-main --out`` and the SVG of ``domination
---plot`` at the same flags, and the stdout and ``--out`` JSON of
+--plot`` at the same flags, the stdout of ``verify-main`` and ``verify-cor``
+at ``--n 14``, and the stdout and ``--out`` JSON of
 ``scripts/replay_demo.py --n 8``, the one script that prints cube records. A
 change that moves any of them on purpose bumps ``VERSION`` and says why in
 CHANGES.md; a refactor leaves them alone.
@@ -66,6 +67,15 @@ CLI_STDOUT_DIGESTS = {
     "replay": "2234b61d00d0f7f0d510e6dab2152f88d87e4a2d2e9e3a2862339b465934473f",
 }
 
+# Stdout nearer the n = 18 cap, where the whole-grid kernels work on views
+# of thousands of cells per row rather than a handful.
+CLI_N14_DIGESTS = {
+    "verify-main --n 14 --trials 10 --seed 3":
+        "a7c7fc21e69e16bfc4872c19185336ebda23a55a075c25a66bb7be2bebfcb700",
+    "verify-cor --n 14 --trials 5 --seed 3":
+        "cf397f0133957f6e53f97de0f2851927612c2a82b8a1307d5a7ed3e71f38b578",
+}
+
 CLI_FILE_DIGESTS = {
     "verify-main.csv": "92a32bf1a715fda49f40398639f12b8c10f39ae585922d51ce15752c28f4a94f",
     "domination.svg": "1944da1d5a1aefd38ceaec51b26728cf80ad8770356823c154fd5d77d735296a",
@@ -112,6 +122,13 @@ def test_suite_command_stdout_digest(command, capsys):
     assert run([command, *CLI_ARGS]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CLI_STDOUT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("args", sorted(CLI_N14_DIGESTS))
+def test_suite_command_stdout_digest_n14(args, capsys):
+    assert run(args.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CLI_N14_DIGESTS[args]
 
 
 @pytest.mark.parametrize(

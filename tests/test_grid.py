@@ -33,7 +33,7 @@ from entbump import (
 from entbump.grid import paint_down, reduce_up, split_levels
 from entbump.sparse import HaarSpec, haar_transform
 
-from oracles import brute_weak_l1, cube_average, stable_weak_l1
+from oracles import brute_weak_l1, cube_average, ieee_bits, stable_weak_l1, temp_weak_l1
 
 
 def grid_values(resolution, elements=None):
@@ -111,6 +111,16 @@ class TestGridFunction:
     def test_equality(self):
         assert GridFunction(1, [1.0, 2.0]) == GridFunction(1, [1.0, 2.0])
         assert GridFunction(1, [1.0, 2.0]) != GridFunction(1, [1.0, 3.0])
+
+    def test_adopt_keeps_the_array_and_the_checks(self):
+        vals = np.array([1.0, -2.0])
+        f = GridFunction._adopt(1, vals)
+        assert np.shares_memory(f.values, vals) and not f.values.flags.writeable
+        assert f == GridFunction(1, [1.0, -2.0])
+        with pytest.raises(ValueError):
+            GridFunction._adopt(1, np.array([1.0, math.inf]))
+        with pytest.raises(ValueError):
+            GridFunction._adopt(2, np.ones(2))
 
 
 class TestAverages:
@@ -369,6 +379,36 @@ class TestSuperlevelAndWeakL1:
         distinct = np.unique(np.abs(tf.values)).size
         assert distinct < 64 if tie_heavy else distinct == 1 << n
         assert weak_l1_norm(tf, w) == stable_weak_l1(tf.values, w.values, n)
+
+
+class TestWeakL1Buffers:
+    # weak_l1_norm against its fresh-temporaries form, as IEEE bits
+    @pytest.mark.parametrize("resolution", [0, 1, 2, 5])
+    def test_small_grids_match_fresh_temporaries_oracle(self, resolution):
+        rng = np.random.default_rng(resolution)
+        size = 1 << resolution
+        weights = [rng.lognormal(0.0, 2.0, size), np.where(np.arange(size) < size // 2, 0.0, 1.0),
+                   np.zeros(size)]
+        gs = [rng.standard_normal(size), rng.choice([-1.0, 0.0, -0.0, 2.0], size),
+              np.zeros(size), np.full(size, -0.0)]
+        for w_vals in weights:
+            for g_vals in gs:
+                g, w = GridFunction(resolution, g_vals), GridFunction(resolution, w_vals)
+                got, want = weak_l1_norm(g, w), temp_weak_l1(g, w)
+                assert ieee_bits(got) == ieee_bits(want)
+
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_cap_matches_fresh_temporaries_oracle(self, tie_heavy):
+        rng = np.random.default_rng(81)
+        n = 18
+        f = (np.arange(1 << n) < 5000).astype(float) if tie_heavy else rng.standard_normal(1 << n)
+        g = haar_transform(HaarSpec.from_rng(n, rng), GridFunction(n, f))
+        distinct = np.unique(np.abs(g.values)).size
+        assert distinct < 64 if tie_heavy else distinct == 1 << n
+        w_vals = rng.lognormal(0.0, 2.0, 1 << n)
+        w_vals[: 1 << 12] = 0.0  # a weightless subtree
+        w = GridFunction(n, w_vals)
+        assert ieee_bits(weak_l1_norm(g, w)) == ieee_bits(temp_weak_l1(g, w))
 
 
 class TestEnumerate:

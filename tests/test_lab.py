@@ -211,6 +211,15 @@ class TestFsCheck:
             ref = json.dumps(loop_fs_random_suite(cfg).to_json_dict(), sort_keys=True)
             assert got == ref
 
+    def test_random_suite_runs_m_coeff_twice_per_trial(self, monkeypatch):
+        import entbump.lab
+
+        calls = []
+        real = entbump.lab.m_coeff
+        monkeypatch.setattr(entbump.lab, "m_coeff", lambda *a: calls.append(a) or real(*a))
+        assert fs_random_suite(small(trials=6)).all_passed
+        assert len(calls) == 2 * 6
+
     def test_random_suite_constant_one(self):
         report = fs_random_suite(small(trials=40))
         assert report.kind == "fs"

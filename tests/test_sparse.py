@@ -53,11 +53,13 @@ from oracles import (
     brute_generation_depths,
     brute_haar_apply,
     brute_sparse_apply,
+    ieee_bits,
     level_class,
     level_proof_replay,
     loop_bilinear,
     loop_proof_replay,
     loop_sparse_apply,
+    repeat_haar_transform,
     rho_bin,
 )
 
@@ -627,6 +629,33 @@ class TestHaar:
     def test_resolution_mismatch(self):
         with pytest.raises(ResolutionMismatchError):
             haar_transform(HaarSpec.constant(2), GridFunction(3, np.ones(8)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 18])
+    def test_matches_repeat_oracle_bit_for_bit(self, n):
+        # n = 0, 1, 2 reach the width-1 and width-2 views; zeros give
+        # constant blocks whose terms cancel to signed zeros
+        rng = np.random.default_rng(n)
+        size = 1 << n
+        inputs = [rng.standard_normal(size), (np.arange(size) < size // 3) * 1.0,
+                  np.where(rng.random(size) < 0.5, 0.0, -rng.lognormal(0.0, 3.0, size))]
+        for spec in (HaarSpec.from_rng(n, rng), HaarSpec.constant(n, -1)):
+            for fv in inputs:
+                got = haar_transform(spec, GridFunction(n, fv)).values
+                want = repeat_haar_transform(spec, GridFunction(n, fv))
+                assert np.array_equal(ieee_bits(got), ieee_bits(want))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_from_rng_keeps_the_stream_and_the_checked_signs(self, n):
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        spec = HaarSpec.from_rng(n, a)
+        checked = HaarSpec(n, [b.choice(np.array([-1.0, 1.0]), size=1 << level)
+                               for level in range(n)])
+        assert spec.resolution == checked.resolution == n
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype and not x.flags.writeable
+                   for x, y in zip(spec.signs, checked.signs, strict=True))
+        assert a.random() == b.random()
+        with pytest.raises(ValueError):
+            HaarSpec.from_rng(-1, a)
 
 
 class TestDomination:

@@ -28,8 +28,10 @@ from oracles import (
     brute_maximal,
     brute_rho,
     entries_rho_csv,
+    ieee_bits,
     mp_power_cell_averages,
     repeat_rho_all,
+    temp_power_weight,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -277,6 +279,12 @@ class TestPowerWeight:
         assert np.all(w.values > 0)
         # cell averages of a decreasing profile are decreasing
         assert np.all(np.diff(w.values) < 0)
+
+    @pytest.mark.parametrize("s", [0.0, 1e-6, 0.5, 0.99])
+    @pytest.mark.parametrize("resolution", [0, 1, 2, 12, 18])
+    def test_matches_fresh_temporaries_oracle_bit_for_bit(self, s, resolution):
+        got = power_weight(s, resolution).values
+        assert np.array_equal(ieee_bits(got), ieee_bits(temp_power_weight(s, resolution)))
 
     def test_range_validation(self):
         with pytest.raises(InvalidWeightError):
