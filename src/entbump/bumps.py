@@ -312,7 +312,7 @@ def k_epsilon(
     """
     if scale not in ("tower", "dyadic"):
         raise InvalidSpecError(f"unknown k_epsilon scale {scale!r}")
-    if tol <= 0 or max_terms < 1:
+    if not tol > 0 or max_terms < 1:
         raise ValueError("tol must be positive and max_terms >= 1")
     term_at = eps.at_tower if scale == "tower" else eps.at_pow2
     start = 0 if scale == "tower" else -1
@@ -336,27 +336,14 @@ def k_epsilon(
     return KEpsilonResult(total, used, hit_max and nondecreasing)
 
 
-def entropy_norm(
-    w: GridFunction,
-    cube: DyadicCube,
-    eps: EpsilonSpec,
-    variant: str = "log",
-) -> float:
-    """Entropy-bumped average of w on Q.
+def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None) -> list:
+    """Entropy-bumped average of w on every cube, one array per level, from
+    one rho_all: w's RhoTable ``table``, or a fresh one (which validates w)
+    when None.
 
     ``full``: <w>_Q * rho_w(Q) * eps(rho_w(Q));
     ``log``:  <w>_Q * shifted_log2(rho_w(Q)) * eps(rho_w(Q)).
-    Vacuous cubes give 0. One cube of the per-level norms m_entropy paints,
-    so both read the same bits.
-    """
-    if cube.level > w.resolution:
-        raise InvalidCubeError(f"cube level {cube.level} exceeds resolution {w.resolution}")
-    return float(_entropy_levels(w, eps, variant)[cube.level][cube.index])
-
-
-def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None) -> list:
-    """entropy_norm of every cube, one array per level, from one rho_all:
-    w's RhoTable ``table``, or a fresh one (which validates w) when None.
+    Vacuous cubes give 0.
 
     The levels are views of one flat array. Per level, log2(2 + rho) and
     then eps of it go through one cell-size buffer, and ``rho < 1`` through
@@ -542,8 +529,8 @@ def m_entropy(
     collections=None,
     variant: str = "log",
 ) -> GridFunction:
-    """Entropy-bump maximal function: per cell, the max of entropy_norm over
-    the cubes containing it.
+    """Entropy-bump maximal function: per cell, the max of the entropy-bumped
+    averages (``_entropy_levels``) over the cubes containing it.
 
     ``collections`` is an optional nonempty list of SparseCollections (read
     through ``members``, one boolean array per level), whose union is the

@@ -243,12 +243,6 @@ def integral(f: GridFunction, cells: CellSet) -> float:
     return float(f.values[cells.mask].sum() * f.cell_width)
 
 
-def inner(f: GridFunction, g: GridFunction) -> float:
-    """Signed pairing int f g over [0, 1)."""
-    _same_resolution(f, g)
-    return float(np.dot(f.values, g.values) * f.cell_width)
-
-
 def restrict(f: GridFunction, cells: CellSet) -> GridFunction:
     """f * indicator(cells)."""
     _same_resolution(f, cells)
@@ -259,7 +253,7 @@ def superlevel_weight(g: GridFunction, lam: float, w: GridFunction) -> float:
     """w({|g| > lam}), the weight of the strict superlevel set."""
     _same_resolution(g, w)
     require_weight(w)
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"level must be nonnegative, got {lam}")
     mask = np.abs(g.values) > lam
     return float(w.values[mask].sum() * w.cell_width)
@@ -299,30 +293,6 @@ def weak_l1_norm(g: GridFunction, w: GridFunction) -> float:
     # Within a run of equal values the last position dominates, so a plain
     # max over all positions is the max over distinct values.
     return float(np.max(np.multiply(v_sorted, cum_w, out=cum_w)))
-
-
-def enumerate_cubes(resolution: int, levels=None) -> list[DyadicCube]:
-    """All dyadic cubes of the grid, ordered by (level, index).
-
-    ``levels`` may be None (all levels 0..N), a single level, or an inclusive
-    (low, high) pair.
-    """
-    if levels is None:
-        rng = range(0, resolution + 1)
-    elif isinstance(levels, int):
-        rng = range(levels, levels + 1)
-    else:
-        lo, hi = levels
-        rng = range(lo, hi + 1)
-    if len(rng) == 0 or rng.start < 0 or rng.stop - 1 > resolution:
-        raise InvalidCubeError(
-            f"invalid level range {levels!r} at resolution {resolution}"
-        )
-    return [
-        DyadicCube(level, index)
-        for level in rng
-        for index in range(1 << level)
-    ]
 
 
 # The pyramid layer: a value per dyadic cube is one array per level (entry l

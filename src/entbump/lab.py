@@ -352,12 +352,12 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCh
     (``alpha[l]`` of length 2^l); the inequality holds with constant exactly
     one, so only float slack is allowed on the right.
 
-    Raises ValueError for a nonpositive lam, and m_coeff's errors:
+    Raises ValueError for a nonpositive or NaN lam, and m_coeff's errors:
     InvalidCubeError for a member finer than the grid, ValueError for a
     missing (NaN), negative or wrongly sized coefficient array.
     """
     require_weight(w)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"level must be positive, got {lam}")
     return _fs_check(cubes, alpha, f, w, lam, m_coeff(f, alpha, cubes))
 
@@ -500,6 +500,8 @@ def corollary_experiment(cfg: TrialConfig, s_list=DEFAULT_S_LIST) -> ExperimentR
     max_over_s = max(values)
     median_over_s = float(np.median(values))
     factor = math.inf if median_over_s == 0.0 else max_over_s / median_over_s
+    if max_over_s == median_over_s:  # zero included: at n = 0, T f = 0
+        factor = 1.0
     report.aggregates = {
         "per_s_max": per_s_max,
         "max_over_s": max_over_s,

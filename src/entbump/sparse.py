@@ -115,11 +115,6 @@ class SparseCollection:
                 return DyadicCube(lev, j)
         return None
 
-    def generation_depths(self) -> dict:
-        """Number of strict ancestors within the collection, per member."""
-        depth = _ancestor_counts(self)
-        return {cube: int(depth[cube.level][cube.index]) for cube in self.cubes}
-
     def save(self, path) -> None:
         """Text format: resolution line, then one 'level index' line per cube."""
         with open(path, "w") as fh:
@@ -373,15 +368,6 @@ def bilinear_form(collections, f: GridFunction, g: GridFunction) -> float:
     return float(np.cumsum(np.concatenate(terms))[-1])
 
 
-def sparse_operator(s: SparseCollection, f: GridFunction) -> GridFunction:
-    """A_S f(x) = sum over members Q containing x of <|f|>_Q."""
-    if s.resolution != f.resolution:
-        raise ResolutionMismatchError("collection resolution does not match f")
-    favg = level_averages(np.abs(f.values))
-    terms = [np.where(mem, avg, 0.0) for mem, avg in zip(s.members, favg)]
-    return GridFunction(f.resolution, paint_down(terms, np.add)[-1])
-
-
 def cz_stopping_collection(
     f: GridFunction, top: DyadicCube, a: float
 ) -> SparseCollection:
@@ -469,16 +455,6 @@ class HaarSpec:
             rng.choice(np.array([-1.0, 1.0]), size=1 << level)
             for level in range(resolution)
         ])
-
-    @classmethod
-    def from_mapping(cls, resolution: int, mapping) -> "HaarSpec":
-        signs = [np.ones(1 << level) for level in range(resolution)]
-        for cube, sign in mapping.items():
-            signs[cube.level][cube.index] = float(sign)
-        return cls(resolution, signs)
-
-    def sign(self, cube: DyadicCube) -> float:
-        return float(self.signs[cube.level][cube.index])
 
 
 def haar_transform(spec: HaarSpec, f: GridFunction) -> GridFunction:
@@ -574,7 +550,7 @@ class BandRecord:
     regime: str  # "coarse" or "far"
     cube_count: int
     band_sum: float  # sum over the class of |Q| <f>_Q <w 1_G'>_Q
-    eq_disjoint_ok: bool
+    eq_disjoint_ok: bool  # sum of |E_Q| = the roots' cells: true by construction
     coarse_constant: float | None = None
     coarse_ok: bool | None = None
     qt_empty: bool | None = None
@@ -586,7 +562,7 @@ class BandRecord:
 
     @property
     def ok(self) -> bool:
-        """The E_Q are disjoint and no check of the regime failed (None
+        """eq_disjoint_ok holds and no check of the regime failed (None
         marks a check of the other regime)."""
         return self.eq_disjoint_ok and all(
             flag is not False
@@ -839,8 +815,10 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
         for lo, hi in _runs(k[in_bin]):
             band = in_bin[lo:hi]
             rb, kb, count = int(r[band[0]]), int(k[band[0]]), hi - lo
-            # The E_Q are disjoint when their cells add up to the cells the
-            # band covers, those of its roots.
+            # The |E_Q| add up to the cells of the band's roots. Each |E_Q|
+            # is |Q| less the cells of Q's band children, so the sum
+            # telescopes for any nested family: the flag holds by
+            # construction and records that identity, not a disjointness test.
             eq_disjoint_ok = int(eq_cells[band].sum()) == int(
                 size[band][band_parent[band] < 0].sum()
             )

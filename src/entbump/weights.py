@@ -33,11 +33,6 @@ from .grid import (
 VACUOUS = math.nan
 
 
-def effective_rho(value: float) -> float:
-    """rho with the vacuous sentinel replaced by 1."""
-    return 1.0 if math.isnan(value) else value
-
-
 def dyadic_maximal(w: GridFunction) -> GridFunction:
     """M w(x) = max over dyadic cubes Q containing x of <w>_Q.
 
@@ -47,22 +42,19 @@ def dyadic_maximal(w: GridFunction) -> GridFunction:
     return GridFunction(w.resolution, paint_down(level_averages(w.values), np.maximum)[-1])
 
 
-def localized_maximal(w: GridFunction, cube: DyadicCube) -> np.ndarray:
-    """M(w 1_Q) on Q: per cell of Q, max of <w>_Q' over cells' ancestors
-    Q' inside Q. Returns the array of values on Q's cells."""
-    require_weight(w)
-    a, b = cube.cell_range(w.resolution)
-    return paint_down(level_averages(w.values[a:b]), np.maximum)[-1]
-
-
 def rho(w: GridFunction, cube: DyadicCube) -> float:
-    """(1/w(Q)) int_Q M(w 1_Q); NaN (vacuous) when w(Q) = 0."""
+    """(1/w(Q)) int_Q M(w 1_Q); NaN (vacuous) when w(Q) = 0.
+
+    One cube on its own: M(w 1_Q) on Q's cells is the max paint of the
+    averages of Q's subcubes. rho_all gives every cube at once, but adds
+    the w(Q) sums in another order, so the two can differ in the last bits.
+    """
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
     w_sum = float(w.values[a:b].sum())
     if w_sum == 0.0:
         return VACUOUS
-    m_sum = float(localized_maximal(w, cube).sum())
+    m_sum = float(paint_down(level_averages(w.values[a:b]), np.maximum)[-1].sum())
     return m_sum / w_sum
 
 
@@ -78,16 +70,6 @@ class RhoTable:
     values: tuple
     vacuous: tuple
 
-    def lookup(self, cube: DyadicCube) -> float:
-        if cube.level > self.resolution:
-            raise InvalidCubeError(
-                f"cube level {cube.level} exceeds resolution {self.resolution}"
-            )
-        return float(self.values[cube.level][cube.index])
-
-    def is_vacuous(self, cube: DyadicCube) -> bool:
-        return bool(self.vacuous[cube.level][cube.index])
-
     def max_rho(self) -> float:
         """Max over non-vacuous cubes; the A-infinity characteristic."""
         best = -math.inf
@@ -98,15 +80,6 @@ class RhoTable:
         if best == -math.inf:
             raise InvalidWeightError("all cubes are vacuous (weight is zero)")
         return best
-
-    def entries(self):
-        for level, (level_vals, level_vac) in enumerate(zip(self.values, self.vacuous)):
-            for index in range(1 << level):
-                yield (
-                    DyadicCube(level, index),
-                    float(level_vals[index]),
-                    bool(level_vac[index]),
-                )
 
     def write_rows(self, fh, newline: str) -> None:
         """Header and one row per cube, each line ending in ``newline``.

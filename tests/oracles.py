@@ -19,6 +19,17 @@ def ieee_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def enumerate_cubes(resolution):
+    """All DyadicCubes of the grid, ordered by (level, index)."""
+    from entbump.grid import DyadicCube
+
+    return [
+        DyadicCube(level, index)
+        for level in range(resolution + 1)
+        for index in range(1 << level)
+    ]
+
+
 def cube_average(values, level, index, resolution):
     width = 1 << (resolution - level)
     a = index * width
@@ -622,14 +633,21 @@ def loop_fs_random_suite(cfg):
 
 
 def entries_rho_csv(table, path):
-    """RhoTable's CSV written row by row from entries() with csv.writer."""
+    """RhoTable's CSV written cube by cube with csv.writer."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "index", "rho", "vacuous"])
-        for cube, value, vac in table.entries():
-            writer.writerow([cube.level, cube.index, f"{value:.17g}", int(vac)])
+        for level, (level_vals, level_vac) in enumerate(zip(table.values, table.vacuous)):
+            for index in range(1 << level):
+                value, vac = float(level_vals[index]), bool(level_vac[index])
+                writer.writerow([level, index, f"{value:.17g}", int(vac)])
+
+
+def effective_rho(value):
+    """rho with the vacuous sentinel (NaN) replaced by 1."""
+    return 1.0 if math.isnan(value) else value
 
 
 def level_class(avg_f, w_g):
@@ -683,7 +701,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
         _positions,
         split_eight,
     )
-    from entbump.weights import effective_rho, rho_all
+    from entbump.weights import rho_all
 
     constant_bound, rel_tol = 16.0, 1e-9
     n = f.resolution
@@ -734,7 +752,8 @@ def loop_proof_replay(s, f, w, g_set, eps):
                     "zero-average"))
                 continue
             k = level_class(avg_f, w_g)
-            r, _, eq1_ok = rho_bin(effective_rho(table.lookup(cube)))
+            rho_q = float(table.values[cube.level][cube.index])
+            r, _, eq1_ok = rho_bin(effective_rho(rho_q))
             groups.setdefault((r, k), []).append(cube)
             bin_members.setdefault(r, []).append(cube)
             records.append(

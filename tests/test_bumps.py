@@ -17,8 +17,6 @@ from entbump import (
     RhoTable,
     SparseCollection,
     dyadic_maximal,
-    entropy_norm,
-    enumerate_cubes,
     k_epsilon,
     m_coeff,
     m_entropy,
@@ -34,6 +32,7 @@ from oracles import (
     brute_entropy_norm,
     brute_m_orlicz,
     brute_orlicz_norm,
+    enumerate_cubes,
     ieee_bits,
     loop_m_coeff,
     mp_k_epsilon,
@@ -182,6 +181,11 @@ class TestOrliczSpec:
 
 
 class TestKEpsilon:
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            k_epsilon(EpsilonSpec.log_pow(2.0), tol=tol)
+
     def test_log_pow_2_value(self):
         ref, used = mp_k_epsilon("log_pow", {"p": 2.0})
         got = k_epsilon(EpsilonSpec.log_pow(2.0))
@@ -218,9 +222,10 @@ class TestKEpsilon:
 
 
 class TestEntropyNorm:
+    # The per-level norms of _entropy_levels, read one cube at a time.
     def test_full_variant_spike(self):
         w = GridFunction(2, [4.0, 0.0, 0.0, 0.0])
-        assert entropy_norm(w, ROOT, EpsilonSpec.constant(1.0), variant="full") == 2.0
+        assert _entropy_levels(w, EpsilonSpec.constant(1.0), "full")[0][0] == 2.0
 
     def test_log_variant_formula(self):
         rng = np.random.default_rng(2)
@@ -229,11 +234,12 @@ class TestEntropyNorm:
         q = DyadicCube(1, 1)
         r = rho(w, q)
         expected = average(w, q) * shifted_log2(r) * eps(r)
-        assert entropy_norm(w, q, eps) == pytest.approx(expected, rel=1e-14)
+        got = _entropy_levels(w, eps, "log")[q.level][q.index]
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_vacuous_cube_gives_zero(self):
         w = GridFunction(2, [0.0, 0.0, 1.0, 1.0])
-        assert entropy_norm(w, DyadicCube(1, 0), EpsilonSpec.log_pow(2.0)) == 0.0
+        assert _entropy_levels(w, EpsilonSpec.log_pow(2.0), "log")[1][0] == 0.0
 
     @pytest.mark.parametrize("variant", ["log", "full"])
     def test_reads_m_entropy_bits(self, variant):
@@ -242,9 +248,10 @@ class TestEntropyNorm:
         rng = np.random.default_rng(3)
         w = GridFunction(5, np.exp(rng.normal(0.0, 2.0, 32)) * (rng.random(32) < 0.8))
         eps = EpsilonSpec.log_pow(2.0)
+        norms = _entropy_levels(w, eps, variant)
         for level in range(6):
             q = DyadicCube(level, (7 * level) % (1 << level))
-            got = entropy_norm(w, q, eps, variant=variant)
+            got = norms[level][q.index]
             cube_only = m_entropy(w, eps, [SparseCollection(5, [q])], variant=variant)
             a, b = q.cell_range(5)
             assert np.all(cube_only.values[a:b] == got)
@@ -252,10 +259,8 @@ class TestEntropyNorm:
 
     def test_errors(self):
         w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(InvalidCubeError):
-            entropy_norm(w, DyadicCube(3, 0), EpsilonSpec.log_pow(2.0))
         with pytest.raises(ValueError):
-            entropy_norm(w, ROOT, EpsilonSpec.log_pow(2.0), variant="nope")
+            _entropy_levels(w, EpsilonSpec.log_pow(2.0), "nope")
 
 
 class TestEntropyLevels:

@@ -175,6 +175,15 @@ def test_verify_cor_small(capsys):
     assert "RESULT: PASS" in capsys.readouterr().out
 
 
+def test_verify_cor_n0_is_a_vacuous_pass(capsys):
+    # At n = 0 the Haar transform is 0, so every per-s max is 0.0 and
+    # "max <= 4 x median" holds with factor 1.
+    assert run(["verify-cor", "--n", "0", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "factor = 1.0" in out
+    assert "RESULT: PASS" in out
+
+
 def test_verify_cor_bad_s_list(capsys):
     assert run(["verify-cor", "--s-list", "0,down"]) == 2
     assert run(["verify-cor", "--s-list", "1.5"]) == 2

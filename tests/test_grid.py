@@ -17,8 +17,6 @@ from entbump import (
     InvalidWeightError,
     ResolutionMismatchError,
     average,
-    enumerate_cubes,
-    inner,
     integral,
     level_averages,
     level_sums,
@@ -33,7 +31,14 @@ from entbump import (
 from entbump.grid import paint_down, reduce_up, split_levels
 from entbump.sparse import HaarSpec, haar_transform
 
-from oracles import brute_weak_l1, cube_average, ieee_bits, stable_weak_l1, temp_weak_l1
+from oracles import (
+    brute_weak_l1,
+    cube_average,
+    enumerate_cubes,
+    ieee_bits,
+    stable_weak_l1,
+    temp_weak_l1,
+)
 
 
 def grid_values(resolution, elements=None):
@@ -137,14 +142,9 @@ class TestAverages:
         assert integral(f, CellSet.full(1)) == 0.0
         assert integral(f, CellSet.from_indices(1, [1])) == 1.0
 
-    def test_inner(self):
-        f = GridFunction(1, [1.0, 2.0])
-        g = GridFunction(1, [3.0, 4.0])
-        assert inner(f, g) == (3.0 + 8.0) / 2
-
     def test_resolution_mismatch(self):
         with pytest.raises(ResolutionMismatchError):
-            inner(GridFunction(1, [1.0, 2.0]), GridFunction(2, [1.0, 2.0, 3.0, 4.0]))
+            integral(GridFunction(1, [1.0, 2.0]), CellSet.full(2))
 
     @given(st.integers(0, 5), st.data())
     @settings(max_examples=40, deadline=None)
@@ -291,6 +291,12 @@ class TestSuperlevelAndWeakL1:
         w = GridFunction(1, [2.0, 4.0])
         assert superlevel_weight(g, 3.0, w) == 0.0
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    def test_superlevel_rejects_negative_or_nan_level(self, lam):
+        g = GridFunction(1, [1.0, 3.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            superlevel_weight(g, lam, GridFunction(1, [2.0, 4.0]))
+
     def test_weak_l1_example(self):
         g = GridFunction(1, [1.0, 2.0])
         w = GridFunction.constant(1, 1.0)
@@ -412,13 +418,10 @@ class TestWeakL1Buffers:
 
 
 class TestEnumerate:
+    # The oracle behind every per-cube loop in the tests: a short list would
+    # make those loops pass vacuously.
     def test_small(self):
         assert enumerate_cubes(1) == [DyadicCube(0, 0), DyadicCube(1, 0), DyadicCube(1, 1)]
-
-    def test_level_filters(self):
-        assert enumerate_cubes(3, levels=2) == [DyadicCube(2, i) for i in range(4)]
-        got = enumerate_cubes(3, levels=(1, 2))
-        assert got == [DyadicCube(1, 0), DyadicCube(1, 1)] + [DyadicCube(2, i) for i in range(4)]
 
     def test_count(self):
         assert len(enumerate_cubes(5)) == 2 * 32 - 1

@@ -194,6 +194,11 @@ class TestFsCheck:
         with pytest.raises(ValueError):
             fs_check(self.root_only, [np.ones(1)], ones, ones, lam=0.0)
 
+    def test_nan_level_raises(self):
+        ones = GridFunction(2, np.ones(4))
+        with pytest.raises(ValueError, match="positive"):
+            fs_check(self.root_only, [np.ones(1)], ones, ones, lam=math.nan)
+
     def test_coefficient_errors(self):
         ones = GridFunction(2, np.ones(4))
         for alpha in ([np.array([-1.0])], [np.array([math.nan])], [np.ones(2)], []):

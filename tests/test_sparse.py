@@ -35,13 +35,18 @@ from entbump import (
     m_entropy,
     proof_replay,
     sparse_dominate_bilinear,
-    sparse_operator,
     split_eight,
     strong_sparseness_check,
 )
 from entbump.grid import average, integral, level_averages
 from entbump.lab import _draw_function, _draw_weight, trial_rng
-from entbump.sparse import BandRecord, _descendant_cells, _level_class, _rho_bin
+from entbump.sparse import (
+    BandRecord,
+    _ancestor_counts,
+    _descendant_cells,
+    _level_class,
+    _rho_bin,
+)
 from entbump.weights import rho_all
 
 from oracles import (
@@ -99,11 +104,11 @@ class TestSparseCollection:
 
     def test_generation_depths(self):
         s = SparseCollection(3, [ROOT, DyadicCube(1, 0), DyadicCube(3, 1), DyadicCube(3, 7)])
-        depths = s.generation_depths()
-        assert depths[ROOT] == 0
-        assert depths[DyadicCube(1, 0)] == 1
-        assert depths[DyadicCube(3, 1)] == 2
-        assert depths[DyadicCube(3, 7)] == 1
+        depths = _ancestor_counts(s)
+        assert depths[0][0] == 0
+        assert depths[1][0] == 1
+        assert depths[3][1] == 2
+        assert depths[3][7] == 1
 
     def test_children_map(self):
         s = SparseCollection(3, [ROOT, DyadicCube(1, 0), DyadicCube(3, 1), DyadicCube(3, 7)])
@@ -361,7 +366,8 @@ class TestSweepsAgainstOracles:
     def test_generation_depths(self, args):
         pairs = cube_set(*args)
         s = SparseCollection(args[0], [DyadicCube(*q) for q in pairs])
-        got = {(q.level, q.index): d for q, d in s.generation_depths().items()}
+        depths = _ancestor_counts(s)
+        got = {(q.level, q.index): int(depths[q.level][q.index]) for q in s}
         assert got == brute_generation_depths(pairs)
 
     @given(cube_sets)
@@ -468,9 +474,10 @@ class TestSweepsAgainstOracles:
         favg = level_averages(np.abs(f.values))
         gavg = level_averages(np.abs(g.values))
         assert bilinear_form([s, s], f, g) == loop_bilinear(pairs + pairs, favg, gavg)
-        np.testing.assert_array_equal(
-            sparse_operator(s, f).values, loop_sparse_apply(pairs, favg, n)
-        )
+        # against 1, the form is the mean of the sparse operator A_S |f|
+        ones = GridFunction(n, np.ones(1 << n))
+        a_s = loop_sparse_apply(pairs, favg, n)
+        assert bilinear_form([s], f, ones) == pytest.approx(a_s.mean(), rel=1e-12)
 
     @given(st.integers(0, 60))
     @settings(max_examples=20, deadline=None)
@@ -537,12 +544,24 @@ class TestBilinearForm:
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+def cell_pairings(s, f):
+    """2^n * bilinear_form([s], f, 1_x) per cell x: the sparse operator
+    A_S f(x) = sum over members Q containing x of <|f|>_Q, read through the
+    form."""
+    n = f.resolution
+    out = np.empty(1 << n)
+    for x in range(1 << n):
+        g = np.zeros(1 << n)
+        g[x] = 1.0
+        out[x] = bilinear_form([s], f, GridFunction(n, g)) * (1 << n)
+    return out
+
+
 class TestSparseOperator:
     def test_frozen_value(self):
         f = GridFunction(2, [2.0, 2.0, 1.0, 1.0])
         s = SparseCollection(2, [ROOT, DyadicCube(1, 0)])
-        out = sparse_operator(s, f)
-        np.testing.assert_allclose(out.values, [3.5, 3.5, 1.5, 1.5], rtol=1e-15)
+        np.testing.assert_allclose(cell_pairings(s, f), [3.5, 3.5, 1.5, 1.5], rtol=1e-15)
 
     @given(st.integers(0, 80))
     @settings(max_examples=25, deadline=None)
@@ -551,9 +570,10 @@ class TestSparseOperator:
         n = 5
         fv = rng.standard_normal(1 << n)
         _, s = random_collection(n, seed + 2000)
-        out = sparse_operator(s, GridFunction(n, fv))
         want = brute_sparse_apply([(q.level, q.index) for q in s], fv, n)
-        np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            cell_pairings(s, GridFunction(n, fv)), want, rtol=1e-12, atol=1e-14
+        )
 
     def test_pairing_matches_bilinear_form(self):
         rng = np.random.default_rng(3)
@@ -561,11 +581,12 @@ class TestSparseOperator:
         f = GridFunction(n, np.abs(rng.standard_normal(1 << n)))
         g = GridFunction(n, np.abs(rng.standard_normal(1 << n)))
         _, s = random_collection(n, 33)
-        pairing = float(np.dot(sparse_operator(s, f).values, g.values)) / (1 << n)
+        a_s = loop_sparse_apply([(q.level, q.index) for q in s], level_averages(f.values), n)
+        pairing = float(np.dot(a_s, g.values)) / (1 << n)
         # <A_S f, g> = sum |Q| <f>_Q <g 1_Q> average; equals the form only
         # when g is replaced by its averages, so compare the f-side instead
         ones = GridFunction(n, np.ones(1 << n))
-        assert float(np.dot(sparse_operator(s, f).values, ones.values)) / (1 << n) == pytest.approx(
+        assert float(np.dot(a_s, ones.values)) / (1 << n) == pytest.approx(
             bilinear_form([s], f, ones), rel=1e-12
         )
         assert pairing >= 0.0
@@ -583,10 +604,10 @@ class TestHaar:
             HaarSpec.constant(2, sign=0)
 
     def test_spec_accessors(self):
-        spec = HaarSpec.from_mapping(2, {DyadicCube(1, 1): -1})
-        assert spec.sign(DyadicCube(1, 1)) == -1.0
-        assert spec.sign(DyadicCube(1, 0)) == 1.0
-        assert spec.sign(ROOT) == 1.0
+        spec = HaarSpec(2, [np.ones(1), np.array([1.0, -1.0])])
+        assert spec.signs[1][1] == -1.0
+        assert spec.signs[1][0] == 1.0
+        assert spec.signs[0][0] == 1.0
         with pytest.raises(ValueError):
             spec.signs[0][0] = -1.0  # read-only
 

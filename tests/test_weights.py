@@ -16,9 +16,6 @@ from entbump import (
     ainf_constant,
     ainf_lemma_ratio,
     dyadic_maximal,
-    effective_rho,
-    enumerate_cubes,
-    localized_maximal,
     power_weight,
     rho,
     rho_all,
@@ -27,7 +24,9 @@ from entbump import (
 from oracles import (
     brute_maximal,
     brute_rho,
+    effective_rho,
     entries_rho_csv,
+    enumerate_cubes,
     ieee_bits,
     mp_power_cell_averages,
     repeat_rho_all,
@@ -74,16 +73,16 @@ class TestDyadicMaximal:
         np.testing.assert_allclose(mine, ref, rtol=1e-13, atol=0)
 
     def test_localized_on_root_matches_global(self):
+        # rho's M(w 1_Q) at the root is the dyadic maximal function
         rng = np.random.default_rng(7)
         w = GridFunction(5, rng.random(32))
-        np.testing.assert_array_equal(
-            localized_maximal(w, ROOT), dyadic_maximal(w).values
-        )
+        m_sum = float(dyadic_maximal(w).values.sum())
+        assert rho(w, ROOT) == m_sum / float(w.values.sum())
 
     def test_localized_ignores_outside(self):
+        # M(w 1_Q) on Q = (1, 1) is [2, 3]: the cells outside Q do not count
         w = GridFunction(2, [100.0, 100.0, 1.0, 3.0])
-        got = localized_maximal(w, DyadicCube(1, 1))
-        assert list(got) == [2.0, 3.0]
+        assert rho(w, DyadicCube(1, 1)) == (2.0 + 3.0) / 4.0
 
 
 class TestRho:
@@ -109,9 +108,9 @@ class TestRho:
         table = rho_all(w)
         for q in enumerate_cubes(resolution):
             ref = brute_rho(vals, q.level, q.index, resolution)
-            mine = table.lookup(q)
+            mine = table.values[q.level][q.index]
             if math.isnan(ref):
-                assert table.is_vacuous(q)
+                assert table.vacuous[q.level][q.index]
             else:
                 assert mine == pytest.approx(ref, rel=1e-12)
 
@@ -121,9 +120,8 @@ class TestRho:
         vals = data.draw(weight_values(resolution))
         w = GridFunction(resolution, vals)
         table = rho_all(w)
-        for q, value, vac in table.entries():
-            if not vac:
-                assert value >= 1.0
+        for values, vac in zip(table.values, table.vacuous):
+            assert np.all(values[~vac] >= 1.0)
 
     def test_rho_all_consistent_with_single(self):
         rng = np.random.default_rng(11)
@@ -132,9 +130,9 @@ class TestRho:
         for q in enumerate_cubes(6):
             single = rho(w, q)
             if math.isnan(single):
-                assert table.is_vacuous(q)
+                assert table.vacuous[q.level][q.index]
             else:
-                assert table.lookup(q) == pytest.approx(single, rel=1e-12)
+                assert table.values[q.level][q.index] == pytest.approx(single, rel=1e-12)
 
     @given(
         st.integers(0, 10),
