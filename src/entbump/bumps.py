@@ -412,59 +412,101 @@ def _search(blocks: np.ndarray, lam0: np.ndarray, phi) -> tuple:
 
 
 def _illinois(blocks: np.ndarray, phi, lo, hi, m_lo, m_hi) -> tuple:
-    """Close every row's bracket, Phi-mean > 1 at lo and <= 1 at hi, to
-    machine width; returns the final hi ends and their Phi-means.
+    """Close every row's bracket, Phi-mean m_lo > 1 at lo and m_hi <= 1 at
+    hi, to machine width; returns the final hi ends and their Phi-means.
+    ``lo``, ``hi`` and ``m_hi`` are updated in place.
 
-    Each step is the regula falsi point of Phi-mean - 1 on [lo, hi], with
-    the retained end's value halved when the same end moves twice running
-    (the Illinois rule). A point that is not finite falls back to the
-    midpoint, and every point keeps 2e-16 hi away from both ends, so a step
-    next to the root crosses it instead of creeping up to it at the noise
-    floor. All open rows share one Phi call per step.
+    Each step is the secant of log Phi-mean against log lambda, which is
+    exact for ``power:r`` and nearly so for the log bumps: with g = log m,
+    the point lo * (hi / lo)^t, t = g_lo / (g_lo - g_hi), evaluated through
+    log1p and expm1 so a bracket a few ulps wide keeps its resolution. The
+    retained end's g is halved when the same end moves twice running (the
+    Illinois rule). A point that is not finite (a zero or infinite
+    Phi-mean at an end) falls back to the midpoint, geometric on a bracket
+    wider than a factor 2 and arithmetic otherwise, and every point keeps
+    2e-16 hi away from both ends, so a step next to the root crosses it
+    instead of creeping up to it at the noise floor. All open rows share
+    one Phi call per step.
     """
     out, m_out = hi.copy(), m_hi.copy()
     rows = np.arange(hi.size)
-    f_lo, f_hi = m_lo - 1.0, m_hi - 1.0
-    last = np.zeros(hi.size)  # +1: lo moved last, -1: hi moved last
+    g_lo, g_hi = np.log(m_lo), np.log(m_hi)
+    lo_last = np.zeros(hi.size, dtype=bool)  # lo moved last
+    hi_last = np.zeros(hi.size, dtype=bool)  # hi moved last
     for _ in range(200):
-        done = hi - lo <= _WIDTH * hi
+        width = hi - lo
+        done = width <= _WIDTH * hi
         if done.any():
             out[rows[done]], m_out[rows[done]] = hi[done], m_hi[done]
             keep = ~done
-            rows, lo, hi, f_lo, f_hi, m_hi, last = (
-                a[keep] for a in (rows, lo, hi, f_lo, f_hi, m_hi, last))
+            rows, lo, hi, width, g_lo, g_hi, m_hi, lo_last, hi_last = (
+                a[keep] for a in (rows, lo, hi, width, g_lo, g_hi, m_hi, lo_last, hi_last))
             blocks = blocks[keep]
         if rows.size == 0:
             break
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        x = np.where(np.isfinite(x), x, 0.5 * (lo + hi))
+        span = g_lo - g_hi
+        x = lo * np.expm1(g_lo / span * np.log1p(width / lo)) + lo
+        # x and span are >= 0 or NaN, so their sum is finite iff both are
+        bad = ~np.isfinite(x + span)
+        if bad.any():
+            a, b = lo[bad], hi[bad]
+            x[bad] = np.where(b > 2.0 * a, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
         pad = 0.5 * _WIDTH * hi  # 2e-16 hi; an open row has room for both pads
         x = np.minimum(np.maximum(x, lo + pad), hi - pad)
         m = _phi_means(phi, blocks, x)
+        g = np.log(m)
         above = m > 1.0
-        f_lo = np.where(above, m - 1.0, np.where(last < 0, 0.5 * f_lo, f_lo))
-        f_hi = np.where(above, np.where(last > 0, 0.5 * f_hi, f_hi), m - 1.0)
-        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-        m_hi = np.where(above, m_hi, m)
-        last = np.where(above, 1.0, -1.0)
+        below = ~above
+        g_lo[below & hi_last] *= 0.5
+        g_hi[above & lo_last] *= 0.5
+        np.copyto(g_lo, g, where=above)
+        np.copyto(g_hi, g, where=below)
+        np.copyto(lo, x, where=above)
+        np.copyto(hi, x, where=below)
+        np.copyto(m_hi, m, where=below)
+        lo_last, hi_last = above, below
     out[rows], m_out[rows] = hi, m_hi
     return out, m_out
+
+
+def _solve(blocks: np.ndarray, lam0: np.ndarray, phi) -> tuple:
+    """Geometric search from lam0 = <w>_Q, then the Illinois steps: every
+    row's hi end and its Phi-mean."""
+    return _illinois(blocks, phi, *_search(blocks, lam0, phi))
+
+
+def _unit_norm(phi) -> float:
+    """Luxemburg norm u of the one cell 1.0, at machine width. By
+    homogeneity a one-cell cube's norm is w * u. An OrliczSpec keeps u after
+    its first solve; a plain callable is solved on every call."""
+    u = getattr(phi, "_unit", None) if isinstance(phi, OrliczSpec) else None
+    if u is None:
+        one = np.ones((1, 1))
+        u = float(_solve(one, one[0], phi)[0][0])
+        if isinstance(phi, OrliczSpec):
+            object.__setattr__(phi, "_unit", u)
+    return u
 
 
 def _level_orlicz(blocks: np.ndarray, phi, tol: float, lo=None, hi=None) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
     ``blocks``, one row per cube of a level.
 
-    Zero-mean rows give 0. ``lo`` / ``hi`` bracket each row's norm, as the
-    min / max of its two children's norms do: the Phi-means at both ends
-    come from one Phi call, a bracket already at machine width keeps its hi
-    end, and an open one goes to the Illinois steps if its ends straddle
-    the unit mean. Every other row, and every row when no bracket is given,
-    is bracketed by the geometric search from <w>_Q first. A Phi-mean lower
-    at lo than at hi beyond the float slack raises InvalidSpecError. The
-    result is the hi end, certified by |<Phi(w/lam)>_Q - 1| <= tol.
+    Zero-mean rows give 0. One-cell rows with no bracket (the finest level,
+    a one-cell ``orlicz_norm``) start from w * u, u the unit norm
+    (``_unit_norm``), and cost one Phi call in all, for their certificates;
+    a row where w * u underflows to 0 or fails its certificate is solved
+    like a row with no bracket. ``lo`` / ``hi`` bracket each row's norm, as
+    the min / max of its two children's norms do: the Phi-means at both
+    ends come from one Phi call, a bracket already at machine width keeps
+    its hi end, and an open one goes to the Illinois steps if its ends
+    straddle the unit mean. Every other row, and every row when no bracket
+    is given, is bracketed by the geometric search from <w>_Q first. A
+    Phi-mean lower at lo than at hi beyond the float slack raises
+    InvalidSpecError. The result is the hi end, certified by
+    |<Phi(w/lam)>_Q - 1| <= tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     lam0 = np.mean(blocks, axis=1)
     out = np.zeros(len(blocks))
@@ -473,12 +515,18 @@ def _level_orlicz(blocks: np.ndarray, phi, tol: float, lo=None, hi=None) -> np.n
         return out
     if live.size < lam0.size:
         blocks, lam0 = blocks[live], lam0[live]
-    # Phi of a huge w / lam may overflow to inf; a step from an infinite
-    # Phi-mean falls back to the midpoint.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if lo is None:
-            lo, hi, m_lo, m_hi = _search(blocks, lam0, phi)
-            solve = slice(None)
+    # Phi of a huge w / lam may overflow to inf, and the log of a zero or
+    # infinite Phi-mean is not finite; a step from either falls back to a
+    # midpoint.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if lo is None and blocks.shape[1] == 1:
+            hi = lam0 * _unit_norm(phi)
+            m_hi = _phi_means(phi, blocks, hi)
+            redo = np.flatnonzero((hi == 0.0) | ~(np.abs(m_hi - 1.0) <= tol))
+            if redo.size:
+                hi[redo], m_hi[redo] = _solve(blocks[redo], lam0[redo], phi)
+        elif lo is None:
+            hi, m_hi = _solve(blocks, lam0, phi)
         else:
             lo, hi = lo[live], hi[live]
             is_open = hi - lo > _WIDTH * hi
@@ -493,8 +541,8 @@ def _level_orlicz(blocks: np.ndarray, phi, tol: float, lo=None, hi=None) -> np.n
             if redo.size:
                 lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(blocks[redo], lam0[redo], phi)
             solve = np.flatnonzero(is_open)
-        hi[solve], m_hi[solve] = _illinois(blocks[solve], phi, lo[solve], hi[solve],
-                                           m_lo[solve], m_hi[solve])
+            hi[solve], m_hi[solve] = _illinois(blocks[solve], phi, lo[solve], hi[solve],
+                                               m_lo[solve], m_hi[solve])
     gap = np.abs(m_hi - 1.0)
     if not np.all(gap <= tol):
         raise BracketingError(
@@ -512,11 +560,13 @@ def orlicz_norm(
 ) -> float:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of w on one cube.
 
-    A one-row call of the level solver ``_level_orlicz``: geometric
-    bracketing from lam0 = <w>_Q, Illinois steps to machine bracket width,
-    and the certificate |<Phi(w/lam)>_Q - 1| <= tol, checked before the
-    value is returned (BracketingError otherwise). Identically-zero w on Q
-    gives 0.
+    A one-row call of the level solver ``_level_orlicz``: a one-cell cube
+    is w * u from Phi's unit norm u, like ``m_orlicz``'s finest level;
+    a larger cube is bracketed geometrically from lam0 = <w>_Q and closed
+    by the log-log Illinois steps to machine bracket width. Either way the
+    certificate |<Phi(w/lam)>_Q - 1| <= tol is checked before the value is
+    returned (BracketingError otherwise). Identically-zero w on Q gives 0;
+    tol must be positive (ValueError otherwise, NaN included).
     """
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
@@ -560,12 +610,15 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
     cubes containing it.
 
     One ``_level_orlicz`` call per level solves all 2^l cubes of level l at
-    once on the (2^l, 2^(n-l)) view of w, from the finest level up. A
-    parent's Phi-mean is the mean of its children's, each decreasing in
-    lambda, so its norm lies between theirs: level l starts from the
-    pairwise min / max of level l+1's norms. Every cube's certificate
-    |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so a level with
-    one uncertified cube raises BracketingError.
+    once on the (2^l, 2^(n-l)) view of w, from the finest level up. The
+    finest level is w * u, u the norm of the one cell 1.0 (solved once per
+    OrliczSpec), certified by one Phi call. A parent's Phi-mean is the mean
+    of its children's, each decreasing in lambda, so its norm lies between
+    theirs: level l starts from the pairwise min / max of level l+1's
+    norms and closes them with log-log Illinois steps. Every cube's
+    certificate |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so
+    a level with one uncertified cube raises BracketingError; tol must be
+    positive (ValueError otherwise, NaN included).
     """
     require_weight(w)
 

@@ -474,18 +474,21 @@ def mp_orlicz_norm(values, level, index, resolution, phi):
     width = 1 << (resolution - level)
     cells = [mp.mpf(float(v)) for v in values[index * width : (index + 1) * width]]
     params = dict(phi.params)
-    lo = hi = mp.fsum(cells) / width
-    if lo == 0:
+    mean = mp.fsum(cells) / width
+    if mean == 0:
         return 0.0
 
-    def excess(lam):
-        return mp.fsum(mp_phi_value(phi.name, params, c / lam) for c in cells) / width - 1
+    def excess(mu):
+        return mp.fsum(mp_phi_value(phi.name, params, c / (mu * mean)) for c in cells) / width - 1
 
+    # solved for mu = lam / mean, which is of order one whatever the scale
+    # of w, so the root finder's tolerances hold at 1e-310 as at 1e300
+    lo = hi = mp.mpf(1)
     while excess(hi) > 0:
         hi *= 2
     while excess(lo) <= 0:
         lo /= 2
-    return float(mp.findroot(excess, (lo, hi), solver="ridder"))
+    return float(mp.findroot(excess, (lo, hi), solver="ridder") * mean)
 
 
 def mp_m_orlicz(values, resolution, phi):

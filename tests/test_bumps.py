@@ -472,7 +472,14 @@ class TestMOrlicz:
         np.testing.assert_allclose(got.values, ref.values, rtol=1e-12)
 
 
-ORACLE_PHIS = ("power:2", "power:0.5", "llog:0.5", "dlr:0.25", "logprod:e1=1,e2=0.5")
+ORACLE_PHIS = (
+    "power:2",
+    "power:0.5",
+    "llog:0.5",
+    "dlr:0.25",
+    "logprod:e1=1,e2=0.5",
+    "logprod:e2=1,e3=1,e4=1.5",
+)
 
 
 # Largest distance in ulps allowed between the Orlicz solve and either
@@ -593,6 +600,68 @@ class TestOrliczLevelSolver:
         assert _level_orlicz(blocks, bump, 1e-10) == [1.0]
         with pytest.raises(InvalidSpecError):
             _level_orlicz(blocks, bump, 1e-10, np.array([1.5]), np.array([2.0]))
+
+    def test_log_step_budget_on_a_rough_weight(self, monkeypatch):
+        # lognormal sigma 3 at n = 12: with steps in lambda the levels next
+        # to the finest took up to 36 Phi calls (level 11); the log-log
+        # steps take at most 11 here. With the unit norm kept on the spec,
+        # the finest level is one call, its certificate.
+        n = 12
+        phi = OrliczSpec.llog(0.5)
+        orlicz_norm(GridFunction(0, [1.0]), ROOT, phi)
+        widths = []
+        call = OrliczSpec.__call__
+
+        def counted(self, t):
+            widths.append(t.shape[1])
+            return call(self, t)
+
+        monkeypatch.setattr(OrliczSpec, "__call__", counted)
+        w = GridFunction(n, np.exp(np.random.default_rng(0).normal(0.0, 3.0, 1 << n)))
+        m_orlicz(w, phi)
+        per_level = [widths.count(1 << (n - level)) for level in range(n + 1)]
+        assert per_level[n] == 1
+        assert max(per_level[:n]) <= 16
+
+    @pytest.mark.parametrize("vals", [[1e-310, 1.0], [1e308, 1.0], [2.2e-308, 3.0]])
+    def test_extreme_dynamic_range(self, vals):
+        # a subnormal or near-overflow cell is w * u, certified at once;
+        # searching such a leaf from lam0 = w could not certify it
+        phi = OrliczSpec.llog(0.5)
+        vals = np.array(vals)
+        w = GridFunction(1, vals)
+        assert ulps(m_orlicz(w, phi).values, mp_m_orlicz(vals, 1, phi)) <= ORLICZ_ULPS
+        for index in (0, 1):
+            one = orlicz_norm(w, DyadicCube(1, index), phi)
+            assert ulps(one, mp_orlicz_norm(vals, 1, index, 1, phi)) <= ORLICZ_ULPS
+
+    def test_smallest_subnormal_cell_cannot_be_certified(self):
+        with pytest.raises(BracketingError):
+            m_orlicz(GridFunction(1, [5e-324, 1.0]), OrliczSpec.llog(0.5))
+
+    def test_underflowing_leaf_is_never_zero(self):
+        # Phi(t) = t / 4 has unit norm 1/4, so w * u underflows to 0 at
+        # w = 5e-324; no float certifies that leaf, and it raises
+        def quarter(t):
+            return t / 4.0
+
+        assert orlicz_norm(GridFunction(0, [1.0]), ROOT, quarter) == pytest.approx(0.25)
+        with pytest.raises(BracketingError):
+            orlicz_norm(GridFunction(0, [5e-324]), ROOT, quarter)
+        with pytest.raises(BracketingError):
+            _level_orlicz(np.array([[1.0], [5e-324]]), quarter, 1e-10)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # a NaN tol used to pass the check and fail every certificate
+        w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
+        phi = OrliczSpec.llog(0.5)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            m_orlicz(w, phi, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            orlicz_norm(w, ROOT, phi, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            _level_orlicz(np.ones((2, 2)), phi, tol)
 
     def test_all_zero_weight(self):
         w = GridFunction(3, np.zeros(8))

@@ -380,10 +380,13 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["verify_all.py", "--n", "3", "--trials", "2"])
-    assert module.main() == 4
+    assert module.main() == 5
     out = capsys.readouterr().out
-    # replay runs at --n and at the n = 18 cap, maximal --phi at the cap and at --n
-    assert "failed: replay (exit 1), maximal (raised), replay (exit 1), maximal (raised)" in out
+    # replay runs at --n and at the n = 18 cap, maximal --phi twice at the
+    # cap and once at --n
+    assert ("failed: replay (exit 1), maximal (raised), maximal (raised), "
+            "replay (exit 1), maximal (raised)") in out
     orlicz = [argv for argv in seen if "--phi" in argv]
-    assert [argv[0] for argv in orlicz] == ["maximal", "compare", "maximal"]
-    assert ["--n", "18"] == orlicz[0][1:3]
+    assert [argv[0] for argv in orlicz] == ["maximal", "maximal", "compare", "maximal"]
+    assert ["--n", "18"] == orlicz[0][1:3] == orlicz[1][1:3]
+    assert [argv[-1] for argv in orlicz[:2]] == ["llog:0.5", "logprod:e2=1,e3=1,e4=1.5"]

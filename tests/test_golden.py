@@ -45,15 +45,15 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "5f76daad3a1302549ab1c7447a7ad53c33477e3076be6f24fdbf4e4f76ed97fc",
-    "main": "1fdcffa516462a561d0eb8bb27db3bc9dae5ff1406ab71d65096557b04590b24",
-    "corollary": "2a39a968f69fb5f865dd7308f89744bba4abd4a6df6598af98040569137b8e3b",
-    "ainf": "798e56e4a908fda3c7fb3ddf9e5346f6209aaf87201733af914fab1f04b76216",
-    "domination": "3fa0f4c95875bf8040bb25af3bbff2992475fbe1143ced5a792b4e8141774572",
-    "replay": "03f52e52bc0a979e592b6aabe5356ad100b8eaebee68c6497967e26bbad4e671",
+    "fs": "4026bd2b62358940008968c0185cde2ba8d94a771aa14ac78a7346a6651d19e7",
+    "main": "bc300ce250692059f39b4c138d6f2006b13f78a748742ab76a2e5bbefd7b1c9b",
+    "corollary": "684dd27eac73b9320386b865503d012e6e971eb337a081137ed8c3b2181ad37a",
+    "ainf": "c467f63c987245b8cf81d737c9b63b837edc1f19e0930e477152b49b18c618cd",
+    "domination": "f6d6ed138bebb810b07657b813990335f70b37f4a36ecfa41d7c6fd17beb2ba2",
+    "replay": "6f5ae67dba4f407aa212dc5cbe7772f6888168eb69f765cb25528a3c30c4be7b",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
-    "maximal": "1477fb90730b49c7bb82a7bf8ac4796e06207577fa214f331f0da70f2b892e67",
+    "maximal": "40e2f03ab8596f6ba44dc1d64037d4c401bfb2c8061d15703634f5b8134b908b",
 }
 
 CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]
