@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification subcommand at a small, fast scale.
 
-Also runs the Orlicz path (`compare --phi`, `maximal --phi`), `verify-fs`
-at n = 14 with 20 trials, and at the n = 18 resolution cap `sparse-split`,
+Also runs the Orlicz path (`compare --phi`, `maximal --phi`), `compare`
+at n = 14 with the `loglog:0.5` entropy bump against the abstract's
+`logprod:e2=1,e3=1,e4=1.5` Orlicz bump, `verify-fs` at n = 14 with 20
+trials, and at the n = 18 resolution cap `sparse-split`,
 `maximal` without and with `--phi llog:0.5` and `--phi
 logprod:e2=1,e3=1,e4=1.5` (the max paints, and the Orlicz level solve
 with every cube certified, for the llog bump and for the iterated-log
@@ -47,6 +49,8 @@ def main() -> int:
         ["verify-main", "--n", "18", "--trials", "5", "--seed", seed],
         ["replay", "--n", "18", "--trials", "5", "--seed", seed],
         ["compare", "--n", n, "--seed", seed, "--phi", "llog:0.5"],
+        ["compare", "--n", "14", "--seed", seed, "--eps", "loglog:0.5",
+         "--phi", "logprod:e2=1,e3=1,e4=1.5"],
         ["maximal", "--n", n, "--seed", seed, "--phi", "dlr:0.25"],
     ]
     failures = []

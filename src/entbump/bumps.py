@@ -5,18 +5,22 @@ All logarithms here are the shifted base-2 logarithm
     shifted_log2(t) = log2(2 + t),
 
 which is >= 1 everywhere, equals 1 at t = 0, and satisfies
-shifted_log2(2^k) ~ k. Entropy bumps eps are increasing maps [1, inf) ->
-[1, inf) from a small catalog; Orlicz bumps Phi are increasing Young-type
+shifted_log2(2^k) ~ k. Every bump is a row of one catalog of iterated-log
+products
+
+    c * t^a * L1(t)^e1 * L2(t)^e2 * L3(t)^e3 * L4(t)^e4,
+
+Lk the k-fold shifted_log2. Entropy bumps eps (a = 0) are increasing maps
+[1, inf) -> [1, inf); Orlicz bumps Phi (a > 0) are increasing Young-type
 functions with Phi(0) = 0. Both are parsed from compact spec strings, e.g.
 ``log_pow:2`` or ``dlr:delta=1``.
 
 The bump summability constant is
 
-    k_epsilon(eps) = sum_{k>=0} eps(2^{2^k})^-1        (tower scale)
+    k_epsilon(eps) = sum_{k>=0} eps(2^{2^k})^-1.
 
-with a dyadic-scale variant sum_{k>=-1} eps(2^k)^-1 also exposed. Terms are
-evaluated through shifted_log2(2^{2^k}) = 2^k + log2(1 + 2^{1-2^k}), so the
-doubly exponential arguments never materialize.
+Terms are evaluated through shifted_log2(2^{2^k}) = 2^k + log2(1 +
+2^{1-2^k}), so the doubly exponential arguments never materialize.
 """
 
 from __future__ import annotations
@@ -52,63 +56,13 @@ def shifted_log2(t):
 
 
 def _tower_log(k: int) -> float:
-    """shifted_log2(2^{2^k}) without forming 2^{2^k}."""
-    e = 2.0 ** k
-    if e == math.inf:
+    """shifted_log2(2^{2^k}) without forming 2^{2^k}; inf once 2^k
+    overflows."""
+    if k >= 1024:
         return math.inf
+    e = 2.0 ** k
     corr = 2.0 ** (1.0 - e) if e < 1070.0 else 0.0
     return e + math.log1p(corr) / _LN2
-
-
-def _pow2_log(k: int) -> float:
-    """shifted_log2(2^k) for any integer k (k = -1 included)."""
-    if k <= 50:
-        return math.log2(2.0 + 2.0 ** k)
-    return k + math.log1p(2.0 ** (1 - k)) / _LN2
-
-
-_EPS_PRIMARY = {"constant": "c", "log_pow": "p", "loglog": "delta"}
-_PHI_PRIMARY = {"power": "r", "llog": "delta", "dlr": "delta"}
-
-
-def _parse_spec_string(text: str, kind: str, primary: dict) -> tuple[str, dict]:
-    name, _, rest = text.strip().partition(":")
-    name = name.strip()
-    if not name:
-        raise InvalidSpecError(f"empty {kind} spec {text!r}")
-    params: dict[str, float] = {}
-    if rest.strip():
-        for item in rest.split(","):
-            item = item.strip()
-            if not item:
-                raise InvalidSpecError(f"empty parameter in {kind} spec {text!r}")
-            if "=" in item:
-                key, _, val = item.partition("=")
-                key = key.strip()
-            else:
-                key = primary.get(name)
-                if key is None:
-                    raise InvalidSpecError(
-                        f"{kind} member {name!r} takes no bare parameter"
-                    )
-                val = item
-            if key in params:
-                raise InvalidSpecError(f"duplicate parameter {key!r} in {text!r}")
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise InvalidSpecError(
-                    f"non-numeric parameter {item!r} in {kind} spec {text!r}"
-                ) from None
-    return name, params
-
-
-def _check_increasing(func, lo: float, label: str) -> None:
-    """Sample on a log-spaced grid; reject decreasing or sub-1 values."""
-    grid = np.concatenate(([lo], lo + np.logspace(-3, 9, 25)))
-    vals = np.asarray([float(func(t)) for t in grid])
-    if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
-        raise InvalidSpecError(f"{label} is not nondecreasing")
 
 
 def _check_eps_domain(arr: np.ndarray) -> None:
@@ -117,35 +71,143 @@ def _check_eps_domain(arr: np.ndarray) -> None:
         raise ValueError("bump domain is t >= 1")
 
 
-@dataclass(frozen=True)
-class EpsilonSpec:
-    """An entropy bump: a named increasing map [1, inf) -> [1, inf).
+# Catalog rows: name -> (parameter names, a bare value binding the first;
+# their lower bound; whether the bound is strict; the form (c, a, (e1, ..))
+# of the parameters). Parameters are finite; unnamed logprod exponents are 0.
+_EPS_CATALOG = {
+    "constant": (("c",), 1.0, False, lambda c: (c, 0.0, ())),
+    "log_pow": (("p",), 0.0, False, lambda p: (1.0, 0.0, (p,))),
+    "loglog": (("delta",), 0.0, False, lambda delta: (1.0, 0.0, (0.0, 1.0, 1.0 + delta))),
+}
+_PHI_CATALOG = {
+    "power": (("r",), 0.0, True, lambda r: (1.0, r, ())),
+    "llog": (("delta",), 0.0, False, lambda delta: (1.0, 1.0, (1.0 + delta,))),
+    "dlr": (("delta",), 0.0, False, lambda delta: (1.0, 1.0, (0.0, 1.0, 1.0 + delta))),
+    "logprod": (("e1", "e2", "e3", "e4"), 0.0, False,
+                lambda e1=0.0, e2=0.0, e3=0.0, e4=0.0: (1.0, 1.0, (e1, e2, e3, e4))),
+}
 
-    Catalog: ``constant`` (c >= 1), ``log_pow`` (shifted_log2(t)^p),
-    ``loglog`` (shifted_log2(shifted_log2 t) *
-    shifted_log2(shifted_log2(shifted_log2 t))^{1+delta}).
-    """
+
+@dataclass(frozen=True)
+class _Bump:
+    """A catalog row with its parameters. A subclass sets the catalog, the
+    kind named in errors, the bottom of its domain and the depth its
+    evaluator starts from: 0 from t, 1 from L1(t)."""
 
     name: str
     params: tuple
 
     def __post_init__(self):
+        row = self._CATALOG.get(self.name)
+        if row is None:
+            raise InvalidSpecError(f"unknown {self._KIND} {self.name!r}")
+        names, low, strict, form = row
         p = dict(self.params)
-        if self.name == "constant":
-            keys, c = {"c"}, p.get("c")
-            if set(p) != keys or c is None or c < 1.0:
-                raise InvalidSpecError(f"constant bump needs c >= 1, got {p}")
-        elif self.name == "log_pow":
-            if set(p) != {"p"} or p["p"] < 0.0:
-                raise InvalidSpecError(f"log_pow bump needs p >= 0, got {p}")
-        elif self.name == "loglog":
-            if set(p) != {"delta"} or p["delta"] < 0.0:
-                raise InvalidSpecError(f"loglog bump needs delta >= 0, got {p}")
-        else:
-            raise InvalidSpecError(f"unknown bump {self.name!r}")
+        if not p or not set(p) <= set(names):
+            raise InvalidSpecError(f"{self.name} bump takes {'/'.join(names)}, got {p}")
+        if not all(math.isfinite(v) and (v > low if strict else v >= low) for v in p.values()):
+            bound = f"{'>' if strict else '>='} {low:g}"
+            raise InvalidSpecError(f"{self.name} bump needs finite {'/'.join(names)} {bound}, got {p}")
+        c, a, logs = form(**p)
         object.__setattr__(self, "params", tuple(sorted(p.items())))
-        object.__setattr__(self, "_p", p)
-        _check_increasing(self, 1.0, f"bump {self.serialize()!r}")
+        object.__setattr__(self, "_c", c)
+        factors = tuple((k, e) for k, e in enumerate((a,) + logs) if e and k >= self._DEPTH)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_last", factors[-1][0] if factors else None)
+        self._check_increasing()
+
+    @classmethod
+    def parse(cls, text: str):
+        name, _, rest = text.strip().partition(":")
+        name = name.strip()
+        if not name:
+            raise InvalidSpecError(f"empty {cls._KIND} spec {text!r}")
+        if name not in cls._CATALOG:
+            raise InvalidSpecError(f"unknown {cls._KIND} {name!r}")
+        params: dict[str, float] = {}
+        for item in rest.split(",") if rest.strip() else ():
+            item = item.strip()
+            if not item:
+                raise InvalidSpecError(f"empty parameter in {cls._KIND} spec {text!r}")
+            if "=" in item:
+                key, _, val = item.partition("=")
+                key = key.strip()
+            else:
+                key, val = cls._CATALOG[name][0][0], item  # the row's first name
+            if key in params:
+                raise InvalidSpecError(f"duplicate parameter {key!r} in {text!r}")
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise InvalidSpecError(
+                    f"non-numeric parameter {item!r} in {cls._KIND} spec {text!r}"
+                ) from None
+        return cls(name, tuple(params.items()))
+
+    def serialize(self) -> str:
+        items = ",".join(f"{k}={v!r}" for k, v in self.params)
+        return f"{self.name}:{items}" if items else self.name
+
+    def _check_increasing(self) -> None:
+        """One call on a log-spaced grid from the bottom of the domain;
+        reject a bump that decreases there. Only the order is sampled: the
+        table's bounds give c >= 1 and exponents >= 0, and every Lk >= 1, so
+        every eps >= 1 on [1, inf)."""
+        grid = self._LOWEST + np.concatenate(([0.0], np.logspace(-3, 9, 25)))
+        vals = self(grid)
+        if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
+            raise InvalidSpecError(f"{self._KIND} {self.serialize()!r} is not nondecreasing")
+
+    def _product(self, x, out=None):
+        """The bump's product from x = L_depth (L0 = t), into ``out`` (a new
+        array when None; x itself allowed), which is returned.
+
+        The factors are multiplied left to right, then c; a factor with
+        exponent 1 skips np.power, one with exponent 0 is left out. The logs
+        go into one scratch array, the last one into ``out`` unless that
+        holds the partial product, and the last power overwrites its log.
+        """
+        if out is None:
+            out = np.empty_like(x)
+        if not self._factors:
+            out.fill(self._c)
+            return out
+        acc = None  # the partial product; None stands for 1
+        log, depth, spare, last = x, self._DEPTH, None, self._last
+        for k, e in self._factors:
+            while depth < k:
+                depth += 1
+                if depth == last and acc is not out:
+                    dest = out
+                else:
+                    if spare is None or spare is acc:
+                        spare = np.empty_like(out)
+                    dest = spare
+                log = np.log2(np.add(2.0, log, dest), dest)
+            if e == 1.0:
+                term = log
+            elif k == last:
+                # x is read-only unless it is out, and is only the last
+                # log when it is the first factor, so out is still free
+                term = np.power(log, e, out if log is x else log)
+            else:
+                term = np.power(log, e)
+            acc = term if acc is None else np.multiply(acc, term, out)
+        if acc is not out:
+            np.copyto(out, acc)
+        if self._c != 1.0:
+            np.multiply(out, self._c, out)
+        return out
+
+
+class EpsilonSpec(_Bump):
+    """An entropy bump: an increasing map [1, inf) -> [1, inf).
+
+    Catalog: ``constant:c`` (c >= 1), ``log_pow:p`` (L1^p) and
+    ``loglog:delta`` (L2 * L3^{1+delta}).
+    """
+
+    _CATALOG, _KIND, _LOWEST, _DEPTH = _EPS_CATALOG, "bump", 1.0, 1
 
     @classmethod
     def constant(cls, c: float) -> "EpsilonSpec":
@@ -159,86 +221,33 @@ class EpsilonSpec:
     def loglog(cls, delta: float) -> "EpsilonSpec":
         return cls("loglog", (("delta", float(delta)),))
 
-    @classmethod
-    def parse(cls, text: str) -> "EpsilonSpec":
-        name, params = _parse_spec_string(text, "bump", _EPS_PRIMARY)
-        return cls(name, tuple(sorted(params.items())))
-
-    def serialize(self) -> str:
-        items = ",".join(f"{k}={v!r}" for k, v in self.params)
-        return f"{self.name}:{items}" if items else self.name
-
     def _eval_from_log(self, first_log, out=None):
         """Evaluate the bump given L1 = shifted_log2(t); with ``out``, an
         array of first_log's shape (first_log itself allowed), the values
         go there."""
-        p = self._p
-        if self.name == "constant":
-            if out is not None:
-                out.fill(p["c"])
-                return out
-            like = np.asarray(first_log, dtype=np.float64)
-            return np.full_like(like, p["c"]) if like.ndim else p["c"]
-        if self.name == "log_pow":
-            return np.power(first_log, p["p"], out=out)
-        if out is None:
-            second = np.log2(2.0 + np.asarray(first_log, dtype=np.float64))
-        else:
-            second = np.log2(np.add(2.0, first_log, out=out), out=out)
-        third = np.log2(2.0 + second)
-        return np.multiply(second, np.power(third, 1.0 + p["delta"]), out=out)
+        return self._product(first_log, out)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
         _check_eps_domain(arr)
         # values an ulp below 1 (float noise in rho) are clipped to 1
-        arr = np.maximum(arr, 1.0)
-        out = self._eval_from_log(np.log2(2.0 + arr))
+        out = self._product(np.log2(2.0 + np.maximum(arr, 1.0)))
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def at_tower(self, k: int) -> float:
         """eps(2^{2^k})."""
-        return float(self._eval_from_log(_tower_log(k)))
-
-    def at_pow2(self, k: int) -> float:
-        """eps(2^k), defined for k >= -1."""
-        return float(self._eval_from_log(_pow2_log(k)))
+        return float(self._product(_tower_log(k)))
 
 
-@dataclass(frozen=True)
-class OrliczSpec:
+class OrliczSpec(_Bump):
     """An Orlicz bump Phi: increasing on (0, inf) with Phi(0) = 0.
 
-    Catalog: ``power`` (t^r), ``llog`` (t * shifted_log2(t)^{1+delta}),
-    ``dlr`` (t * shifted_log2(shifted_log2 t) *
-    shifted_log2(shifted_log2(shifted_log2 t))^{1+delta}), and ``logprod``
-    (t times a product of iterated shifted logs with exponents e1..e4).
+    Catalog: ``power:r`` (t^r, r > 0), ``llog:delta`` (t * L1^{1+delta}),
+    ``dlr:delta`` (t * L2 * L3^{1+delta}) and ``logprod:e1=..,e4=..``
+    (t * L1^e1 * L2^e2 * L3^e3 * L4^e4).
     """
 
-    name: str
-    params: tuple
-
-    def __post_init__(self):
-        p = dict(self.params)
-        if self.name == "power":
-            if set(p) != {"r"} or p["r"] <= 0.0:
-                raise InvalidSpecError(f"power bump needs r > 0, got {p}")
-        elif self.name in ("llog", "dlr"):
-            if set(p) != {"delta"} or p["delta"] < 0.0:
-                raise InvalidSpecError(f"{self.name} bump needs delta >= 0, got {p}")
-        elif self.name == "logprod":
-            allowed = {"e1", "e2", "e3", "e4"}
-            if not p or not set(p) <= allowed:
-                raise InvalidSpecError(
-                    f"logprod bump takes exponents e1..e4, got {p}"
-                )
-            if any(v < 0.0 for v in p.values()):
-                raise InvalidSpecError("logprod exponents must be >= 0")
-        else:
-            raise InvalidSpecError(f"unknown Orlicz bump {self.name!r}")
-        object.__setattr__(self, "params", tuple(sorted(p.items())))
-        object.__setattr__(self, "_p", p)
-        _check_increasing(self, 0.0, f"Orlicz bump {self.serialize()!r}")
+    _CATALOG, _KIND, _LOWEST, _DEPTH = _PHI_CATALOG, "Orlicz bump", 0.0, 0
 
     @classmethod
     def power(cls, r: float) -> "OrliczSpec":
@@ -254,38 +263,13 @@ class OrliczSpec:
 
     @classmethod
     def logprod(cls, **exponents) -> "OrliczSpec":
-        return cls("logprod", tuple(sorted((k, float(v)) for k, v in exponents.items())))
-
-    @classmethod
-    def parse(cls, text: str) -> "OrliczSpec":
-        name, params = _parse_spec_string(text, "Orlicz", _PHI_PRIMARY)
-        return cls(name, tuple(sorted(params.items())))
-
-    def serialize(self) -> str:
-        items = ",".join(f"{k}={v!r}" for k, v in self.params)
-        return f"{self.name}:{items}" if items else self.name
+        return cls("logprod", tuple((k, float(v)) for k, v in exponents.items()))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
         if (arr < 0.0).any():
             raise ValueError("Orlicz bump domain is t >= 0")
-        p = self._p
-        if self.name == "power":
-            out = np.power(arr, p["r"])
-        elif self.name == "llog":
-            out = arr * np.power(np.log2(2.0 + arr), 1.0 + p["delta"])
-        elif self.name == "dlr":
-            l2 = np.log2(2.0 + np.log2(2.0 + arr))
-            l3 = np.log2(2.0 + l2)
-            out = arr * l2 * np.power(l3, 1.0 + p["delta"])
-        else:
-            out = arr.astype(np.float64, copy=True)
-            log_i = arr
-            for i in range(1, 5):
-                log_i = np.log2(2.0 + log_i)
-                e = p.get(f"e{i}", 0.0)
-                if e:
-                    out = out * np.power(log_i, e)
+        out = self._product(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -296,33 +280,22 @@ class KEpsilonResult:
     diverged: bool
 
 
-def k_epsilon(
-    eps: EpsilonSpec,
-    tol: float = 1e-12,
-    max_terms: int = 128,
-    scale: str = "tower",
-) -> KEpsilonResult:
-    """Partial sum of the bump summability series.
+def k_epsilon(eps: EpsilonSpec, tol: float = 1e-12, max_terms: int = 128) -> KEpsilonResult:
+    """Partial sum of the bump summability series sum_{k>=0} eps(2^{2^k})^-1.
 
-    ``scale="tower"`` sums eps(2^{2^k})^-1 over k >= 0 (the default);
-    ``scale="dyadic"`` sums eps(2^k)^-1 over k >= -1. Terms accumulate until
-    one drops below tol or max_terms is reached; the diverged flag is set
-    when max_terms is hit with nondecreasing terms (e.g. a constant bump),
-    in which case the value is a partial sum only.
+    Terms accumulate until one drops below tol or max_terms is reached; the
+    diverged flag is set when max_terms is hit with nondecreasing terms
+    (e.g. a constant bump), in which case the value is a partial sum only.
     """
-    if scale not in ("tower", "dyadic"):
-        raise InvalidSpecError(f"unknown k_epsilon scale {scale!r}")
     if not tol > 0 or max_terms < 1:
         raise ValueError("tol must be positive and max_terms >= 1")
-    term_at = eps.at_tower if scale == "tower" else eps.at_pow2
-    start = 0 if scale == "tower" else -1
     total = 0.0
     used = 0
     prev = None
     nondecreasing = True
     hit_max = False
-    for k in range(start, start + max_terms):
-        e = term_at(k)
+    for k in range(max_terms):
+        e = eps.at_tower(k)
         term = 0.0 if e == math.inf else 1.0 / e
         total += term
         used += 1
@@ -546,7 +519,7 @@ def _level_orlicz(blocks: np.ndarray, phi, tol: float, lo=None, hi=None) -> np.n
     gap = np.abs(m_hi - 1.0)
     if not np.all(gap <= tol):
         raise BracketingError(
-            f"bisection stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol"
+            f"Illinois solve stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol"
         )
     out[live] = hi
     return out

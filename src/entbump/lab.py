@@ -261,7 +261,6 @@ def _draw_function(rng, resolution: int, family: str, majorant=None) -> GridFunc
         vals = np.zeros(size)
         for _ in range(int(rng.integers(1, 6))):
             level = int(rng.integers(0, max(resolution, 1)))
-            level = min(level, resolution - 1) if resolution else 0
             if resolution == 0:
                 break
             index = int(rng.integers(0, 1 << level))

@@ -344,22 +344,79 @@ def mp_eps_value(name, params, t):
     raise ValueError(name)
 
 
-def mp_k_epsilon(name, params, tol=1e-12, max_terms=128, scale="tower"):
+def mp_k_epsilon(name, params, tol=1e-12, max_terms=128):
     """Reference series sum with exact tower arguments, same stopping rule."""
     import mpmath as mp
 
     mp.mp.dps = 60
     total = mp.mpf(0)
     used = 0
-    start = 0 if scale == "tower" else -1
-    for k in range(start, start + max_terms):
-        arg = mp.mpf(2) ** (mp.mpf(2) ** k) if scale == "tower" else mp.mpf(2) ** k
+    for k in range(max_terms):
+        arg = mp.mpf(2) ** (mp.mpf(2) ** k)
         term = 1 / mp_eps_value(name, params, arg)
         total += term
         used += 1
         if term < tol:
             break
     return float(total), used
+
+
+def temp_eps(eps, first_log):
+    """An entropy bump from its first log L1 = shifted_log2(t), by the
+    per-name formulas the catalog table replaced, each op a new array."""
+    p = dict(eps.params)
+    l1 = np.asarray(first_log, dtype=np.float64)
+    if eps.name == "constant":
+        return np.full_like(l1, p["c"])
+    if eps.name == "log_pow":
+        return np.power(l1, p["p"])
+    if eps.name == "loglog":
+        l2 = np.log2(2.0 + l1)
+        return np.multiply(l2, np.power(np.log2(2.0 + l2), 1.0 + p["delta"]))
+    raise ValueError(eps.name)
+
+
+def temp_phi(phi, t):
+    """An Orlicz bump at t >= 0 by the per-name formulas the catalog table
+    replaced, each op a new array; ``logprod`` raises every nonzero
+    exponent with np.power, 1 included."""
+    p = dict(phi.params)
+    arr = np.asarray(t, dtype=np.float64)
+    if phi.name == "power":
+        return np.power(arr, p["r"])
+    if phi.name == "llog":
+        return arr * np.power(np.log2(2.0 + arr), 1.0 + p["delta"])
+    if phi.name == "dlr":
+        l2 = np.log2(2.0 + np.log2(2.0 + arr))
+        return arr * l2 * np.power(np.log2(2.0 + l2), 1.0 + p["delta"])
+    if phi.name == "logprod":
+        out, log_i = arr.copy(), arr
+        for i in range(1, 5):
+            log_i = np.log2(2.0 + log_i)
+            e = p.get(f"e{i}", 0.0)
+            if e:
+                out = out * np.power(log_i, e)
+        return out
+    raise ValueError(phi.name)
+
+
+def loop_bump_product(form, depth, x):
+    """c * L_depth^e_depth * .. * L4^e4 of a catalog form (c, a, (e1, ..)),
+    from x = L_depth (L0 = t): every log and factor a new array, the
+    factors multiplied left to right (exponent 1 without np.power,
+    exponent 0 left out), then c."""
+    c, a, logs = form
+    exps = (a, *logs)
+    log, acc = np.asarray(x, dtype=np.float64), None
+    for k in range(depth, len(exps)):
+        if k > depth:
+            log = np.log2(2.0 + log)
+        if exps[k]:
+            term = log if exps[k] == 1.0 else np.power(log, exps[k])
+            acc = term if acc is None else acc * term
+    if acc is None:
+        return np.full_like(log, c)
+    return acc * c if c != 1.0 else acc.copy()
 
 
 def brute_orlicz_norm(values, level, index, resolution, phi, tol=1e-10):

@@ -25,7 +25,7 @@ from entbump import (
     rho,
     shifted_log2,
 )
-from entbump.bumps import _entropy_levels, _level_orlicz
+from entbump.bumps import _entropy_levels, _level_orlicz, _tower_log
 from entbump.grid import average, level_averages, paint_down
 
 from oracles import (
@@ -39,6 +39,9 @@ from oracles import (
     mp_m_orlicz,
     mp_orlicz_norm,
     temp_entropy_levels,
+    loop_bump_product,
+    temp_eps,
+    temp_phi,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -78,7 +81,8 @@ class TestEpsilonSpec:
     def test_invalid_specs(self):
         for bad in ("nope:1", "log_pow:p=-1", "constant:0.5", "log_pow:q=2",
                     "loglog:delta=-0.1", "log_pow:p=1,p=2", "", "constant",
-                    "log_pow:p=x"):
+                    "log_pow:p=x", "log_pow:=2", "log_pow:2,", "power:1",
+                    "constant:c=2,p=1", "log_pow:nan", "constant:nan", "log_pow:inf"):
             with pytest.raises(InvalidSpecError):
                 EpsilonSpec.parse(bad)
 
@@ -115,16 +119,17 @@ class TestEpsilonSpec:
         for k in range(5):
             t = 2.0 ** (2.0**k)
             assert eps.at_tower(k) == pytest.approx(eps(t), rel=1e-13)
-        for k in range(0, 12):
-            assert eps.at_pow2(k) == pytest.approx(eps(2.0**k), rel=1e-13)
-        # k = -1 extends below the public domain via the shifted log
-        assert eps.at_pow2(-1) == pytest.approx(math.log2(2.5) ** 2, rel=1e-13)
 
     def test_tower_evaluation_huge_k(self):
         # arguments like 2^(2^40) never materialize
         eps = EpsilonSpec.log_pow(2.0)
         v = eps.at_tower(40)
         assert v == pytest.approx((2.0**40) ** 2, rel=1e-10)
+        # past k = 1023, 2^k itself overflows: the term is 1 / inf
+        assert eps.at_tower(1024) == math.inf
+        assert EpsilonSpec.constant(2.0).at_tower(5000) == 2.0
+        got = k_epsilon(EpsilonSpec.constant(1.0), max_terms=1100)
+        assert got.diverged and got.value == 1100.0
 
 
 class TestOrliczSpec:
@@ -133,6 +138,8 @@ class TestOrliczSpec:
         assert OrliczSpec.parse("llog:0.5") == OrliczSpec.llog(0.5)
         assert OrliczSpec.parse("dlr:delta=0.25") == OrliczSpec.dlr(0.25)
         assert OrliczSpec.parse("logprod:e1=1,e3=0.5") == OrliczSpec.logprod(e1=1.0, e3=0.5)
+        # a bare value binds the row's first parameter
+        assert OrliczSpec.parse("logprod:1.5") == OrliczSpec.logprod(e1=1.5)
 
     def test_serialize_roundtrip(self):
         for spec in (
@@ -144,7 +151,9 @@ class TestOrliczSpec:
             assert OrliczSpec.parse(spec.serialize()) == spec
 
     def test_invalid(self):
-        for bad in ("power:0", "power:-1", "llog:-0.5", "logprod:e5=1", "wat:1"):
+        for bad in ("power:0", "power:-1", "llog:-0.5", "logprod:e5=1", "wat:1",
+                    "logprod", "logprod:e1=1,e2=-1", "logprod:1,e1=2", "log_pow:2",
+                    "llog:nan", "power:nan", "logprod:e4=inf"):
             with pytest.raises(InvalidSpecError):
                 OrliczSpec.parse(bad)
 
@@ -180,6 +189,91 @@ class TestOrliczSpec:
         assert phi(t + bump) > phi(t)
 
 
+# Every catalog row, with the edge exponents 0 and 1 where a factor drops
+# out or skips np.power, and logprod factors at every depth.
+CATALOG_EPS = ("constant:1", "constant:2.5", "log_pow:0", "log_pow:1", "log_pow:2",
+               "log_pow:2.5", "loglog:0", "loglog:0.5")
+CATALOG_PHIS = ("power:1", "power:0.5", "power:2", "llog:0", "llog:0.5", "dlr:0",
+                "dlr:0.25", "logprod:e1=0", "logprod:e1=1,e2=0.5",
+                "logprod:e2=1,e3=1,e4=1.5", "logprod:e1=2,e2=1,e4=0.5",
+                "logprod:e1=1,e2=1,e3=1,e4=1", "logprod:e3=3")
+PHI_POINTS = np.array([0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0, 2.0, 37.0, 1e6, 1e150,
+                       1e300, 1.7976931348623157e308, math.inf])
+EPS_POINTS = np.array([1.0 - 1e-12, 1.0, 1.5, 3.0, 37.0, 1e6, 1e150, 1e300, math.inf])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestCatalogBits:
+    """Every row of the bump catalog, bit for bit against the per-name
+    formulas of temp_eps and temp_phi."""
+
+    @pytest.mark.parametrize("text", CATALOG_PHIS)
+    def test_phi(self, text):
+        phi = OrliczSpec.parse(text)
+        t = np.concatenate((PHI_POINTS, np.random.default_rng(0).lognormal(0.0, 8.0, 63)))
+        kept = t.copy()
+        want = ieee_bits(temp_phi(phi, t))
+        assert np.array_equal(ieee_bits(phi(t)), want)
+        blocks = phi(t.reshape(-1, 2))
+        assert blocks.shape == (t.size // 2, 2)
+        assert np.array_equal(ieee_bits(blocks).ravel(), want)
+        assert np.array_equal(ieee_bits(t), ieee_bits(kept))
+        for v, bits in zip(t.tolist(), want):
+            got = phi(v)
+            assert type(got) is float and ieee_bits(got) == bits
+
+    @pytest.mark.parametrize("text", CATALOG_EPS)
+    def test_eps(self, text):
+        eps = EpsilonSpec.parse(text)
+        t = np.concatenate((EPS_POINTS, 1.0 + np.random.default_rng(1).lognormal(0.0, 8.0, 63)))
+        want = ieee_bits(temp_eps(eps, np.log2(2.0 + np.maximum(t, 1.0))))
+        assert np.array_equal(ieee_bits(eps(t)), want)
+        blocks = eps(t.reshape(-1, 2))
+        assert blocks.shape == (t.size // 2, 2)
+        assert np.array_equal(ieee_bits(blocks).ravel(), want)
+        for v, bits in zip(t.tolist(), want):
+            got = eps(v)
+            assert type(got) is float and ieee_bits(got) == bits
+        # in place on the first log, as _entropy_levels calls it
+        logs = np.log2(2.0 + t)
+        want = ieee_bits(temp_eps(eps, logs))
+        assert eps._eval_from_log(logs, out=logs) is logs
+        assert np.array_equal(ieee_bits(logs), want)
+        for k in (0, 1, 2, 5, 9, 40, 1023):
+            got = eps.at_tower(k)
+            assert type(got) is float
+            assert ieee_bits(got) == ieee_bits(temp_eps(eps, _tower_log(k)))
+
+    @pytest.mark.parametrize("cls, form", [
+        # a unit factor that stays in the scratch array while two logs follow
+        (EpsilonSpec, (1.0, 0.0, (0.0, 1.0, 0.0, 2.0))),
+        (EpsilonSpec, (1.0, 0.0, (1.0, 1.0, 1.0, 1.0))),
+        (EpsilonSpec, (2.5, 0.0, (2.0,))),
+        (OrliczSpec, (1.0, 2.0, (0.0, 0.0, 1.0))),
+        (OrliczSpec, (3.0, 1.0, (1.0, 2.0, 0.0, 1.5))),
+    ])
+    def test_any_form_matches_the_plain_product(self, monkeypatch, cls, form):
+        # forms outside the catalog, through a row added for the test
+        monkeypatch.setitem(cls._CATALOG, "probe", (("x",), 0.0, False, lambda x: form))
+        spec = cls("probe", (("x", 0.0),))
+        x = np.concatenate(([1.0, 2.0, 1e300, math.inf],
+                            np.random.default_rng(3).lognormal(0.0, 8.0, 60)))
+        want = ieee_bits(loop_bump_product(form, cls._DEPTH, x))
+        assert np.array_equal(ieee_bits(spec._product(x)), want)
+        assert np.array_equal(ieee_bits(spec._product(x, out=x)), want)
+
+    @pytest.mark.parametrize("named, product", [
+        ("llog:0.5", "logprod:e1=1.5"),
+        ("llog:0", "logprod:e1=1"),
+        ("dlr:0.25", "logprod:e2=1,e3=1.25"),
+        ("power:1", "logprod:e4=0"),
+    ])
+    def test_named_rows_are_logprod_rows(self, named, product):
+        t = np.concatenate((PHI_POINTS, np.random.default_rng(2).lognormal(0.0, 8.0, 64)))
+        got = OrliczSpec.parse(named)(t)
+        assert np.array_equal(ieee_bits(got), ieee_bits(OrliczSpec.parse(product)(t)))
+
+
 class TestKEpsilon:
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
     def test_tol_must_be_positive(self, tol):
@@ -209,16 +303,6 @@ class TestKEpsilon:
         assert got.diverged
         assert got.terms_used == 64
         assert got.value == pytest.approx(64.0)
-
-    def test_dyadic_scale(self):
-        ref, used = mp_k_epsilon("log_pow", {"p": 3.0}, scale="dyadic", max_terms=4096)
-        got = k_epsilon(EpsilonSpec.log_pow(3.0), scale="dyadic", max_terms=4096)
-        assert got.terms_used == used
-        assert got.value == pytest.approx(ref, rel=1e-10)
-
-    def test_bad_scale(self):
-        with pytest.raises(InvalidSpecError):
-            k_epsilon(EpsilonSpec.log_pow(2.0), scale="nope")
 
 
 class TestEntropyNorm:
