@@ -59,11 +59,7 @@ def main() -> int:
     print(f"{'part':>4} {'r':>3} {'k':>4} {'regime':>7} {'cubes':>5} "
           f"{'constant':>10} {'ok':>3}")
     for band in report.band_records:
-        constant = (
-            band.coarse_constant
-            if band.regime == "coarse"
-            else max(band.qt_weight_constant or 0.0, band.disjoint_constant or 0.0)
-        )
+        constant = band.coarse_constant if band.regime == "coarse" else band.disjoint_constant
         print(f"{band.part:>4} {band.r:>3} {band.k:>4} {band.regime:>7} "
               f"{band.cube_count:>5} {constant:>10.4f} {'yes' if band.ok else 'NO':>3}")
 

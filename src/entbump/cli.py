@@ -126,10 +126,11 @@ def _cmd_rho(args) -> int:
     w = _resolve_weight(args.weight, args.n, args.seed)
     _print_config({"n": w.resolution, "seed": args.seed, "weight": args.weight})
     table = rho_all(w)
+    max_rho = table.max_rho()  # raises on a zero weight, before any result line
     vacuous = sum(int(np.count_nonzero(vac)) for vac in table.vacuous)
     print(f"  cubes = {(2 << w.resolution) - 1}")
     print(f"  vacuous = {vacuous}")
-    print(f"  max_rho = {table.max_rho():.17g}")
+    print(f"  max_rho = {max_rho:.17g}")
     if args.out:
         table.to_csv(args.out)
         print(f"table written to {args.out}")

@@ -177,8 +177,11 @@ class CellSet:
 
     @classmethod
     def from_indices(cls, resolution: int, indices) -> "CellSet":
+        idx = np.asarray(list(indices), dtype=int)
+        if ((idx < 0) | (idx >= 1 << resolution)).any():
+            raise ValueError(f"cell index out of range [0, {1 << resolution})")
         mask = np.zeros(1 << resolution, dtype=bool)
-        mask[np.asarray(list(indices), dtype=int)] = True
+        mask[idx] = True
         return cls(resolution, mask)
 
     def cell_count(self) -> int:

@@ -27,7 +27,7 @@ from .bumps import (
     m_orlicz,
     shifted_log2,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidWeightError
 from .grid import (
     ROOT,
     CellSet,
@@ -59,7 +59,7 @@ from .weights import (
     power_weight,
 )
 
-VERSION = "0.3.0"
+VERSION = "0.4.0"
 
 MAX_RESOLUTION_ENV = "ENDPOINT_LAB_MAX_N"
 
@@ -632,6 +632,8 @@ def maximal_comparison(
     """Descriptive pointwise comparison of the dyadic, entropy, and Orlicz
     maximal functions of one weight. No pass flags; the output is a profile."""
     require_weight(w)
+    if not w.values.any():
+        raise InvalidWeightError("weight is identically zero")
     md = dyadic_maximal(w).values
     me = m_entropy(w, eps).values
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -533,7 +533,6 @@ class CubeClassRecord:
     r: int | None
     k: int | None
     generation: int | None
-    eq1_ok: bool | None
     discard_reason: str | None
 
 
@@ -550,24 +549,15 @@ class BandRecord:
     regime: str  # "coarse" or "far"
     cube_count: int
     band_sum: float  # sum over the class of |Q| <f>_Q <w 1_G'>_Q
-    eq_disjoint_ok: bool  # sum of |E_Q| = the roots' cells: true by construction
     coarse_constant: float | None = None
     coarse_ok: bool | None = None
-    qt_empty: bool | None = None
-    qt_measure_ok: bool | None = None
-    qt_weight_constant: float | None = None
-    qt_weight_ok: bool | None = None
     disjoint_constant: float | None = None
     disjoint_ok: bool | None = None
 
     @property
     def ok(self) -> bool:
-        """eq_disjoint_ok holds and no check of the regime failed (None
-        marks a check of the other regime)."""
-        return self.eq_disjoint_ok and all(
-            flag is not False
-            for flag in (self.coarse_ok, self.qt_measure_ok, self.qt_weight_ok, self.disjoint_ok)
-        )
+        """The check of the band's regime passed."""
+        return self.coarse_ok if self.regime == "coarse" else self.disjoint_ok
 
 
 @dataclass
@@ -585,8 +575,6 @@ class ProofReplayReport:
     band_records: list = field(default_factory=list)
     constant_bound: float = CONSTANT_BOUND
     vacuous: bool = False
-    # every member above the threshold meets G' in a null set
-    above_null_ok: bool = True
 
     @cached_property
     def cube_records(self) -> list:
@@ -595,20 +583,12 @@ class ProofReplayReport:
 
     @property
     def all_ok(self) -> bool:
-        # eq1_ok is None on a discarded record, so only a classified one can fail
-        eq1_ok = self.cube_columns[_CUBE_KEYS.index("eq1_ok")]
-        return (
-            self.fs_ok
-            and self.doubling_ok
-            and self.above_null_ok
-            and False not in eq1_ok
-            and all(band.ok for band in self.band_records)
-        )
+        return self.fs_ok and self.doubling_ok and all(band.ok for band in self.band_records)
 
     def max_measured_constant(self) -> float:
         worst = 0.0
         for band in self.band_records:
-            for value in (band.coarse_constant, band.qt_weight_constant, band.disjoint_constant):
+            for value in (band.coarse_constant, band.disjoint_constant):
                 if value is not None and value > worst:
                     worst = value
         return worst
@@ -624,7 +604,6 @@ class ProofReplayReport:
             "fs_ok": self.fs_ok,
             "doubling_ok": self.doubling_ok,
             "vacuous": self.vacuous,
-            "above_null_ok": self.above_null_ok,
             "constant_bound": self.constant_bound,
             "all_ok": self.all_ok,
             "max_measured_constant": self.max_measured_constant(),
@@ -653,12 +632,11 @@ def _level_class(avg_f: np.ndarray, w_g: float) -> np.ndarray:
     return np.where(x > 0.0, -_ceil_log2(x) // 2, 1100)
 
 
-def _rho_bin(rho_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry, the r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}] and the
-    flag that it lies there: r = max(0, ceil(log2 shifted_log2(rho)) - 1),
-    which misses the band only when shifted_log2(rho) <= 1."""
-    val = shifted_log2(rho_value)
-    return np.maximum(_ceil_log2(val) - 1, 0), val > 1.0
+def _rho_bin(rho_value: np.ndarray) -> np.ndarray:
+    """Per entry, the r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}]:
+    r = max(0, ceil(log2 shifted_log2(rho)) - 1), which misses the band only
+    when shifted_log2(rho) <= 1, that is rho <= 0."""
+    return np.maximum(_ceil_log2(shifted_log2(rho_value)) - 1, 0)
 
 
 def _runs(values: np.ndarray) -> list:
@@ -719,8 +697,22 @@ def proof_replay(
     and the doubling w(G) <= 2 w(G'); split S into eight strongly sparse
     parts; within each part bin members by rho and by the dyadic size of
     <f>_Q; peel generations, build the disjoint E_Q sets, and verify the
-    coarse bound (k <= 10 * 2^r) or the far-regime Q_t and disjointness
-    bounds (k > 10 * 2^r) with measured constants against CONSTANT_BOUND.
+    coarse bound (k <= 10 * 2^r) or the far-regime disjointness bound
+    (k > 10 * 2^r) with measured constants against CONSTANT_BOUND. These
+    four checks, fs_ok, doubling_ok, coarse_ok and disjoint_ok, can fail,
+    and all_ok is their conjunction.
+
+    The other steps hold by construction, so they are not recorded (the
+    tests assert each one):
+    - a member above the threshold meets G' in a null set: H is painted
+      from the same averages, so the member lies inside H;
+    - every classified member lands in its rho-bin, shifted_log2(rho) > 1:
+      rho >= 1 (a vacuous rho is read as 1), so shifted_log2(rho) >= log2 3;
+    - the |E_Q| of a band add up to the cells of its roots: each |E_Q| is
+      |Q| less the cells of Q's band children, so the sum telescopes for
+      any nested family;
+    - the far regime's set Q_t needs t = 2^k >= 2^11 more generations, and
+      no grid has that many levels, so Q_t is empty and its bounds hold.
 
     S is one member table in (level, index) order, classified at once. A
     member's band parent is its nearest S-ancestor in the same (part, r, k)
@@ -773,7 +765,6 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
     level, index = _member_coords(s)
     offset = (1 << level) - 1 + index
     levels = _runs(level)
-    size = 1 << (n - level)
     painted = np.concatenate(_positions(s))
     s_parent = np.where(offset > 0, painted[(offset - 1) >> 1], -1)
     part = _down(s_parent, np.ones_like(level), np.add, -1, levels) % 8
@@ -781,13 +772,12 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
     wgp = _at_members(s, level_sums(wgp_cells)) * cell_width
     rho_m = _at_members(s, table.values)
 
-    # A member above the threshold qualifies for H, so it is covered by H
-    # and meets G' in a null set.
+    # A member above the threshold qualifies for H, so it lies inside H.
     above = avg > threshold * (1.0 + 1e-12)
     zero = avg == 0.0
     classified = ~above & ~zero
     k = _level_class(avg, w_g)
-    r, eq1_ok = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
+    r = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
 
     # A member's bin parent is its nearest S-ancestor in the same part and
     # rho-bin, its band parent the nearest of those in the same level class.
@@ -796,9 +786,6 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
     bin_parent = _nearest_same(s_parent, bin_key, todo)
     band_parent = _nearest_same(bin_parent, k, todo)
     generation = _down(band_parent, np.ones_like(k), np.add, -1, levels)
-    # |E_Q| = |Q| minus the cells of its band children.
-    child = band_parent >= 0
-    eq_cells = size - np.bincount(band_parent[child], size[child], level.size).astype(np.int64)
     # M^S w of the rho-bin at a member: the max of <w> over the member and
     # its bin ancestors.
     w_avg = _at_members(s, level_averages(np.abs(w.values)))
@@ -815,19 +802,9 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
         for lo, hi in _runs(k[in_bin]):
             band = in_bin[lo:hi]
             rb, kb, count = int(r[band[0]]), int(k[band[0]]), hi - lo
-            # The |E_Q| add up to the cells of the band's roots. Each |E_Q|
-            # is |Q| less the cells of Q's band children, so the sum
-            # telescopes for any nested family: the flag holds by
-            # construction and records that identity, not a disjointness test.
-            eq_disjoint_ok = int(eq_cells[band].sum()) == int(
-                size[band][band_parent[band] < 0].sum()
-            )
             # sum over the class of |Q| <f>_Q <w 1_G'>_Q, added in order
             band_sum = float(np.cumsum(avg[band] * wgp[band])[-1])
-            shared = dict(
-                part=int(part[band[0]]), r=rb, k=kb, cube_count=count,
-                band_sum=band_sum, eq_disjoint_ok=eq_disjoint_ok,
-            )
+            shared = dict(part=int(part[band[0]]), r=rb, k=kb, cube_count=count, band_sum=band_sum)
 
             if kb <= 10 * (1 << rb):
                 constant = 0.0 if band_sum == 0.0 else band_sum / rhs if rhs else math.inf
@@ -836,29 +813,24 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
                     coarse_ok=constant <= CONSTANT_BOUND * (1.0 + REL_TOL),
                 ))
             else:
-                # Q_t needs t = 2^k >= 2^11 more generations, and no grid
-                # has that many levels: Q_t is empty and its checks hold
-                # vacuously. Disjointness sums <f>_Q w(E_Q' ∩ G') over
-                # members Q and class members Q' inside Q; per Q' that is
-                # w(E_Q' ∩ G') times <f> summed over Q' and its class
-                # ancestors, added root first.
+                # Disjointness sums <f>_Q w(E_Q' ∩ G') over members Q and
+                # class members Q' inside Q; per Q' that is w(E_Q' ∩ G')
+                # times <f> summed over Q' and its class ancestors, added
+                # root first.
                 owner = _cells(n, level[band], index[band], np.arange(1, count + 1))
                 eq_w = np.bincount(owner, weights=wgp_cells, minlength=count + 1)
                 chain = _down(band_parent, avg, np.add, 0.0, levels)[band]
                 disjoint_sum = float(np.dot(chain, eq_w[1:] * cell_width))
                 disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
                 band_records.append(BandRecord(
-                    regime="far", **shared, qt_empty=True, qt_measure_ok=True,
-                    qt_weight_constant=0.0,
-                    qt_weight_ok=0.0 <= CONSTANT_BOUND * (1.0 + REL_TOL),
-                    disjoint_constant=disjoint_sum * (2.0 ** kb),
+                    regime="far", **shared, disjoint_constant=disjoint_sum * (2.0 ** kb),
                     disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
                 ))
 
     reason = np.full(level.size, None)
     reason[zero] = "zero-average"
     reason[above] = "above-threshold"
-    kept = [np.where(classified, col, None) for col in (r, k, generation, eq1_ok)]
+    kept = [np.where(classified, col, None) for col in (r, k, generation)]
     by_part = np.argsort(part, kind="stable")
     return ProofReplayReport(
         resolution=n, normalization=denom, w_g=w_g, w_h=w_h, w_gprime=w_gprime,
@@ -869,5 +841,4 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
             tuple(col[by_part].tolist()) for col in (level, index, part, *kept, reason)
         ),
         band_records=band_records,
-        above_null_ok=not wgp[above].any(),
     )

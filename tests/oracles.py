@@ -723,16 +723,15 @@ def level_class(avg_f, w_g):
 
 
 def rho_bin(rho_value):
-    """The r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}], by unit steps;
-    returns (r, shifted_log2(rho), band check flag)."""
+    """The r >= 0 with shifted_log2(rho) in (2^r, 2^{r+1}], by unit steps
+    (r = 0 also when shifted_log2(rho) <= 1)."""
     from entbump.bumps import shifted_log2
 
     val = shifted_log2(rho_value)
     r = 0
     while val > 2.0 ** (r + 1):
         r += 1
-    ok = (2.0 ** r) < val <= 2.0 ** (r + 1)
-    return r, val, ok
+    return r
 
 
 def loop_proof_replay(s, f, w, g_set, eps):
@@ -757,7 +756,6 @@ def loop_proof_replay(s, f, w, g_set, eps):
         SparseCollection,
         _ancestor_counts,
         _at_members,
-        _eq_cells,
         _positions,
         split_eight,
     )
@@ -801,23 +799,20 @@ def loop_proof_replay(s, f, w, g_set, eps):
         for cube in part:
             avg_f = float(favg[cube.level][cube.index])
             if avg_f > threshold * (1.0 + 1e-12):
-                report.above_null_ok &= w_gprime_on(cube) == 0.0
                 records.append(CubeClassRecord(
-                    cube.level, cube.index, part_idx, None, None, None, None,
-                    "above-threshold"))
+                    cube.level, cube.index, part_idx, None, None, None, "above-threshold"))
                 continue
             if avg_f == 0.0:
                 records.append(CubeClassRecord(
-                    cube.level, cube.index, part_idx, None, None, None, None,
-                    "zero-average"))
+                    cube.level, cube.index, part_idx, None, None, None, "zero-average"))
                 continue
             k = level_class(avg_f, w_g)
             rho_q = float(table.values[cube.level][cube.index])
-            r, _, eq1_ok = rho_bin(effective_rho(rho_q))
+            r = rho_bin(effective_rho(rho_q))
             groups.setdefault((r, k), []).append(cube)
             bin_members.setdefault(r, []).append(cube)
             records.append(
-                CubeClassRecord(cube.level, cube.index, part_idx, r, k, None, eq1_ok, None))
+                CubeClassRecord(cube.level, cube.index, part_idx, r, k, None, None))
         rec_lookup = {
             (rec.level, rec.index): i
             for i, rec in enumerate(records[first_rec:], start=first_rec)
@@ -838,9 +833,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
                 j = rec_lookup[(cube.level, cube.index)]
                 old = records[j]
                 records[j] = CubeClassRecord(
-                    old.level, old.index, old.part, old.r, old.k, gens[i], old.eq1_ok, None)
-            eq_disjoint_ok = int(_at_members(sub, _eq_cells(sub)).sum()) == int(
-                np.count_nonzero(depth[n] + sub.members[n]))
+                    old.level, old.index, old.part, old.r, old.k, gens[i], None)
             band_sum = sum(float(favg[c.level][c.index]) * w_gprime_on(c) for c in members)
             if k <= 10 * (1 << r):
                 rhs = coarse_rhs[r]
@@ -852,8 +845,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
                     constant = band_sum / rhs
                 report.band_records.append(BandRecord(
                     part=part_idx, r=r, k=k, regime="coarse",
-                    cube_count=len(members), band_sum=band_sum,
-                    eq_disjoint_ok=eq_disjoint_ok, coarse_constant=constant,
+                    cube_count=len(members), band_sum=band_sum, coarse_constant=constant,
                     coarse_ok=constant <= constant_bound * (1.0 + rel_tol)))
             else:
                 owner = _positions(sub)[-1]
@@ -872,9 +864,6 @@ def loop_proof_replay(s, f, w, g_set, eps):
                 report.band_records.append(BandRecord(
                     part=part_idx, r=r, k=k, regime="far",
                     cube_count=len(members), band_sum=band_sum,
-                    eq_disjoint_ok=eq_disjoint_ok, qt_empty=True, qt_measure_ok=True,
-                    qt_weight_constant=0.0,
-                    qt_weight_ok=0.0 <= constant_bound * (1.0 + rel_tol),
                     disjoint_constant=disjoint_sum * (2.0 ** k),
                     disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit)))
     return dataclasses.replace(report, cube_columns=cube_columns(records))
@@ -882,8 +871,8 @@ def loop_proof_replay(s, f, w, g_set, eps):
 
 def cube_columns(records):
     """CubeClassRecords as the report's cube columns: one tuple per field of
-    CubeClassRecord, in record order (its eight fields empty for no record)."""
-    return tuple(zip(*(dataclasses.astuple(rec) for rec in records))) or ((),) * 8
+    CubeClassRecord, in record order (its seven fields empty for no record)."""
+    return tuple(zip(*(dataclasses.astuple(rec) for rec in records))) or ((),) * 7
 
 
 def level_proof_replay(s, f, w, g_set, eps):
@@ -912,7 +901,6 @@ def level_proof_replay(s, f, w, g_set, eps):
         SparseCollection,
         _ancestor_counts,
         _at_members,
-        _eq_cells,
         _level_class,
         _member_coords,
         _positions,
@@ -969,11 +957,10 @@ def level_proof_replay(s, f, w, g_set, eps):
         wgp = _at_members(part, wgp_sums) * cell_width
         rho_m = _at_members(part, table.values)
         above = avg > threshold * (1.0 + 1e-12)
-        report.above_null_ok &= not wgp[above].any()
         zero = avg == 0.0
         classified = ~above & ~zero
         k = _level_class(avg, w_g)
-        r, eq1_ok = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
+        r = _rho_bin(np.where(np.isnan(rho_m), 1.0, rho_m))
         generation = np.zeros_like(r)
 
         for rb in distinct(r[classified]):
@@ -983,17 +970,10 @@ def level_proof_replay(s, f, w, g_set, eps):
             for kb in distinct(k[in_bin]):
                 in_band = in_bin & (k == kb)
                 band = select(part, in_band)
-                depth = _ancestor_counts(band)
-                generation[in_band] = _at_members(band, depth)
-                eq_disjoint_ok = int(_at_members(band, _eq_cells(band)).sum()) == int(
-                    np.count_nonzero(depth[n] + band.members[n])
-                )
+                generation[in_band] = _at_members(band, _ancestor_counts(band))
                 band_sum = float(np.cumsum(avg[in_band] * wgp[in_band])[-1])
                 count = int(np.count_nonzero(in_band))
-                shared = dict(
-                    part=part_idx, r=rb, k=kb, cube_count=count,
-                    band_sum=band_sum, eq_disjoint_ok=eq_disjoint_ok,
-                )
+                shared = dict(part=part_idx, r=rb, k=kb, cube_count=count, band_sum=band_sum)
                 if kb <= 10 * (1 << rb):
                     if band_sum == 0.0:
                         constant = 0.0
@@ -1013,10 +993,7 @@ def level_proof_replay(s, f, w, g_set, eps):
                     )
                     disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
                     report.band_records.append(BandRecord(
-                        regime="far", **shared, qt_empty=True, qt_measure_ok=True,
-                        qt_weight_constant=0.0,
-                        qt_weight_ok=0.0 <= CONSTANT_BOUND * (1.0 + REL_TOL),
-                        disjoint_constant=disjoint_sum * (2.0 ** kb),
+                        regime="far", **shared, disjoint_constant=disjoint_sum * (2.0 ** kb),
                         disjoint_ok=(disjoint_sum == 0.0) or (disjoint_sum <= disjoint_limit),
                     ))
 
@@ -1025,12 +1002,12 @@ def level_proof_replay(s, f, w, g_set, eps):
         reason[above] = "above-threshold"
         levels, index = _member_coords(part)
         records += [
-            CubeClassRecord(lv, ix, part_idx, None, None, None, None, why)
+            CubeClassRecord(lv, ix, part_idx, None, None, None, why)
             if why
-            else CubeClassRecord(lv, ix, part_idx, rr, kk, gen, ok, None)
-            for lv, ix, rr, kk, gen, ok, why in zip(
+            else CubeClassRecord(lv, ix, part_idx, rr, kk, gen, None)
+            for lv, ix, rr, kk, gen, why in zip(
                 levels.tolist(), index.tolist(), r.tolist(), k.tolist(),
-                generation.tolist(), eq1_ok.tolist(), reason.tolist(),
+                generation.tolist(), reason.tolist(),
             )
         ]
     return dataclasses.replace(report, cube_columns=cube_columns(records))

@@ -25,7 +25,13 @@ from entbump import (
     rho,
     shifted_log2,
 )
-from entbump.bumps import _entropy_levels, _level_orlicz, _tower_log
+from entbump.bumps import (
+    _EPS_CATALOG,
+    _PHI_CATALOG,
+    _entropy_levels,
+    _level_orlicz,
+    _tower_log,
+)
 from entbump.grid import average, level_averages, paint_down
 
 from oracles import (
@@ -62,6 +68,19 @@ class TestShiftedLog2:
     def test_at_least_one_and_increasing(self, t):
         assert shifted_log2(t) >= 1.0
         assert shifted_log2(t + 1.0) > shifted_log2(t) - 1e-12
+
+
+# Every catalog row, with the edge exponents 0 and 1 where a factor drops
+# out or skips np.power, and logprod factors at every depth.
+CATALOG_EPS = ("constant:1", "constant:2.5", "log_pow:0", "log_pow:1", "log_pow:2",
+               "log_pow:2.5", "loglog:0", "loglog:0.5")
+CATALOG_PHIS = ("power:1", "power:0.5", "power:0.01", "power:2", "llog:0", "llog:0.5",
+                "dlr:0", "dlr:0.25", "logprod:e1=0", "logprod:e1=1,e2=0.5",
+                "logprod:e2=1,e3=1,e4=1.5", "logprod:e1=2,e2=1,e4=0.5",
+                "logprod:e1=1,e2=1,e3=1,e4=1", "logprod:e3=3")
+PHI_POINTS = np.array([0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0, 2.0, 37.0, 1e6, 1e150,
+                       1e300, 1.7976931348623157e308, math.inf])
+EPS_POINTS = np.array([1.0 - 1e-12, 1.0, 1.5, 3.0, 37.0, 1e6, 1e150, 1e300, math.inf])
 
 
 class TestEpsilonSpec:
@@ -103,12 +122,14 @@ class TestEpsilonSpec:
         l3 = shifted_log2(l2)
         assert EpsilonSpec.loglog(0.5)(t) == pytest.approx(l2 * l3**1.5, rel=1e-13)
 
+    # Parsing checks only the catalog's bounds; that they make every row
+    # nondecreasing and >= 1 is checked here, and for Phi in test_increasing.
     @given(
-        st.sampled_from(["constant:2", "log_pow:1", "log_pow:2.5", "loglog:0.3"]),
-        st.floats(min_value=1.0, max_value=1e12),
-        st.floats(min_value=0.0, max_value=10.0),
+        st.sampled_from(CATALOG_EPS),
+        st.floats(min_value=1.0, max_value=1e300),
+        st.floats(min_value=0.0, max_value=1e300),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_at_least_one_and_nondecreasing(self, text, t, bump):
         eps = EpsilonSpec.parse(text)
         assert eps(t) >= 1.0 - 1e-12
@@ -179,33 +200,24 @@ class TestOrliczSpec:
         )
 
     @given(
-        st.sampled_from(["power:2", "llog:0.5", "dlr:0.25", "logprod:e1=1,e2=0.5"]),
+        st.sampled_from(CATALOG_PHIS),
         st.floats(min_value=0.0, max_value=1e6),
         st.floats(min_value=0.001, max_value=100.0),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_increasing(self, text, t, bump):
         phi = OrliczSpec.parse(text)
         assert phi(t + bump) > phi(t)
-
-
-# Every catalog row, with the edge exponents 0 and 1 where a factor drops
-# out or skips np.power, and logprod factors at every depth.
-CATALOG_EPS = ("constant:1", "constant:2.5", "log_pow:0", "log_pow:1", "log_pow:2",
-               "log_pow:2.5", "loglog:0", "loglog:0.5")
-CATALOG_PHIS = ("power:1", "power:0.5", "power:2", "llog:0", "llog:0.5", "dlr:0",
-                "dlr:0.25", "logprod:e1=0", "logprod:e1=1,e2=0.5",
-                "logprod:e2=1,e3=1,e4=1.5", "logprod:e1=2,e2=1,e4=0.5",
-                "logprod:e1=1,e2=1,e3=1,e4=1", "logprod:e3=3")
-PHI_POINTS = np.array([0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0, 2.0, 37.0, 1e6, 1e150,
-                       1e300, 1.7976931348623157e308, math.inf])
-EPS_POINTS = np.array([1.0 - 1e-12, 1.0, 1.5, 3.0, 37.0, 1e6, 1e150, 1e300, math.inf])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 class TestCatalogBits:
     """Every row of the bump catalog, bit for bit against the per-name
     formulas of temp_eps and temp_phi."""
+
+    def test_every_row_is_listed(self):
+        assert {text.partition(":")[0] for text in CATALOG_EPS} == set(_EPS_CATALOG)
+        assert {text.partition(":")[0] for text in CATALOG_PHIS} == set(_PHI_CATALOG)
 
     @pytest.mark.parametrize("text", CATALOG_PHIS)
     def test_phi(self, text):

@@ -66,6 +66,20 @@ def test_rho_with_weight_file(tmp_path, capsys):
     assert "cubes = 15" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["rho", "compare"])
+@pytest.mark.filterwarnings("error")
+def test_zero_weight_file_is_rejected(command, tmp_path, capsys):
+    wpath = tmp_path / "zero.txt"
+    save_grid_function(GridFunction(3, np.zeros(8)), wpath)
+    out = tmp_path / "out.json"
+    assert run([command, "--weight", str(wpath), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "zero" in captured.err
+    # the config line only: no result line, and no report file
+    assert [line for line in captured.out.splitlines() if not line.startswith("config:")] == []
+    assert not out.exists()
+
+
 def test_rho_missing_weight_file(tmp_path, capsys):
     assert run(["rho", "--weight", str(tmp_path / "missing.txt")]) == 2
     assert "no such weight file" in capsys.readouterr().err

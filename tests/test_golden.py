@@ -45,12 +45,12 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "4026bd2b62358940008968c0185cde2ba8d94a771aa14ac78a7346a6651d19e7",
-    "main": "bc300ce250692059f39b4c138d6f2006b13f78a748742ab76a2e5bbefd7b1c9b",
-    "corollary": "684dd27eac73b9320386b865503d012e6e971eb337a081137ed8c3b2181ad37a",
-    "ainf": "c467f63c987245b8cf81d737c9b63b837edc1f19e0930e477152b49b18c618cd",
-    "domination": "f6d6ed138bebb810b07657b813990335f70b37f4a36ecfa41d7c6fd17beb2ba2",
-    "replay": "6f5ae67dba4f407aa212dc5cbe7772f6888168eb69f765cb25528a3c30c4be7b",
+    "fs": "2ca2e8c8560f9ed9275d67f991c39c55ade3fc3c12ee572380574600d8742830",
+    "main": "bf9ebacae46f7c5a38ccbe8b60114f77c2807339badb7d3f84b7bafdf2948c1d",
+    "corollary": "7761dfaa459ac6dc16bd0824637b69ce801be5e5fc0a265e76151377f657cf5f",
+    "ainf": "10bf5a16c3b866a460a26d53867e9999b5552e3e40a02abc1d8207deaf25995d",
+    "domination": "e0143453af7a9e714920bf58f5568427a77212da579d87fb20df86608ef589b8",
+    "replay": "bafae8a6524435768656fa3101095aa566123f4194fae4267c88ba3be0a7373f",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
     "maximal": "40e2f03ab8596f6ba44dc1d64037d4c401bfb2c8061d15703634f5b8134b908b",
@@ -84,7 +84,7 @@ CLI_FILE_DIGESTS = {
 
 REPLAY_DEMO_DIGESTS = {
     "stdout": "00bdc9345699670de34b5d5675883fb4f4426b09c9846d4d109bc07aa4a2a838",
-    "replay_demo.json": "37568ae1d511269c23c19d042fd352276583a58ad6f7e38b7a739314ba032c3d",
+    "replay_demo.json": "06e25527e5095eeec545af9ae0dd058b1cc6f22ca961cb2dfb192de32c873f19",
 }
 
 

@@ -249,6 +249,13 @@ class TestCellSet:
         assert CellSet.empty(2).is_empty()
         assert CellSet.from_cube(2, DyadicCube(1, 1)).cell_count() == 2
         assert CellSet.from_indices(2, [0, 3]).measure() == 0.5
+        assert CellSet.from_indices(2, []).is_empty()
+
+    @pytest.mark.parametrize("indices", [[-1], [4], [0, 5], [-4]])
+    def test_from_indices_out_of_range(self, indices):
+        # a negative index would wrap around to a cell from the end
+        with pytest.raises(ValueError, match="out of range"):
+            CellSet.from_indices(2, indices)
 
     @given(st.integers(0, 6), st.data())
     @settings(max_examples=30, deadline=None)
