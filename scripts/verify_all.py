@@ -8,7 +8,9 @@ trials, and at the n = 18 resolution cap `sparse-split`,
 `maximal` without and with `--phi llog:0.5` and `--phi
 logprod:e2=1,e3=1,e4=1.5` (the max paints, and the Orlicz level solve
 with every cube certified, for the llog bump and for the iterated-log
-bump of the abstract's order claim), and `domination`,
+bump of the abstract's order claim), `maximal` with that iterated-log
+bump at n = 12 (where the Orlicz solve groups its levels four at a
+time), and `domination`,
 `verify-main` and `replay` with 5 trials each (the stopping tree, Haar and
 sparse sweeps, the weak-type quotient with its entropy majorant and
 weak-L1 sort, and the decomposition replay on per-level arrays). Exit
@@ -45,6 +47,7 @@ def main() -> int:
         ["maximal", "--n", "18", "--seed", seed],
         ["maximal", "--n", "18", "--seed", seed, "--phi", "llog:0.5"],
         ["maximal", "--n", "18", "--seed", seed, "--phi", "logprod:e2=1,e3=1,e4=1.5"],
+        ["maximal", "--n", "12", "--seed", seed, "--phi", "logprod:e2=1,e3=1,e4=1.5"],
         ["domination", "--n", "18", "--trials", "5", "--seed", seed],
         ["verify-main", "--n", "18", "--trials", "5", "--seed", seed],
         ["replay", "--n", "18", "--trials", "5", "--seed", seed],

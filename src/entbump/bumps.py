@@ -36,7 +36,6 @@ from .grid import (
     GridFunction,
     level_averages,
     paint_down,
-    reduce_up,
     require_weight,
     split_levels,
 )
@@ -338,15 +337,56 @@ def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None)
 
 _WIDTH = 4e-16  # machine bracket width: a row is solved once hi - lo <= _WIDTH * hi
 _SLACK = 1e-9  # relative float slack of the Phi-mean monotonicity checks
+# Most cells one group of levels hands a Phi call (m_orlicz): up to n = 10
+# all levels share one group, a group holds 8 levels at n = 11, 4 at n = 12
+# and 2 at n = 13, and from n = 14 on every group is one level.
+_GROUP_CELLS = 16384
 
 
-def _phi_means(phi, blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """<Phi(w/lam)>_Q of every row of ``blocks``, each at its own lam (the
-    bits of np.mean, without its per-call overhead)."""
-    return np.add.reduce(phi(blocks / lam[:, None]), axis=1) / blocks.shape[1]
+def _rows(parts: list, keep: np.ndarray) -> list:
+    """The rows of the row set ``parts`` where the boolean ``keep``, one
+    entry per row in part order, is true; parts left empty are dropped.
+    (``compress`` copies narrow rows several times faster than a boolean
+    or integer index.)"""
+    out, start = [], 0
+    for blocks in parts:
+        sub = blocks.compress(keep[start : start + len(blocks)], axis=0)
+        start += len(blocks)
+        if len(sub):
+            out.append(sub)
+    return out
 
 
-def _search(blocks: np.ndarray, lam0: np.ndarray, phi) -> tuple:
+def _phi_means(phi, parts: list, lam: np.ndarray) -> np.ndarray:
+    """<Phi(w/lam)>_Q of every row of the row set ``parts``, each at its own
+    lam. A row set is a list of 2D blocks, one row per cube and one width
+    per block; its rows are numbered block by block.
+
+    All quotients go through one Phi call, as one (rows, width) array when
+    every block has the same width and flat otherwise. Each block's rows are
+    then summed in its own (rows, width) layout, so a row gets the bits
+    np.mean would give it alone.
+    """
+    flat = np.empty(sum(blocks.size for blocks in parts))
+    start = row = 0
+    for blocks in parts:
+        rows = slice(row, row + len(blocks))
+        np.divide(blocks, lam[rows, None], out=flat[start : start + blocks.size].reshape(blocks.shape))
+        start, row = start + blocks.size, rows.stop
+    width = parts[0].shape[1]
+    same = all(blocks.shape[1] == width for blocks in parts)
+    vals = phi(flat.reshape(-1, width) if same else flat).reshape(-1)
+    means = np.empty(lam.size)
+    start = row = 0
+    for blocks in parts:
+        rows = slice(row, row + len(blocks))
+        np.add.reduce(vals[start : start + blocks.size].reshape(blocks.shape), axis=1, out=means[rows])
+        means[rows] /= blocks.shape[1]
+        start, row = start + blocks.size, rows.stop
+    return means
+
+
+def _search(parts: list, lam0: np.ndarray, phi) -> tuple:
     """Geometric bracket (lo, hi, Phi-mean at lo, Phi-mean at hi) of every
     row's unit Phi-mean, grown from lam0 = <w>_Q.
 
@@ -354,33 +394,35 @@ def _search(blocks: np.ndarray, lam0: np.ndarray, phi) -> tuple:
     60 steps each way; lam0 stays the other end. A Phi-mean that moves the
     wrong way by more than the float slack raises InvalidSpecError.
     """
-    m0 = _phi_means(phi, blocks, lam0)
+    m0 = _phi_means(phi, parts, lam0)
     up = m0 > 1.0
     probe, m_probe = lam0.copy(), m0.copy()
-    rows = np.arange(lam0.size)
+    live = np.ones(lam0.size, dtype=bool)
     for _ in range(60):
+        rows = np.flatnonzero(live)
         rising = up[rows]
         probe[rows] *= np.where(rising, 2.0, 0.5)
-        m = _phi_means(phi, blocks[rows], probe[rows])
+        m = _phi_means(phi, _rows(parts, live), probe[rows])
         prev = m_probe[rows]
         if np.any(np.where(rising, m > prev * (1.0 + _SLACK),
                            (m < prev * (1.0 - _SLACK)) & (m < 1.0))):
             raise InvalidSpecError("Phi-mean is not decreasing in lambda")
         m_probe[rows] = m
-        rows = rows[~np.where(rising, m <= 1.0, m >= 1.0)]
-        if rows.size == 0:
+        live[rows[np.where(rising, m <= 1.0, m >= 1.0)]] = False
+        if not live.any():
             break
     else:
-        side = "above" if up[rows[0]] else "below"
+        side = "above" if up[live][0] else "below"
         raise BracketingError(f"could not bracket the unit Phi-mean from {side}")
     return (np.where(up, lam0, probe), np.where(up, probe, lam0),
             np.where(up, m0, m_probe), np.where(up, m_probe, m0))
 
 
-def _illinois(blocks: np.ndarray, phi, lo, hi, m_lo, m_hi) -> tuple:
+def _illinois(parts: list, phi, lo, hi, m_lo, m_hi) -> tuple:
     """Close every row's bracket, Phi-mean m_lo > 1 at lo and m_hi <= 1 at
     hi, to machine width; returns the final hi ends and their Phi-means.
-    ``lo``, ``hi`` and ``m_hi`` are updated in place.
+    ``parts`` is a row set (``_phi_means``); ``lo``, ``hi`` and ``m_hi`` are
+    updated in place.
 
     Each step is the secant of log Phi-mean against log lambda, which is
     exact for ``power:r`` and nearly so for the log bumps: with g = log m,
@@ -407,7 +449,7 @@ def _illinois(blocks: np.ndarray, phi, lo, hi, m_lo, m_hi) -> tuple:
             keep = ~done
             rows, lo, hi, width, g_lo, g_hi, m_hi, lo_last, hi_last = (
                 a[keep] for a in (rows, lo, hi, width, g_lo, g_hi, m_hi, lo_last, hi_last))
-            blocks = blocks[keep]
+            parts = _rows(parts, keep)
         if rows.size == 0:
             break
         span = g_lo - g_hi
@@ -419,7 +461,7 @@ def _illinois(blocks: np.ndarray, phi, lo, hi, m_lo, m_hi) -> tuple:
             x[bad] = np.where(b > 2.0 * a, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
         pad = 0.5 * _WIDTH * hi  # 2e-16 hi; an open row has room for both pads
         x = np.minimum(np.maximum(x, lo + pad), hi - pad)
-        m = _phi_means(phi, blocks, x)
+        m = _phi_means(phi, parts, x)
         g = np.log(m)
         above = m > 1.0
         below = ~above
@@ -435,10 +477,10 @@ def _illinois(blocks: np.ndarray, phi, lo, hi, m_lo, m_hi) -> tuple:
     return out, m_out
 
 
-def _solve(blocks: np.ndarray, lam0: np.ndarray, phi) -> tuple:
+def _solve(parts: list, lam0: np.ndarray, phi) -> tuple:
     """Geometric search from lam0 = <w>_Q, then the Illinois steps: every
     row's hi end and its Phi-mean."""
-    return _illinois(blocks, phi, *_search(blocks, lam0, phi))
+    return _illinois(parts, phi, *_search(parts, lam0, phi))
 
 
 def _unit_norm(phi) -> float:
@@ -448,67 +490,69 @@ def _unit_norm(phi) -> float:
     u = getattr(phi, "_unit", None) if isinstance(phi, OrliczSpec) else None
     if u is None:
         one = np.ones((1, 1))
-        u = float(_solve(one, one[0], phi)[0][0])
+        u = float(_solve([one], one[0], phi)[0][0])
         if isinstance(phi, OrliczSpec):
             object.__setattr__(phi, "_unit", u)
     return u
 
 
-def _level_orlicz(blocks: np.ndarray, phi, tol: float, lo=None, hi=None) -> np.ndarray:
+def _level_orlicz(blocks, phi, tol: float, lo=None, hi=None) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
-    ``blocks``, one row per cube of a level.
+    ``blocks``: one 2D array, one row per cube of a level, or a row set
+    (``_phi_means``) of several levels, whose rows share every Phi call.
 
     Zero-mean rows give 0. One-cell rows with no bracket (the finest level,
     a one-cell ``orlicz_norm``) start from w * u, u the unit norm
     (``_unit_norm``), and cost one Phi call in all, for their certificates;
     a row where w * u underflows to 0 or fails its certificate is solved
     like a row with no bracket. ``lo`` / ``hi`` bracket each row's norm, as
-    the min / max of its two children's norms do: the Phi-means at both
-    ends come from one Phi call, a bracket already at machine width keeps
-    its hi end, and an open one goes to the Illinois steps if its ends
-    straddle the unit mean. Every other row, and every row when no bracket
-    is given, is bracketed by the geometric search from <w>_Q first. A
-    Phi-mean lower at lo than at hi beyond the float slack raises
-    InvalidSpecError. The result is the hi end, certified by
-    |<Phi(w/lam)>_Q - 1| <= tol.
+    the min / max of the norms of its descendants at any one finer level
+    do: the Phi-means at both ends come from one Phi call, a bracket
+    already at machine width keeps its hi end, and an open one goes to the
+    Illinois steps if its ends straddle the unit mean. Every other row, and
+    every row when no bracket is given, is bracketed by the geometric search
+    from <w>_Q first. A Phi-mean lower at lo than at hi beyond the float
+    slack raises InvalidSpecError; ``lo`` and ``hi`` may be updated in
+    place. The result is the hi end, certified by |<Phi(w/lam)>_Q - 1| <=
+    tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lam0 = np.mean(blocks, axis=1)
-    out = np.zeros(len(blocks))
-    live = np.flatnonzero(lam0 != 0.0)
-    if live.size == 0:
+    parts = [blocks] if isinstance(blocks, np.ndarray) else list(blocks)
+    lam0 = np.concatenate([np.mean(part, axis=1) for part in parts])
+    out = np.zeros(lam0.size)
+    live = lam0 != 0.0
+    if not live.any():
         return out
-    if live.size < lam0.size:
-        blocks, lam0 = blocks[live], lam0[live]
+    if not live.all():
+        parts, lam0 = _rows(parts, live), lam0[live]
+        if lo is not None:
+            lo, hi = lo[live], hi[live]
     # Phi of a huge w / lam may overflow to inf, and the log of a zero or
     # infinite Phi-mean is not finite; a step from either falls back to a
     # midpoint.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if lo is None and blocks.shape[1] == 1:
+        if lo is None and all(part.shape[1] == 1 for part in parts):
             hi = lam0 * _unit_norm(phi)
-            m_hi = _phi_means(phi, blocks, hi)
-            redo = np.flatnonzero((hi == 0.0) | ~(np.abs(m_hi - 1.0) <= tol))
-            if redo.size:
-                hi[redo], m_hi[redo] = _solve(blocks[redo], lam0[redo], phi)
+            m_hi = _phi_means(phi, parts, hi)
+            redo = (hi == 0.0) | ~(np.abs(m_hi - 1.0) <= tol)
+            if redo.any():
+                hi[redo], m_hi[redo] = _solve(_rows(parts, redo), lam0[redo], phi)
         elif lo is None:
-            hi, m_hi = _solve(blocks, lam0, phi)
+            hi, m_hi = _solve(parts, lam0, phi)
         else:
-            lo, hi = lo[live], hi[live]
             is_open = hi - lo > _WIDTH * hi
-            ends = np.flatnonzero(is_open & (lo > 0.0))
-            m = _phi_means(phi, np.concatenate((blocks, blocks[ends])),
-                           np.concatenate((hi, lo[ends])))
+            ends = is_open & (lo > 0.0)
+            m = _phi_means(phi, parts + _rows(parts, ends), np.concatenate((hi, lo[ends])))
             m_hi, m_lo = m[:hi.size], np.full(hi.size, math.nan)
             m_lo[ends] = m[hi.size:]
             if np.any(m_lo < m_hi * (1.0 - _SLACK)):
                 raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-            redo = np.flatnonzero(is_open & ~((m_lo > 1.0) & (m_hi <= 1.0)))
-            if redo.size:
-                lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(blocks[redo], lam0[redo], phi)
-            solve = np.flatnonzero(is_open)
-            hi[solve], m_hi[solve] = _illinois(blocks[solve], phi, lo[solve], hi[solve],
-                                               m_lo[solve], m_hi[solve])
+            redo = is_open & ~((m_lo > 1.0) & (m_hi <= 1.0))
+            if redo.any():
+                lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(_rows(parts, redo), lam0[redo], phi)
+            hi[is_open], m_hi[is_open] = _illinois(_rows(parts, is_open), phi, lo[is_open],
+                                                   hi[is_open], m_lo[is_open], m_hi[is_open])
     gap = np.abs(m_hi - 1.0)
     if not np.all(gap <= tol):
         raise BracketingError(
@@ -575,25 +619,41 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
     """Orlicz maximal function: per cell, sup of orlicz_norm over all dyadic
     cubes containing it.
 
-    One ``_level_orlicz`` call per level solves all 2^l cubes of level l at
-    once on the (2^l, 2^(n-l)) view of w, from the finest level up. The
-    finest level is w * u, u the norm of the one cell 1.0 (solved once per
-    OrliczSpec), certified by one Phi call. A parent's Phi-mean is the mean
-    of its children's, each decreasing in lambda, so its norm lies between
-    theirs: level l starts from the pairwise min / max of level l+1's
-    norms and closes them with log-log Illinois steps. Every cube's
-    certificate |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so
-    a level with one uncertified cube raises BracketingError; tol must be
-    positive (ValueError otherwise, NaN included).
+    The finest level is w * u, u the norm of the one cell 1.0 (solved once
+    per OrliczSpec), certified by one Phi call. The levels above it are
+    solved in groups of consecutive levels, from the finest group up; one
+    ``_level_orlicz`` call solves a group's cubes at once on the
+    (2^l, 2^(n-l)) views of w, so they share every Phi call and every
+    Illinois step. A group holds as many levels as keep its Phi call within
+    ``_GROUP_CELLS`` cells, at least one: up to n = 10 that is every level,
+    and from n = 14 on each group is one level. A cube's Phi-mean is the mean of
+    the Phi-means of its descendants at any finer level, each decreasing in
+    lambda, so its norm lies between theirs: every cube of a group starts
+    from the min / max of the norms of its descendants at the level just
+    below the group, folded up pairwise, and is closed by log-log Illinois
+    steps. Every cube's certificate |<Phi(w/lam)>_Q - 1| <= tol is checked
+    inside that call, so a group with one uncertified cube raises
+    BracketingError; tol must be positive (ValueError otherwise, NaN
+    included).
     """
     require_weight(w)
-
-    def parent(left, right):
-        blocks = w.values.reshape(left.size, -1)
-        return _level_orlicz(blocks, phi, tol, np.minimum(left, right), np.maximum(left, right))
-
-    per_level = reduce_up(_level_orlicz(w.values[:, None], phi, tol), parent)
-    return GridFunction(w.resolution, paint_down(per_level, np.maximum)[-1])
+    n = w.resolution
+    norms = [None] * n + [_level_orlicz(w.values[:, None], phi, tol)]
+    span = max(1, _GROUP_CELLS >> n)  # levels per group
+    for below in range(n, 0, -span):
+        top = max(0, below - span)
+        # entry k: min / max of the level-`below` norms under each level
+        # below - k cube
+        lo, hi = [norms[below]], [norms[below]]
+        for _ in range(top, below):
+            lo.append(np.minimum(lo[-1][0::2], lo[-1][1::2]))
+            hi.append(np.maximum(hi[-1][0::2], hi[-1][1::2]))
+        lo, hi = (np.concatenate(side[:0:-1]) for side in (lo, hi))  # coarsest level first
+        got = _level_orlicz([w.values.reshape(1 << level, -1) for level in range(top, below)],
+                            phi, tol, lo, hi)
+        for level in range(top, below):
+            norms[level] = got[(1 << level) - (1 << top) : (2 << level) - (1 << top)]
+    return GridFunction(n, paint_down(norms, np.maximum)[-1])
 
 
 def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:

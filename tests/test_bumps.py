@@ -1,4 +1,7 @@
+import contextlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,15 +19,18 @@ from entbump import (
     OrliczSpec,
     RhoTable,
     SparseCollection,
+    a1_generator,
     dyadic_maximal,
     k_epsilon,
     m_coeff,
     m_entropy,
     m_orlicz,
     orlicz_norm,
+    power_weight,
     rho,
     shifted_log2,
 )
+from entbump import bumps
 from entbump.bumps import (
     _EPS_CATALOG,
     _PHI_CATALOG,
@@ -40,6 +46,7 @@ from oracles import (
     brute_orlicz_norm,
     enumerate_cubes,
     ieee_bits,
+    level_m_orlicz,
     loop_m_coeff,
     mp_k_epsilon,
     mp_m_orlicz,
@@ -589,6 +596,16 @@ def ulps(got, want):
     return float(np.max(np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))))
 
 
+def benchmark_orlicz_weight(n, seed, family):
+    """A weight of the orlicz benchmark workload, drawn as it draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    if family == "random":
+        return GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
+    if family == "a1gen":
+        return a1_generator(GridFunction(n, rng.standard_normal(1 << n)), float(rng.uniform(0.3, 0.95)))
+    return power_weight(float(family.split(":", 1)[1]), n)
+
+
 def orlicz_case(n, seed, zero_block):
     """A lognormal weight with sigma 3, optionally zero on one cube."""
     rng = np.random.default_rng(seed)
@@ -600,6 +617,12 @@ def orlicz_case(n, seed, zero_block):
         a = int(rng.integers(0, 1 << level)) * width
         vals[a : a + width] = 0.0
     return vals, rng
+
+
+def grouped(span, n):
+    """Set m_orlicz's group budget so that a group holds ``span`` levels of
+    an n-level grid."""
+    return mock.patch.object(bumps, "_GROUP_CELLS", span << n)
 
 
 ORLICZ_CASES = (
@@ -621,9 +644,12 @@ class TestOrliczLevelSolver:
         vals, rng = orlicz_case(n, seed, zero_block)
         phi = OrliczSpec.parse(text)
         w = GridFunction(n, vals)
-        got = m_orlicz(w, phi).values
-        assert ulps(got, brute_m_orlicz(vals, n, phi)) <= ORLICZ_ULPS
-        assert ulps(got, mp_m_orlicz(vals, n, phi)) <= ORLICZ_ULPS
+        brute, mp = brute_m_orlicz(vals, n, phi), mp_m_orlicz(vals, n, phi)
+        for span in (1, 2, max(n, 1)):  # levels per group: one, two, all
+            with grouped(span, n):
+                got = m_orlicz(w, phi).values
+            assert ulps(got, brute) <= ORLICZ_ULPS
+            assert ulps(got, mp) <= ORLICZ_ULPS
         level = int(rng.integers(0, n + 1))
         index = int(rng.integers(0, 1 << level))
         one = orlicz_norm(w, DyadicCube(level, index), phi)
@@ -643,28 +669,88 @@ class TestOrliczLevelSolver:
                 slack = ORLICZ_ULPS * np.spacing(max(kids))
                 assert min(kids) - slack <= parent <= max(kids) + slack
 
-    def test_machine_width_bracket_goes_to_the_certificate(self):
-        # equal children give a bracket of width 0: every level above the
-        # finest takes one Phi call, for its certificate, and keeps the
-        # finest level's norm
-        calls = []
+    @given(st.integers(0, 8), st.sampled_from(ORACLE_PHIS), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_one_level_groups_match_the_level_solver_bit_for_bit(self, n, text, seed, zero_block):
+        vals, _ = orlicz_case(n, seed, zero_block)
+        phi = OrliczSpec.parse(text)
+        w = GridFunction(n, vals)
+        with grouped(1, n):
+            got = m_orlicz(w, phi).values
+        assert np.array_equal(ieee_bits(got), ieee_bits(level_m_orlicz(w, phi).values))
+
+    def test_groups_are_one_level_from_n14(self):
+        # no patch: the default budget gives one-level groups here
+        assert bumps._GROUP_CELLS >> 14 <= 1
+        w = GridFunction(14, np.exp(np.random.default_rng(14).normal(0.0, 2.0, 1 << 14)))
         phi = OrliczSpec.llog(0.5)
+        assert np.array_equal(ieee_bits(m_orlicz(w, phi).values),
+                              ieee_bits(level_m_orlicz(w, phi).values))
 
-        def counted(t):
-            calls.append(t.shape)
-            return phi(t)
-
-        w = GridFunction(4, np.full(16, 3.0))
-        got = m_orlicz(w, counted).values
+    def test_machine_width_bracket_goes_to_the_certificate(self):
+        # equal cells give every cube the norm of one cell, and a bracket of
+        # width 0 from its descendants: after the finest level's certificate
+        # each group takes one Phi call, for its cubes' certificates, and
+        # keeps that norm. The default budget puts all 4 levels in one group.
+        phi = OrliczSpec.llog(0.5)
         leaf = orlicz_norm(GridFunction(0, [3.0]), ROOT, phi)
-        assert list(got) == [leaf] * 16
-        assert calls[-4:] == [(1 << level, 16 >> level) for level in (3, 2, 1, 0)]
+        w = GridFunction(4, np.full(16, 3.0))
+        for span in (None, 1, 2):
+            cells = []
+
+            def counted(t):
+                cells.append(t.size)
+                return phi(t)
+
+            with grouped(span, 4) if span else contextlib.nullcontext():
+                got = m_orlicz(w, counted).values
+            assert list(got) == [leaf] * 16
+            span = span or 4
+            # the unit norm's solve (a plain callable keeps no u) makes
+            # only one-cell calls
+            assert [size for size in cells if size > 1] == [16] + [16 * span] * (4 // span)
+
+    def test_phi_call_budget_on_the_orlicz_benchmark_weights(self, monkeypatch):
+        # the orlicz benchmark's n = 6 weights, drawn as its workload draws
+        # them: all six levels above the finest share one group, 9-12 Phi
+        # calls a pyramid; one solve per level took 43-58
+        phi = OrliczSpec.llog(0.5)
+        orlicz_norm(GridFunction(0, [1.0]), ROOT, phi)
+        calls = []
+        call = OrliczSpec.__call__
+
+        def counted(self, t):
+            calls.append(t.size)
+            return call(self, t)
+
+        monkeypatch.setattr(OrliczSpec, "__call__", counted)
+        for seed in range(20):
+            for family in ("random", "a1gen", "power:0.5", "power:0.9"):
+                calls.clear()
+                m_orlicz(benchmark_orlicz_weight(6, seed, family), phi)
+                assert len(calls) <= 14
+
+    def test_peak_memory_at_n16(self):
+        # groups are one level from n = 14 on, so m_orlicz holds no more
+        # than the one-level solver (8.6 MB here; 9.3 MB before groups); a
+        # budget stacking two full-size levels per group peaks 1.6x higher
+        w = GridFunction(16, np.exp(np.random.default_rng(0).normal(0.0, 2.0, 1 << 16)))
+        peaks = []
+        for solve in (level_m_orlicz, m_orlicz):
+            tracemalloc.start()
+            try:
+                solve(w, OrliczSpec.llog(0.5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     @pytest.mark.parametrize("text", ORACLE_PHIS)
     def test_phi_call_budget(self, text):
-        # 13-19 Phi calls per level here; bisection took about 55, and
-        # without the 2e-16 hi keep-off the Illinois steps creep at the
-        # noise floor up to the 200-step cap
+        # 11-27 Phi calls in all here, the unit norm's solve included: all
+        # levels share one group. One solve per level took 13-19 per
+        # level, bisection about 55, and without the 2e-16 hi keep-off the
+        # Illinois steps creep at the noise floor up to the 200-step cap
         phi = OrliczSpec.parse(text)
         calls = []
 
@@ -713,6 +799,7 @@ class TestOrliczLevelSolver:
             return call(self, t)
 
         monkeypatch.setattr(OrliczSpec, "__call__", counted)
+        monkeypatch.setattr(bumps, "_GROUP_CELLS", 1)  # one level per group
         w = GridFunction(n, np.exp(np.random.default_rng(0).normal(0.0, 3.0, 1 << n)))
         m_orlicz(w, phi)
         per_level = [widths.count(1 << (n - level)) for level in range(n + 1)]

@@ -394,16 +394,19 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["verify_all.py", "--n", "3", "--trials", "2"])
-    assert module.main() == 5
+    assert module.main() == 6
     out = capsys.readouterr().out
     # replay runs at --n and at the n = 18 cap, maximal --phi twice at the
-    # cap and once at --n; compare --phi twice, the loglog one at n = 14
+    # cap, once at n = 12 (levels solved in groups) and once at --n;
+    # compare --phi twice, the loglog one at n = 14
     assert ("failed: replay (exit 1), maximal (raised), maximal (raised), "
-            "replay (exit 1), maximal (raised)") in out
-    assert len(seen) == 18
+            "maximal (raised), replay (exit 1), maximal (raised)") in out
+    assert len(seen) == 19
     orlicz = [argv for argv in seen if "--phi" in argv]
-    assert [argv[0] for argv in orlicz] == ["maximal", "maximal", "compare", "compare", "maximal"]
+    assert [argv[0] for argv in orlicz] == [
+        "maximal", "maximal", "maximal", "compare", "compare", "maximal"]
     assert ["--n", "18"] == orlicz[0][1:3] == orlicz[1][1:3]
-    assert [argv[-1] for argv in orlicz[:2]] == ["llog:0.5", "logprod:e2=1,e3=1,e4=1.5"]
-    assert orlicz[3][1:3] == ["--n", "14"]
-    assert orlicz[3][-4:] == ["--eps", "loglog:0.5", "--phi", "logprod:e2=1,e3=1,e4=1.5"]
+    assert [argv[-1] for argv in orlicz[:3]] == ["llog:0.5"] + ["logprod:e2=1,e3=1,e4=1.5"] * 2
+    assert orlicz[2][1:3] == ["--n", "12"]
+    assert orlicz[4][1:3] == ["--n", "14"]
+    assert orlicz[4][-4:] == ["--eps", "loglog:0.5", "--phi", "logprod:e2=1,e3=1,e4=1.5"]

@@ -45,15 +45,15 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "2ca2e8c8560f9ed9275d67f991c39c55ade3fc3c12ee572380574600d8742830",
-    "main": "bf9ebacae46f7c5a38ccbe8b60114f77c2807339badb7d3f84b7bafdf2948c1d",
-    "corollary": "7761dfaa459ac6dc16bd0824637b69ce801be5e5fc0a265e76151377f657cf5f",
-    "ainf": "10bf5a16c3b866a460a26d53867e9999b5552e3e40a02abc1d8207deaf25995d",
-    "domination": "e0143453af7a9e714920bf58f5568427a77212da579d87fb20df86608ef589b8",
-    "replay": "bafae8a6524435768656fa3101095aa566123f4194fae4267c88ba3be0a7373f",
+    "fs": "5034199b64f264d1d4eb5be79a8c44f4c054a315fa25dc2331089c7757c67b18",
+    "main": "46686c72f13f4deb1f6287a43df61e356b4ea613b07297ff66111b36a3dd8730",
+    "corollary": "4c2bbc6712c8cc37d69fc35219a3d55d0a4f17acecaf483ba3510d1951cd0897",
+    "ainf": "001e0fb2bd27287b7a96c936f26db0ee3964e23f0adc6aca6aaaef90e789b629",
+    "domination": "89eb0bcecc0417736a4be20e9a4e0170e5595173f13fc86ed5b7e959756d8ad6",
+    "replay": "197b03ce9ba877767b58e8c42a9da33cea1736a3360a9fde3827912aab40f594",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
-    "maximal": "40e2f03ab8596f6ba44dc1d64037d4c401bfb2c8061d15703634f5b8134b908b",
+    "maximal": "42730e31e5cb39155890cfaa4bef988ddb67ec8269b50b0f4f54dace57b92bda",
 }
 
 CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]

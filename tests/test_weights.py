@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entbump import (
@@ -43,6 +43,14 @@ def weight_values(resolution, allow_zero=True):
     positive = st.floats(min_value=1e-9, max_value=50.0, allow_nan=False)
     cell = st.one_of(st.just(0.0), positive) if allow_zero else positive
     return st.lists(cell, min_size=size, max_size=size)
+
+
+def nested_weight(resolution, c):
+    """2^(c j) on the leftmost level-j cube minus the leftmost level-(j+1)
+    cube, for j = 0..n: cell x > 0 sits at depth j = n - bit_length(x), and
+    cell 0 at depth n."""
+    depth = resolution - np.frexp(np.arange(1 << resolution, dtype=np.float64))[1]
+    return GridFunction(resolution, np.exp2(float(c) * depth))
 
 
 def _assert_table_bits(table, w):
@@ -122,6 +130,36 @@ class TestRho:
         table = rho_all(w)
         for values, vac in zip(table.values, table.vacuous):
             assert np.all(values[~vac] >= 1.0)
+
+    @given(
+        st.integers(0, 12),
+        st.one_of(
+            st.tuples(st.just("lognormal"), st.floats(0.5, 6.0)),
+            st.tuples(st.just("nested"), st.integers(1, 56)),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(18, ("nested", 16), 0)
+    @example(18, ("lognormal", 6.0), 0)
+    @settings(max_examples=40, deadline=None)
+    def test_rho_at_most_levels_below_plus_one(self, resolution, family, seed):
+        # M(w 1_Q) <= sum of <w>_J 1_J over the dyadic J in Q, which
+        # integrates to (n - l + 1) w(Q), so rho_w(Q) <= n - l + 1 for every
+        # weight, however wide its range of values
+        kind, scale = family
+        if kind == "nested":
+            w = nested_weight(resolution, scale)
+        else:
+            rng = np.random.default_rng(seed)
+            w = GridFunction(resolution, rng.lognormal(0.0, scale, 1 << resolution))
+        table = rho_all(w)
+        for level, values in enumerate(table.values):
+            assert np.all(values <= (resolution - level + 1) * (1.0 + 1e-12))
+
+    def test_nested_weight_at_the_cap(self):
+        # the largest rho of 2^(16 j) nested weights at n = 18 is about 10,
+        # about half the bound n + 1 = 19
+        assert 9.5 < rho_all(nested_weight(18, 16)).max_rho() < 10.5
 
     def test_rho_all_consistent_with_single(self):
         rng = np.random.default_rng(11)
