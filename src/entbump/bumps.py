@@ -36,6 +36,7 @@ from .grid import (
     GridFunction,
     level_averages,
     paint_down,
+    reduce_up,
     require_weight,
     split_levels,
 )
@@ -388,7 +389,7 @@ def _phi_means(phi, parts: list, lam: np.ndarray) -> np.ndarray:
 
 def _search(parts: list, lam0: np.ndarray, phi) -> tuple:
     """Geometric bracket (lo, hi, Phi-mean at lo, Phi-mean at hi) of every
-    row's unit Phi-mean, grown from lam0 = <w>_Q.
+    row's unit Phi-mean, grown from lam0 (<w>_Q, or 1 for the unit norm).
 
     Rows above the unit mean at lam0 double hi, the others halve lo, at most
     60 steps each way; lam0 stays the other end. A Phi-mean that moves the
@@ -477,12 +478,6 @@ def _illinois(parts: list, phi, lo, hi, m_lo, m_hi) -> tuple:
     return out, m_out
 
 
-def _solve(parts: list, lam0: np.ndarray, phi) -> tuple:
-    """Geometric search from lam0 = <w>_Q, then the Illinois steps: every
-    row's hi end and its Phi-mean."""
-    return _illinois(parts, phi, *_search(parts, lam0, phi))
-
-
 def _unit_norm(phi) -> float:
     """Luxemburg norm u of the one cell 1.0, at machine width. By
     homogeneity a one-cell cube's norm is w * u. An OrliczSpec keeps u after
@@ -490,31 +485,31 @@ def _unit_norm(phi) -> float:
     u = getattr(phi, "_unit", None) if isinstance(phi, OrliczSpec) else None
     if u is None:
         one = np.ones((1, 1))
-        u = float(_solve([one], one[0], phi)[0][0])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u = float(_illinois([one], phi, *_search([one], one[0], phi))[0][0])
         if isinstance(phi, OrliczSpec):
             object.__setattr__(phi, "_unit", u)
     return u
 
 
-def _level_orlicz(blocks, phi, tol: float, lo=None, hi=None) -> np.ndarray:
+def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
     ``blocks``: one 2D array, one row per cube of a level, or a row set
     (``_phi_means``) of several levels, whose rows share every Phi call.
 
-    Zero-mean rows give 0. One-cell rows with no bracket (the finest level,
-    a one-cell ``orlicz_norm``) start from w * u, u the unit norm
-    (``_unit_norm``), and cost one Phi call in all, for their certificates;
-    a row where w * u underflows to 0 or fails its certificate is solved
-    like a row with no bracket. ``lo`` / ``hi`` bracket each row's norm, as
-    the min / max of the norms of its descendants at any one finer level
-    do: the Phi-means at both ends come from one Phi call, a bracket
-    already at machine width keeps its hi end, and an open one goes to the
-    Illinois steps if its ends straddle the unit mean. Every other row, and
-    every row when no bracket is given, is bracketed by the geometric search
-    from <w>_Q first. A Phi-mean lower at lo than at hi beyond the float
-    slack raises InvalidSpecError; ``lo`` and ``hi`` may be updated in
-    place. The result is the hi end, certified by |<Phi(w/lam)>_Q - 1| <=
-    tol.
+    ``lo`` / ``hi`` bracket each row's norm, as the min / max of the norms
+    of its descendants at any one finer level do (for one-cell rows, lo =
+    hi = w * u, u the unit norm). Zero-mean rows give 0. Every other row
+    takes one flow: the Phi-means at both ends come from one Phi call, a
+    closed bracket (at machine width) keeps its hi end, and an open one
+    whose ends straddle the unit mean goes to the Illinois steps. lo = 0 is
+    read as the limit lam -> 0+, where a nonzero row's Phi-mean is +inf for
+    every catalog bump. A bracket that does not hold, open but not
+    straddling or closed but uncertified, is replaced by the geometric
+    search from <w>_Q before the Illinois steps. A Phi-mean lower
+    at lo than at hi beyond the float slack raises InvalidSpecError. The
+    result is the hi end, certified by |<Phi(w/lam)>_Q - 1| <= tol
+    (BracketingError otherwise).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -524,33 +519,26 @@ def _level_orlicz(blocks, phi, tol: float, lo=None, hi=None) -> np.ndarray:
     live = lam0 != 0.0
     if not live.any():
         return out
+    # copies: the ends are written below, and lo and hi may be one array
+    lo, hi = lo[live], hi[live]
     if not live.all():
         parts, lam0 = _rows(parts, live), lam0[live]
-        if lo is not None:
-            lo, hi = lo[live], hi[live]
     # Phi of a huge w / lam may overflow to inf, and the log of a zero or
     # infinite Phi-mean is not finite; a step from either falls back to a
     # midpoint.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if lo is None and all(part.shape[1] == 1 for part in parts):
-            hi = lam0 * _unit_norm(phi)
-            m_hi = _phi_means(phi, parts, hi)
-            redo = (hi == 0.0) | ~(np.abs(m_hi - 1.0) <= tol)
-            if redo.any():
-                hi[redo], m_hi[redo] = _solve(_rows(parts, redo), lam0[redo], phi)
-        elif lo is None:
-            hi, m_hi = _solve(parts, lam0, phi)
-        else:
-            is_open = hi - lo > _WIDTH * hi
-            ends = is_open & (lo > 0.0)
-            m = _phi_means(phi, parts + _rows(parts, ends), np.concatenate((hi, lo[ends])))
-            m_hi, m_lo = m[:hi.size], np.full(hi.size, math.nan)
-            m_lo[ends] = m[hi.size:]
-            if np.any(m_lo < m_hi * (1.0 - _SLACK)):
-                raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-            redo = is_open & ~((m_lo > 1.0) & (m_hi <= 1.0))
-            if redo.any():
-                lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(_rows(parts, redo), lam0[redo], phi)
+        is_open = hi - lo > _WIDTH * hi
+        ends = is_open & (lo > 0.0)
+        m = _phi_means(phi, parts + _rows(parts, ends), np.concatenate((hi, lo[ends])))
+        m_hi, m_lo = m[:hi.size], np.full(hi.size, math.inf)
+        m_lo[ends] = m[hi.size:]
+        if np.any(m_lo < m_hi * (1.0 - _SLACK)):
+            raise InvalidSpecError("Phi-mean is not decreasing in lambda")
+        redo = ~np.where(is_open, (m_lo > 1.0) & (m_hi <= 1.0), np.abs(m_hi - 1.0) <= tol)
+        if redo.any():
+            lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(_rows(parts, redo), lam0[redo], phi)
+            is_open |= redo
+        if is_open.any():
             hi[is_open], m_hi[is_open] = _illinois(_rows(parts, is_open), phi, lo[is_open],
                                                    hi[is_open], m_lo[is_open], m_hi[is_open])
     gap = np.abs(m_hi - 1.0)
@@ -570,17 +558,21 @@ def orlicz_norm(
 ) -> float:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of w on one cube.
 
-    A one-row call of the level solver ``_level_orlicz``: a one-cell cube
-    is w * u from Phi's unit norm u, like ``m_orlicz``'s finest level;
-    a larger cube is bracketed geometrically from lam0 = <w>_Q and closed
-    by the log-log Illinois steps to machine bracket width. Either way the
-    certificate |<Phi(w/lam)>_Q - 1| <= tol is checked before the value is
-    returned (BracketingError otherwise). Identically-zero w on Q gives 0;
-    tol must be positive (ValueError otherwise, NaN included).
+    A one-row call of the level solver ``_level_orlicz``, bracketed like
+    every cube of ``m_orlicz``: by the min and max of its cells' norms
+    w * u, u Phi's unit norm, so a one-cell cube is w * u and a larger one
+    is closed by the log-log Illinois steps to machine bracket width.
+    Either way the certificate |<Phi(w/lam)>_Q - 1| <= tol is checked
+    before the value is returned (BracketingError otherwise).
+    Identically-zero w on Q gives 0 with no Phi call; tol must be positive
+    (ValueError otherwise, NaN included).
     """
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
-    return float(_level_orlicz(w.values[a:b][None, :], phi, tol)[0])
+    vals = w.values[a:b]
+    cells = vals * _unit_norm(phi) if vals.any() else vals
+    return float(_level_orlicz(vals[None, :], phi, tol, cells.min(keepdims=True),
+                               cells.max(keepdims=True))[0])
 
 
 def m_entropy(
@@ -619,36 +611,36 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
     """Orlicz maximal function: per cell, sup of orlicz_norm over all dyadic
     cubes containing it.
 
-    The finest level is w * u, u the norm of the one cell 1.0 (solved once
-    per OrliczSpec), certified by one Phi call. The levels above it are
-    solved in groups of consecutive levels, from the finest group up; one
+    Every cube is one bracketed ``_level_orlicz`` row. The finest level is
+    bracketed by lo = hi = w * u, u the norm of the one cell 1.0 (solved
+    once per OrliczSpec, and not at all for an all-zero w), so it costs one
+    Phi call, for its certificates. The levels above it are solved in
+    groups of consecutive levels, from the finest group up; one
     ``_level_orlicz`` call solves a group's cubes at once on the
     (2^l, 2^(n-l)) views of w, so they share every Phi call and every
     Illinois step. A group holds as many levels as keep its Phi call within
     ``_GROUP_CELLS`` cells, at least one: up to n = 10 that is every level,
-    and from n = 14 on each group is one level. A cube's Phi-mean is the mean of
-    the Phi-means of its descendants at any finer level, each decreasing in
-    lambda, so its norm lies between theirs: every cube of a group starts
-    from the min / max of the norms of its descendants at the level just
-    below the group, folded up pairwise, and is closed by log-log Illinois
-    steps. Every cube's certificate |<Phi(w/lam)>_Q - 1| <= tol is checked
-    inside that call, so a group with one uncertified cube raises
-    BracketingError; tol must be positive (ValueError otherwise, NaN
-    included).
+    and from n = 14 on each group is one level. A cube's Phi-mean is the
+    mean of the Phi-means of its descendants at any finer level, each
+    decreasing in lambda, so its norm lies between theirs: every cube of a
+    group is bracketed by the min / max of the norms of its descendants at
+    the level just below the group, folded up pairwise (a zero min, from an
+    all-zero descendant, goes straight to the Illinois steps). Every cube's
+    certificate |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so
+    a group with one uncertified cube raises BracketingError; tol must be
+    positive (ValueError otherwise, NaN included).
     """
     require_weight(w)
     n = w.resolution
-    norms = [None] * n + [_level_orlicz(w.values[:, None], phi, tol)]
+    leaf = w.values * _unit_norm(phi) if w.values.any() else w.values
+    norms = [None] * n + [_level_orlicz(w.values[:, None], phi, tol, leaf, leaf)]
     span = max(1, _GROUP_CELLS >> n)  # levels per group
     for below in range(n, 0, -span):
         top = max(0, below - span)
-        # entry k: min / max of the level-`below` norms under each level
-        # below - k cube
-        lo, hi = [norms[below]], [norms[below]]
-        for _ in range(top, below):
-            lo.append(np.minimum(lo[-1][0::2], lo[-1][1::2]))
-            hi.append(np.maximum(hi[-1][0::2], hi[-1][1::2]))
-        lo, hi = (np.concatenate(side[:0:-1]) for side in (lo, hi))  # coarsest level first
+        # min / max of the level-`below` norms under each cube of the
+        # group, coarsest level first
+        lo, hi = (np.concatenate(reduce_up(norms[below], op)[top:below])
+                  for op in (np.minimum, np.maximum))
         got = _level_orlicz([w.values.reshape(1 << level, -1) for level in range(top, below)],
                             phi, tol, lo, hi)
         for level in range(top, below):

@@ -139,15 +139,21 @@ def _cmd_rho(args) -> int:
     return 0
 
 
-def _cmd_maximal(args) -> int:
+def _maximal_setup(args):
+    """The preamble ``maximal`` and ``compare`` share: the weight, its bumps
+    and the config line. Returns (w, eps, phi or None, config)."""
     _check_cap(args.n)
     w = _resolve_weight(args.weight, args.n, args.seed)
     eps = EpsilonSpec.parse(args.eps)
     phi = OrliczSpec.parse(args.phi) if args.phi else None
-    _print_config(
-        {"n": w.resolution, "seed": args.seed, "weight": args.weight,
-         "eps": args.eps, "phi": args.phi}
-    )
+    config = {"eps": args.eps, "n": w.resolution, "phi": args.phi,
+              "seed": args.seed, "weight": args.weight}
+    _print_config(config)
+    return w, eps, phi, config
+
+
+def _cmd_maximal(args) -> int:
+    w, eps, phi, _ = _maximal_setup(args)
     md = dyadic_maximal(w).values
     me = m_entropy(w, eps)
     payload = {
@@ -245,14 +251,8 @@ def _cmd_verify_cor(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_cap(args.n)
-    w = _resolve_weight(args.weight, args.n, args.seed)
-    eps = EpsilonSpec.parse(args.eps)
-    phi = OrliczSpec.parse(args.phi) if args.phi else None
-    echo = {"eps": args.eps, "n": w.resolution, "phi": args.phi,
-            "seed": args.seed, "weight": args.weight}
-    _print_config(echo)
-    report = maximal_comparison(w, eps, phi, config=echo)
+    w, eps, phi, config = _maximal_setup(args)
+    report = maximal_comparison(w, eps, phi, config=config)
     _emit_report(report, args.out)
     return 0
 

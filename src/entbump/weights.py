@@ -100,6 +100,8 @@ class RhoTable:
             self.write_rows(fh, "\r\n")
 
 
+# sums past float64's range overflow to inf, which the root's rho catches
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def rho_all(w: GridFunction) -> RhoTable:
     """rho for every cube in O(n log n).
 
@@ -110,6 +112,7 @@ def rho_all(w: GridFunction) -> RhoTable:
     row of that view for the per-cube sums. Width-2 rows are added as two
     columns (one addition, so the same bits as the reduction); wider rows
     keep numpy's row sum, whose summation order the reports depend on.
+    Raises InvalidWeightError when the sums overflow float64.
     """
     require_weight(w)
     n_levels = w.resolution + 1
@@ -127,12 +130,15 @@ def rho_all(w: GridFunction) -> RhoTable:
             m_sums = rows[:, 0] + rows[:, 1]
         else:
             m_sums = rows.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = m_sums / wsums[level]
+        r = m_sums / wsums[level]
         vacuous_mask = wsums[level] == 0.0
         r[vacuous_mask] = np.nan
         values[level] = r
         vac[level] = vacuous_mask
+    # every cube's M-sum and w-sum is at most the root's, so a finite root
+    # rho means no sum overflowed
+    if not (vac[0][0] or math.isfinite(values[0][0])):
+        raise InvalidWeightError("weight sums overflow float64; rescale w (rho is scale-invariant)")
     return RhoTable(w.resolution, tuple(values), tuple(vac))
 
 

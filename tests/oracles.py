@@ -503,7 +503,7 @@ def level_m_orlicz(w, phi, tol=1e-10):
     """m_orlicz solved one level at a time, each level bracketed by the
     pairwise min / max of its children's norms: the package's solver before
     levels were grouped, kept to pin the one-level groups bit for bit."""
-    from entbump.bumps import _level_orlicz
+    from entbump.bumps import _level_orlicz, _unit_norm
     from entbump.grid import GridFunction, paint_down, reduce_up, require_weight
 
     require_weight(w)
@@ -512,7 +512,8 @@ def level_m_orlicz(w, phi, tol=1e-10):
         blocks = w.values.reshape(left.size, -1)
         return _level_orlicz(blocks, phi, tol, np.minimum(left, right), np.maximum(left, right))
 
-    per_level = reduce_up(_level_orlicz(w.values[:, None], phi, tol), parent)
+    leaf = w.values * _unit_norm(phi)
+    per_level = reduce_up(_level_orlicz(w.values[:, None], phi, tol, leaf, leaf), parent)
     return GridFunction(w.resolution, paint_down(per_level, np.maximum)[-1])
 
 

@@ -37,6 +37,7 @@ from entbump.bumps import (
     _entropy_levels,
     _level_orlicz,
     _tower_log,
+    _unit_norm,
 )
 from entbump.grid import average, level_averages, paint_down
 
@@ -779,7 +780,8 @@ class TestOrliczLevelSolver:
             return np.where((t > 0.4) & (t < 0.6), 3.0, t * t)
 
         blocks = np.ones((1, 1))
-        assert _level_orlicz(blocks, bump, 1e-10) == [1.0]
+        leaf = blocks[:, 0] * _unit_norm(bump)
+        assert _level_orlicz(blocks, bump, 1e-10, leaf, leaf) == [1.0]
         with pytest.raises(InvalidSpecError):
             _level_orlicz(blocks, bump, 1e-10, np.array([1.5]), np.array([2.0]))
 
@@ -831,8 +833,10 @@ class TestOrliczLevelSolver:
         assert orlicz_norm(GridFunction(0, [1.0]), ROOT, quarter) == pytest.approx(0.25)
         with pytest.raises(BracketingError):
             orlicz_norm(GridFunction(0, [5e-324]), ROOT, quarter)
+        cells = np.array([[1.0], [5e-324]])
+        leaf = cells[:, 0] * _unit_norm(quarter)
         with pytest.raises(BracketingError):
-            _level_orlicz(np.array([[1.0], [5e-324]]), quarter, 1e-10)
+            _level_orlicz(cells, quarter, 1e-10, leaf, leaf)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tol_must_be_positive(self, tol):
@@ -844,11 +848,69 @@ class TestOrliczLevelSolver:
         with pytest.raises(ValueError, match="tol must be positive"):
             orlicz_norm(w, ROOT, phi, tol=tol)
         with pytest.raises(ValueError, match="tol must be positive"):
-            _level_orlicz(np.ones((2, 2)), phi, tol)
+            _level_orlicz(np.ones((2, 2)), phi, tol, np.ones(2), np.ones(2))
 
     def test_all_zero_weight(self):
         w = GridFunction(3, np.zeros(8))
         assert list(m_orlicz(w, OrliczSpec.llog(0.5)).values) == [0.0] * 8
+
+    def test_all_zero_weight_makes_no_phi_call(self):
+        # a plain callable keeps no unit norm, so any solve would call it
+        calls = []
+
+        def counted(t):
+            calls.append(t.size)
+            return t * t
+
+        w = GridFunction(3, np.zeros(8))
+        assert list(m_orlicz(w, counted).values) == [0.0] * 8
+        assert orlicz_norm(w, ROOT, counted) == 0.0
+        assert orlicz_norm(GridFunction(1, [0.0, 3.0]), DyadicCube(1, 0), counted) == 0.0
+        assert calls == []
+
+    def test_uncertified_closed_bracket_is_searched_again(self):
+        # lo = hi = twice the norm is a closed bracket that fails its
+        # certificate: the row is searched from <w>_Q and closed by the
+        # Illinois steps, where it used to raise "stalled"
+        phi = OrliczSpec.llog(0.5)
+        vals = np.array([1.0, 2.0, 3.0, 4.0])
+        want = mp_orlicz_norm(vals, 0, 0, 2, phi)
+        twice = np.array([2.0 * want])
+        got = _level_orlicz(vals[None, :], phi, 1e-10, twice, twice)
+        assert ulps(got, want) <= ORLICZ_ULPS
+        assert twice == [2.0 * want]  # the caller's bracket is left as passed
+
+    @pytest.mark.parametrize("r", [0.01, 0.05])
+    @pytest.mark.parametrize("p", [0.5, 0.125])
+    def test_zero_lower_bracket_end(self, r, p):
+        # w = 1 on a share p of the cells has <Phi(w/lam)>_Q = p lam^-r and
+        # norm p^(1/r), 7.9e-31 at r = 0.01, p = 1/2. The root's bracket
+        # starts at its zero cells' norm, 0; the geometric search from
+        # <w>_Q could not bracket it within 60 halvings
+        k = int(64 * p)
+        w = GridFunction(6, [0.0] * (64 - k) + [1.0] * k)
+        phi = OrliczSpec.power(r)
+        exact = p ** (1.0 / r)
+        assert m_orlicz(w, phi).values[0] == pytest.approx(exact, rel=1e-12)
+        assert orlicz_norm(w, ROOT, phi) == pytest.approx(exact, rel=1e-12)
+
+    def test_orlicz_norm_phi_call_budget(self, monkeypatch):
+        # bracketed by its cells' w * u, the root of a lognormal weight
+        # (sigma 2) at n = 12 takes 6 Phi calls; the search from <w>_Q
+        # took 9
+        phi = OrliczSpec.llog(0.5)
+        orlicz_norm(GridFunction(0, [1.0]), ROOT, phi)
+        calls = []
+        call = OrliczSpec.__call__
+
+        def counted(self, t):
+            calls.append(t.size)
+            return call(self, t)
+
+        monkeypatch.setattr(OrliczSpec, "__call__", counted)
+        w = GridFunction(12, np.exp(np.random.default_rng(12).normal(0.0, 2.0, 1 << 12)))
+        orlicz_norm(w, ROOT, phi)
+        assert len(calls) <= 7
 
     def test_constant_phi_cannot_bracket(self):
         w = GridFunction(3, np.arange(1.0, 9.0))
@@ -864,8 +926,9 @@ class TestOrliczLevelSolver:
             brute_orlicz_norm(w.values, 1, 1, 3, two)
 
     def test_bracket_limit_is_sixty_doublings(self):
-        # Phi(t) = c t has Luxemburg norm c <w>_Q, reached after log2(c)
-        # doublings (or halvings) from lam0 = <w>_Q
+        # Phi(t) = c t has Luxemburg norm c <w>_Q and unit norm c, which the
+        # unit norm's search from 1 reaches after log2(c) doublings (or
+        # halvings)
         w = GridFunction(2, [1.0, 2.0, 3.0, 6.0])
         for k in (60, -60):
             c = 2.0**k

@@ -80,6 +80,18 @@ def test_zero_weight_file_is_rejected(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_weight_file_is_rejected(tmp_path, capsys):
+    # rho is at most 3 here, but the root's sums overflow float64: this
+    # printed max_rho = inf and a NaN row and exited 0
+    wpath = tmp_path / "huge.txt"
+    save_grid_function(GridFunction(2, [1.7e308, 1e-300, 1.7e308, 1e-300]), wpath)
+    assert run(["rho", "--weight", str(wpath)]) == 2
+    captured = capsys.readouterr()
+    assert "rescale" in captured.err
+    assert "max_rho" not in captured.out
+
+
 def test_rho_missing_weight_file(tmp_path, capsys):
     assert run(["rho", "--weight", str(tmp_path / "missing.txt")]) == 2
     assert "no such weight file" in capsys.readouterr().err

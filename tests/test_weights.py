@@ -234,6 +234,22 @@ class TestCharacteristics:
         table = rho_all(w)
         assert ainf_constant(w) == table.max_rho()
 
+    @pytest.mark.parametrize("vals", [[1.7e308, 1e-300, 1.7e308, 1e-300], [9e307] * 4])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_are_rejected(self, vals):
+        # rho <= n - l + 1 = 3 on every cube, but these M-sums and w-sums
+        # pass float64's range, which wrote NaN or inf rho into the table
+        w = GridFunction(2, vals)
+        with pytest.raises(InvalidWeightError, match="rescale"):
+            rho_all(w)
+        with pytest.raises(InvalidWeightError, match="rescale"):
+            ainf_constant(w)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sums_just_inside_float64_range(self):
+        # the root's w-sum 1e308 and M-sum 1.5e308 stay finite
+        assert rho_all(GridFunction(1, [1e308, 1.0])).max_rho() == 1.5
+
     def test_a1_at_least_one(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
