@@ -10,7 +10,10 @@ logprod:e2=1,e3=1,e4=1.5` (the max paints, and the Orlicz level solve
 with every cube certified, for the llog bump and for the iterated-log
 bump of the abstract's order claim), `maximal` with that iterated-log
 bump at n = 12 (where the Orlicz solve groups its levels four at a
-time), and `domination`,
+time), `maximal --phi llog:0.5` at n = 0 (one Orlicz group holding
+only the leaves), `compare --phi dlr:0.25` at n = 1, `maximal --phi
+llog:0.5` at n = 13 (the first group the leaves and one level above
+them), and `domination`,
 `verify-main` and `replay` with 5 trials each (the stopping tree, Haar and
 sparse sweeps, the weak-type quotient with its entropy majorant and
 weak-L1 sort, and the decomposition replay on per-level arrays). Exit
@@ -55,6 +58,9 @@ def main() -> int:
         ["compare", "--n", "14", "--seed", seed, "--eps", "loglog:0.5",
          "--phi", "logprod:e2=1,e3=1,e4=1.5"],
         ["maximal", "--n", n, "--seed", seed, "--phi", "dlr:0.25"],
+        ["maximal", "--n", "0", "--seed", seed, "--phi", "llog:0.5"],
+        ["compare", "--n", "1", "--seed", seed, "--phi", "dlr:0.25"],
+        ["maximal", "--n", "13", "--seed", seed, "--phi", "llog:0.5"],
     ]
     failures = []
     for argv in jobs:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -338,56 +339,58 @@ def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None)
 
 _WIDTH = 4e-16  # machine bracket width: a row is solved once hi - lo <= _WIDTH * hi
 _SLACK = 1e-9  # relative float slack of the Phi-mean monotonicity checks
-# Most cells one group of levels hands a Phi call (m_orlicz): up to n = 10
-# all levels share one group, a group holds 8 levels at n = 11, 4 at n = 12
-# and 2 at n = 13, and from n = 14 on every group is one level.
+# Most cells one group of levels, the leaves one level, hands a Phi call
+# (m_orlicz): up to n = 10 all levels share one group, a group holds 8 at
+# n = 11, 4 at n = 12 and 2 at n = 13, and from n = 14 on one level.
 _GROUP_CELLS = 16384
 
 
-def _rows(parts: list, keep: np.ndarray) -> list:
-    """The rows of the row set ``parts`` where the boolean ``keep``, one
-    entry per row in part order, is true; parts left empty are dropped.
-    (``compress`` copies narrow rows several times faster than a boolean
-    or integer index.)"""
-    out, start = [], 0
-    for blocks in parts:
-        sub = blocks.compress(keep[start : start + len(blocks)], axis=0)
-        start += len(blocks)
-        if len(sub):
-            out.append(sub)
-    return out
+def _rowset(blocks: list) -> tuple:
+    """The row set of the 2D arrays ``blocks``: their rows, block by block,
+    in one flat cell array, each row's width, and every block's shape."""
+    runs = tuple([b.shape for b in blocks])
+    cells = blocks[0].reshape(-1) if len(blocks) == 1 else np.concatenate([b.reshape(-1) for b in blocks])
+    return cells, np.array([w for _, w in runs]).repeat([r for r, _ in runs]), runs
 
 
-def _phi_means(phi, parts: list, lam: np.ndarray) -> np.ndarray:
-    """<Phi(w/lam)>_Q of every row of the row set ``parts``, each at its own
-    lam. A row set is a list of 2D blocks, one row per cube and one width
-    per block; its rows are numbered block by block.
+def _rows(rows: tuple, keep: np.ndarray) -> tuple:
+    """The rows of a row set where the boolean ``keep`` (one per row) is
+    true; blocks left empty are dropped."""
+    cells, widths, runs = rows
+    kept = np.add.reduceat(keep, list(accumulate((r for r, _ in runs[:-1]), initial=0)), dtype=np.intp)
+    if len(runs) == 1:  # whole rows: several times faster than a cell mask
+        cells = cells.reshape(runs[0]).compress(keep, axis=0).reshape(-1)
+    else:
+        cells = cells.compress(keep.repeat(widths))
+    # from a list: tuple(<generator>) resizes, filling CPython's tuple free lists
+    return cells, widths.compress(keep), tuple([(r, w) for r, (_, w) in zip(kept.tolist(), runs) if r])
 
-    All quotients go through one Phi call, as one (rows, width) array when
-    every block has the same width and flat otherwise. Each block's rows are
-    then summed in its own (rows, width) layout, so a row gets the bits
-    np.mean would give it alone.
-    """
-    flat = np.empty(sum(blocks.size for blocks in parts))
+
+def _row_means(rows: tuple, vals: np.ndarray) -> np.ndarray:
+    """Every row's mean of ``vals``, cells laid out as the row set ``rows``:
+    np.add.reduce per block on its (rows, width) view, so a row gets the
+    bits np.mean gives it alone, then one division by the widths."""
+    means = np.empty(rows[1].size)
     start = row = 0
-    for blocks in parts:
-        rows = slice(row, row + len(blocks))
-        np.divide(blocks, lam[rows, None], out=flat[start : start + blocks.size].reshape(blocks.shape))
-        start, row = start + blocks.size, rows.stop
-    width = parts[0].shape[1]
-    same = all(blocks.shape[1] == width for blocks in parts)
-    vals = phi(flat.reshape(-1, width) if same else flat).reshape(-1)
-    means = np.empty(lam.size)
-    start = row = 0
-    for blocks in parts:
-        rows = slice(row, row + len(blocks))
-        np.add.reduce(vals[start : start + blocks.size].reshape(blocks.shape), axis=1, out=means[rows])
-        means[rows] /= blocks.shape[1]
-        start, row = start + blocks.size, rows.stop
-    return means
+    for r, w in rows[2]:
+        np.add.reduce(vals[start : start + r * w].reshape(r, w), axis=1, out=means[row : row + r])
+        start, row = start + r * w, row + r
+    return np.divide(means, rows[1], out=means)
 
 
-def _search(parts: list, lam0: np.ndarray, phi) -> tuple:
+def _phi_means(phi, rows: tuple, lam: np.ndarray) -> np.ndarray:
+    """<Phi(w/lam)>_Q of every row of the row set ``rows``, each at its own
+    lam: all cells divided at once by lam repeated per cell, one Phi call on
+    a (rows, width) array if every block has one width, flat otherwise."""
+    cells, widths, runs = rows
+    if len({w for _, w in runs}) == 1:
+        vals = phi(np.divide(cells.reshape(-1, runs[0][1]), lam[:, None])).reshape(-1)
+    else:
+        vals = phi(np.divide(cells, lam.repeat(widths)))
+    return _row_means(rows, vals)
+
+
+def _search(rows: tuple, lam0: np.ndarray, phi) -> tuple:
     """Geometric bracket (lo, hi, Phi-mean at lo, Phi-mean at hi) of every
     row's unit Phi-mean, grown from lam0 (<w>_Q, or 1 for the unit norm).
 
@@ -395,21 +398,21 @@ def _search(parts: list, lam0: np.ndarray, phi) -> tuple:
     60 steps each way; lam0 stays the other end. A Phi-mean that moves the
     wrong way by more than the float slack raises InvalidSpecError.
     """
-    m0 = _phi_means(phi, parts, lam0)
+    m0 = _phi_means(phi, rows, lam0)
     up = m0 > 1.0
     probe, m_probe = lam0.copy(), m0.copy()
     live = np.ones(lam0.size, dtype=bool)
     for _ in range(60):
-        rows = np.flatnonzero(live)
-        rising = up[rows]
-        probe[rows] *= np.where(rising, 2.0, 0.5)
-        m = _phi_means(phi, _rows(parts, live), probe[rows])
-        prev = m_probe[rows]
+        idx = np.flatnonzero(live)
+        rising = up[idx]
+        probe[idx] *= np.where(rising, 2.0, 0.5)
+        m = _phi_means(phi, _rows(rows, live), probe[idx])
+        prev = m_probe[idx]
         if np.any(np.where(rising, m > prev * (1.0 + _SLACK),
                            (m < prev * (1.0 - _SLACK)) & (m < 1.0))):
             raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-        m_probe[rows] = m
-        live[rows[np.where(rising, m <= 1.0, m >= 1.0)]] = False
+        m_probe[idx] = m
+        live[idx[np.where(rising, m <= 1.0, m >= 1.0)]] = False
         if not live.any():
             break
     else:
@@ -419,62 +422,69 @@ def _search(parts: list, lam0: np.ndarray, phi) -> tuple:
             np.where(up, m0, m_probe), np.where(up, m_probe, m0))
 
 
-def _illinois(parts: list, phi, lo, hi, m_lo, m_hi) -> tuple:
+def _illinois(rows: tuple, phi, lo, hi, m_lo, m_hi) -> tuple:
     """Close every row's bracket, Phi-mean m_lo > 1 at lo and m_hi <= 1 at
     hi, to machine width; returns the final hi ends and their Phi-means.
-    ``parts`` is a row set (``_phi_means``); ``lo``, ``hi`` and ``m_hi`` are
-    updated in place.
+    ``rows`` is a row set (``_rowset``).
 
     Each step is the secant of log Phi-mean against log lambda, which is
     exact for ``power:r`` and nearly so for the log bumps: with g = log m,
     the point lo * (hi / lo)^t, t = g_lo / (g_lo - g_hi), evaluated through
-    log1p and expm1 so a bracket a few ulps wide keeps its resolution. The
-    retained end's g is halved when the same end moves twice running (the
-    Illinois rule). A point that is not finite (a zero or infinite
-    Phi-mean at an end) falls back to the midpoint, geometric on a bracket
-    wider than a factor 2 and arithmetic otherwise, and every point keeps
-    2e-16 hi away from both ends, so a step next to the root crosses it
-    instead of creeping up to it at the noise floor. All open rows share
-    one Phi call per step.
+    log1p and expm1 so a bracket a few ulps wide keeps its resolution. When
+    the same end moves twice running, the retained end's g is scaled by
+    1 - g_new / g_replaced, or by 0.5 when that is not positive (Anderson
+    and Bjorck, BIT 13, 1973; the Illinois rule always halves). A point
+    that is not finite (a zero or infinite Phi-mean at an end) falls back
+    to the midpoint, geometric on a bracket wider than a factor 2 and
+    arithmetic otherwise, and every point keeps 2e-16 hi away from both
+    ends, so a step next to the root crosses it instead of creeping up to
+    it at the noise floor. All open rows share one Phi call per step.
     """
     out, m_out = hi.copy(), m_hi.copy()
-    rows = np.arange(hi.size)
-    g_lo, g_hi = np.log(m_lo), np.log(m_hi)
-    lo_last = np.zeros(hi.size, dtype=bool)  # lo moved last
-    hi_last = np.zeros(hi.size, dtype=bool)  # hi moved last
+    # per open row: lo, g_lo, hi, g_hi, m_hi, the end moved last (1 lo, 0 hi, NaN neither), index
+    state = np.stack((lo, np.log(m_lo), hi, np.log(m_hi), m_hi,
+                      np.full(hi.size, math.nan), np.arange(hi.size)))
     for _ in range(200):
+        lo, g_lo, hi, g_hi, m_hi, last, index = state
         width = hi - lo
         done = width <= _WIDTH * hi
         if done.any():
-            out[rows[done]], m_out[rows[done]] = hi[done], m_hi[done]
+            at = index[done].astype(np.intp)
+            out[at], m_out[at] = hi[done], m_hi[done]
             keep = ~done
-            rows, lo, hi, width, g_lo, g_hi, m_hi, lo_last, hi_last = (
-                a[keep] for a in (rows, lo, hi, width, g_lo, g_hi, m_hi, lo_last, hi_last))
-            parts = _rows(parts, keep)
-        if rows.size == 0:
-            break
+            if not keep.any():
+                break
+            state, rows, width = state.compress(keep, axis=1), _rows(rows, keep), width[keep]
+            lo, g_lo, hi, g_hi, m_hi, last, index = state
+        new = np.empty((3, lo.size))  # the step's point, its g and Phi-mean
+        x, g = new[0], new[1]
         span = g_lo - g_hi
-        x = lo * np.expm1(g_lo / span * np.log1p(width / lo)) + lo
+        np.log1p(np.divide(width, lo, out=x), out=x)
+        x *= g_lo / span
+        np.expm1(x, out=x)
+        x *= lo
+        x += lo
         # x and span are >= 0 or NaN, so their sum is finite iff both are
         bad = ~np.isfinite(x + span)
         if bad.any():
             a, b = lo[bad], hi[bad]
             x[bad] = np.where(b > 2.0 * a, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
         pad = 0.5 * _WIDTH * hi  # 2e-16 hi; an open row has room for both pads
-        x = np.minimum(np.maximum(x, lo + pad), hi - pad)
-        m = _phi_means(phi, parts, x)
-        g = np.log(m)
+        np.maximum(x, lo + pad, out=x)
+        np.minimum(x, hi - pad, out=x)
+        new[2] = m = _phi_means(phi, rows, x)
+        np.log(m, out=g)
         above = m > 1.0
-        below = ~above
-        g_lo[below & hi_last] *= 0.5
-        g_hi[above & lo_last] *= 0.5
-        np.copyto(g_lo, g, where=above)
-        np.copyto(g_hi, g, where=below)
-        np.copyto(lo, x, where=above)
-        np.copyto(hi, x, where=below)
-        np.copyto(m_hi, m, where=below)
-        lo_last, hi_last = above, below
-    out[rows], m_out[rows] = hi, m_hi
+        # both ends are scaled; the replaced one is overwritten below
+        scale = 1.0 - g / np.where(above, g_lo, g_hi)
+        scale = np.where(above == last, np.where(scale > 0.0, scale, 0.5), 1.0)
+        g_lo *= scale
+        g_hi *= scale
+        np.copyto(state[:2], new[:2], where=above)
+        np.copyto(state[2:5], new, where=~above)
+        np.copyto(last, above)
+    at = index.astype(np.intp)  # rows left open after 200 steps, if any
+    out[at], m_out[at] = hi, m_hi
     return out, m_out
 
 
@@ -484,9 +494,9 @@ def _unit_norm(phi) -> float:
     its first solve; a plain callable is solved on every call."""
     u = getattr(phi, "_unit", None) if isinstance(phi, OrliczSpec) else None
     if u is None:
-        one = np.ones((1, 1))
+        one = _rowset([np.ones((1, 1))])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            u = float(_illinois([one], phi, *_search([one], one[0], phi))[0][0])
+            u = float(_illinois(one, phi, *_search(one, one[0], phi))[0][0])
         if isinstance(phi, OrliczSpec):
             object.__setattr__(phi, "_unit", u)
     return u
@@ -494,8 +504,8 @@ def _unit_norm(phi) -> float:
 
 def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
-    ``blocks``: one 2D array, one row per cube of a level, or a row set
-    (``_phi_means``) of several levels, whose rows share every Phi call.
+    ``blocks``, one 2D array (a level, one row per cube) or a list of them
+    (several levels), whose rows share every Phi call as one row set.
 
     ``lo`` / ``hi`` bracket each row's norm, as the min / max of the norms
     of its descendants at any one finer level do (for one-cell rows, lo =
@@ -506,15 +516,14 @@ def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np
     read as the limit lam -> 0+, where a nonzero row's Phi-mean is +inf for
     every catalog bump. A bracket that does not hold, open but not
     straddling or closed but uncertified, is replaced by the geometric
-    search from <w>_Q before the Illinois steps. A Phi-mean lower
-    at lo than at hi beyond the float slack raises InvalidSpecError. The
-    result is the hi end, certified by |<Phi(w/lam)>_Q - 1| <= tol
-    (BracketingError otherwise).
+    search from <w>_Q. A Phi-mean lower at lo than at hi beyond the float
+    slack raises InvalidSpecError. The result is the hi end, certified by
+    |<Phi(w/lam)>_Q - 1| <= tol (BracketingError otherwise).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    parts = [blocks] if isinstance(blocks, np.ndarray) else list(blocks)
-    lam0 = np.concatenate([np.mean(part, axis=1) for part in parts])
+    rows = _rowset([blocks] if isinstance(blocks, np.ndarray) else blocks)
+    lam0 = _row_means(rows, rows[0])
     out = np.zeros(lam0.size)
     live = lam0 != 0.0
     if not live.any():
@@ -522,30 +531,30 @@ def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np
     # copies: the ends are written below, and lo and hi may be one array
     lo, hi = lo[live], hi[live]
     if not live.all():
-        parts, lam0 = _rows(parts, live), lam0[live]
+        rows, lam0 = _rows(rows, live), lam0[live]
     # Phi of a huge w / lam may overflow to inf, and the log of a zero or
     # infinite Phi-mean is not finite; a step from either falls back to a
     # midpoint.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         is_open = hi - lo > _WIDTH * hi
         ends = is_open & (lo > 0.0)
-        m = _phi_means(phi, parts + _rows(parts, ends), np.concatenate((hi, lo[ends])))
+        at_lo = _rows(rows, ends)
+        both = (*(np.concatenate(pair) for pair in zip(rows[:2], at_lo[:2])), rows[2] + at_lo[2])
+        m = _phi_means(phi, both, np.concatenate((hi, lo[ends])))
         m_hi, m_lo = m[:hi.size], np.full(hi.size, math.inf)
         m_lo[ends] = m[hi.size:]
         if np.any(m_lo < m_hi * (1.0 - _SLACK)):
             raise InvalidSpecError("Phi-mean is not decreasing in lambda")
         redo = ~np.where(is_open, (m_lo > 1.0) & (m_hi <= 1.0), np.abs(m_hi - 1.0) <= tol)
         if redo.any():
-            lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(_rows(parts, redo), lam0[redo], phi)
+            lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(_rows(rows, redo), lam0[redo], phi)
             is_open |= redo
         if is_open.any():
-            hi[is_open], m_hi[is_open] = _illinois(_rows(parts, is_open), phi, lo[is_open],
+            hi[is_open], m_hi[is_open] = _illinois(_rows(rows, is_open), phi, lo[is_open],
                                                    hi[is_open], m_lo[is_open], m_hi[is_open])
     gap = np.abs(m_hi - 1.0)
     if not np.all(gap <= tol):
-        raise BracketingError(
-            f"Illinois solve stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol"
-        )
+        raise BracketingError(f"Illinois solve stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol")
     out[live] = hi
     return out
 
@@ -611,40 +620,39 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
     """Orlicz maximal function: per cell, sup of orlicz_norm over all dyadic
     cubes containing it.
 
-    Every cube is one bracketed ``_level_orlicz`` row. The finest level is
-    bracketed by lo = hi = w * u, u the norm of the one cell 1.0 (solved
-    once per OrliczSpec, and not at all for an all-zero w), so it costs one
-    Phi call, for its certificates. The levels above it are solved in
-    groups of consecutive levels, from the finest group up; one
-    ``_level_orlicz`` call solves a group's cubes at once on the
-    (2^l, 2^(n-l)) views of w, so they share every Phi call and every
-    Illinois step. A group holds as many levels as keep its Phi call within
-    ``_GROUP_CELLS`` cells, at least one: up to n = 10 that is every level,
-    and from n = 14 on each group is one level. A cube's Phi-mean is the
-    mean of the Phi-means of its descendants at any finer level, each
-    decreasing in lambda, so its norm lies between theirs: every cube of a
-    group is bracketed by the min / max of the norms of its descendants at
-    the level just below the group, folded up pairwise (a zero min, from an
-    all-zero descendant, goes straight to the Illinois steps). Every cube's
-    certificate |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so
-    a group with one uncertified cube raises BracketingError; tol must be
-    positive (ValueError otherwise, NaN included).
+    Every cube is one bracketed ``_level_orlicz`` row. The levels are
+    solved in groups of consecutive levels, from the leaves up, one
+    ``_level_orlicz`` call per group on the (2^l, 2^(n-l)) views of w, so a
+    group's cubes share every Phi call and every Illinois step. A group
+    holds as many levels as keep its Phi call within ``_GROUP_CELLS``
+    cells, at least one: up to n = 10 that is every level, and from n = 14
+    on each group is one level, the first the leaves alone. The leaves are
+    closed rows lo = hi = w * u, u the norm of the one cell 1.0 (solved
+    once per OrliczSpec, and not at all for an all-zero w), certified by
+    their group's first Phi call. A cube's Phi-mean is the mean of its
+    descendants' at any finer level, each decreasing in lambda, so its norm
+    lies between theirs: a cube is bracketed by the min / max, folded up
+    pairwise, of w * u over its cells in the first group and of its
+    descendants' norms at the level below its group after that (a zero min
+    goes straight to the Illinois steps). Every cube's certificate
+    |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so a group
+    with one uncertified cube raises BracketingError; tol must be positive
+    (ValueError otherwise, NaN included).
     """
     require_weight(w)
     n = w.resolution
-    leaf = w.values * _unit_norm(phi) if w.values.any() else w.values
-    norms = [None] * n + [_level_orlicz(w.values[:, None], phi, tol, leaf, leaf)]
-    span = max(1, _GROUP_CELLS >> n)  # levels per group
-    for below in range(n, 0, -span):
-        top = max(0, below - span)
-        # min / max of the level-`below` norms under each cube of the
-        # group, coarsest level first
-        lo, hi = (np.concatenate(reduce_up(norms[below], op)[top:below])
-                  for op in (np.minimum, np.maximum))
-        got = _level_orlicz([w.values.reshape(1 << level, -1) for level in range(top, below)],
+    norms = [None] * (n + 1)
+    # the norms bracketing the next group: w * u, then the coarsest solved
+    below = w.values * _unit_norm(phi) if w.values.any() else w.values
+    span = max(1, _GROUP_CELLS >> n)  # levels per group, the leaves one of them
+    for stop in range(n + 1, 0, -span):
+        top = max(0, stop - span)
+        lo, hi = (np.concatenate(reduce_up(below, op)[top:stop]) for op in (np.minimum, np.maximum))
+        got = _level_orlicz([w.values.reshape(1 << level, -1) for level in range(top, stop)],
                             phi, tol, lo, hi)
-        for level in range(top, below):
+        for level in range(top, stop):
             norms[level] = got[(1 << level) - (1 << top) : (2 << level) - (1 << top)]
+        below = norms[top]
     return GridFunction(n, paint_down(norms, np.maximum)[-1])
 
 

@@ -59,7 +59,7 @@ from .weights import (
     power_weight,
 )
 
-VERSION = "0.5.0"
+VERSION = "0.6.0"
 
 MAX_RESOLUTION_ENV = "ENDPOINT_LAB_MAX_N"
 

@@ -33,13 +33,19 @@ from .grid import (
 VACUOUS = math.nan
 
 
+# a pair sum past float64's range is inf, and so is every average above it
+@np.errstate(over="ignore")
 def dyadic_maximal(w: GridFunction) -> GridFunction:
     """M w(x) = max over dyadic cubes Q containing x of <w>_Q.
 
     One downward max paint over the level-average arrays, O(n) total.
+    Raises InvalidWeightError when the pairwise sums overflow float64.
     """
     require_weight(w)
-    return GridFunction(w.resolution, paint_down(level_averages(w.values), np.maximum)[-1])
+    avgs = level_averages(w.values)
+    if not math.isfinite(avgs[0][0]):
+        raise InvalidWeightError("weight sums overflow float64; rescale w (M w scales with w)")
+    return GridFunction(w.resolution, paint_down(avgs, np.maximum)[-1])
 
 
 def rho(w: GridFunction, cube: DyadicCube) -> float:

@@ -19,6 +19,34 @@ def ieee_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def pairwise_row_sum(a):
+    """What np.add.reduce(a, axis=1) gives a C-contiguous float64 (rows, W)
+    array for 1 <= W <= 128, from numpy's pairwise summation, one column
+    add at a time: below 8 terms, a sequential sum from the first; from 8
+    on, eight accumulators r_j over the columns j, j + 8, ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the columns
+    past the last multiple of 8 added one by one. Wider rows are split in
+    halves first, which this does not model."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    width = a.shape[1]
+    if not 1 <= width <= 128:
+        raise ValueError("pairwise_row_sum models widths 1..128")
+    if width < 8:
+        total = a[:, 0].copy()
+        for j in range(1, width):
+            total += a[:, j]
+        return total
+    acc = a[:, :8].copy()
+    stop = width - width % 8
+    for j in range(8, stop, 8):
+        acc += a[:, j : j + 8]
+    r = [acc[:, j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(stop, width):
+        total += a[:, j]
+    return total
+
+
 def enumerate_cubes(resolution):
     """All DyadicCubes of the grid, ordered by (level, index)."""
     from entbump.grid import DyadicCube

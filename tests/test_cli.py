@@ -92,6 +92,16 @@ def test_overflowing_weight_file_is_rejected(tmp_path, capsys):
     assert "max_rho" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["maximal", "compare"])
+def test_overflowing_weight_file_is_rejected_by_the_maximal_commands(command, tmp_path, capsys):
+    # M w <= 9e307 everywhere, but the pairwise sums overflow: this warned
+    # from grid.py and then said only that grid values must be finite
+    wpath = tmp_path / "huge.txt"
+    save_grid_function(GridFunction(3, [9e307] * 8), wpath)
+    assert run([command, "--weight", str(wpath)]) == 2
+    assert "rescale" in capsys.readouterr().err
+
+
 def test_rho_missing_weight_file(tmp_path, capsys):
     assert run(["rho", "--weight", str(tmp_path / "missing.txt")]) == 2
     assert "no such weight file" in capsys.readouterr().err
@@ -406,17 +416,21 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["verify_all.py", "--n", "3", "--trials", "2"])
-    assert module.main() == 6
+    assert module.main() == 8
     out = capsys.readouterr().out
     # replay runs at --n and at the n = 18 cap, maximal --phi twice at the
-    # cap, once at n = 12 (levels solved in groups) and once at --n;
-    # compare --phi twice, the loglog one at n = 14
+    # cap, once at n = 12 (levels solved in groups), once at --n, and at
+    # n = 0 and n = 13 (the leaves alone, and with one level, in the first
+    # group); compare --phi three times, the loglog one at n = 14
     assert ("failed: replay (exit 1), maximal (raised), maximal (raised), "
-            "maximal (raised), replay (exit 1), maximal (raised)") in out
-    assert len(seen) == 19
+            "maximal (raised), replay (exit 1), maximal (raised), "
+            "maximal (raised), maximal (raised)") in out
+    assert len(seen) == 22
     orlicz = [argv for argv in seen if "--phi" in argv]
     assert [argv[0] for argv in orlicz] == [
-        "maximal", "maximal", "maximal", "compare", "compare", "maximal"]
+        "maximal", "maximal", "maximal", "compare", "compare", "maximal",
+        "maximal", "compare", "maximal"]
+    assert [argv[1:3] for argv in orlicz[-3:]] == [["--n", "0"], ["--n", "1"], ["--n", "13"]]
     assert ["--n", "18"] == orlicz[0][1:3] == orlicz[1][1:3]
     assert [argv[-1] for argv in orlicz[:3]] == ["llog:0.5"] + ["logprod:e2=1,e3=1,e4=1.5"] * 2
     assert orlicz[2][1:3] == ["--n", "12"]

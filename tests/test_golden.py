@@ -45,15 +45,15 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "5034199b64f264d1d4eb5be79a8c44f4c054a315fa25dc2331089c7757c67b18",
-    "main": "46686c72f13f4deb1f6287a43df61e356b4ea613b07297ff66111b36a3dd8730",
-    "corollary": "4c2bbc6712c8cc37d69fc35219a3d55d0a4f17acecaf483ba3510d1951cd0897",
-    "ainf": "001e0fb2bd27287b7a96c936f26db0ee3964e23f0adc6aca6aaaef90e789b629",
-    "domination": "89eb0bcecc0417736a4be20e9a4e0170e5595173f13fc86ed5b7e959756d8ad6",
-    "replay": "197b03ce9ba877767b58e8c42a9da33cea1736a3360a9fde3827912aab40f594",
+    "fs": "3915c15e2cf6155017abcc6075f7e562804692f4f8c6a3688e05ab06c9497a81",
+    "main": "aad369051c7a31faa8dc3ab44c022ee72aba561255d2784936cac49a646b4aa0",
+    "corollary": "5a2035486e965f35705e17580558c6e179f0c987df583cfe43aa5fc82bc8db17",
+    "ainf": "416ba3100773f552326301adf25b573fc5c749cbcea47419fa8540eafc050139",
+    "domination": "3255b5b1923636e4795b8ff1e5d3458b49a894e28b263409ee71b7584a2cba83",
+    "replay": "686a9ff2cd962c93f4dc14e7e088f5fbba544c4e111c0e891eef0a1098405600",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
-    "maximal": "42730e31e5cb39155890cfaa4bef988ddb67ec8269b50b0f4f54dace57b92bda",
+    "maximal": "8e0d96b07e750f4cd5f84b303f39aa880f5563267d2988a31266e06a16e5ad5e",
 }
 
 CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]

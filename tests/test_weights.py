@@ -80,6 +80,19 @@ class TestDyadicMaximal:
         ref = brute_maximal(vals, resolution)
         np.testing.assert_allclose(mine, ref, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("vals", [[9e307] * 8, [1.7e308, 1.7e308] + [1.0] * 6])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_are_rejected(self, vals):
+        # M w <= max w here, but a pairwise sum passes float64's range: this
+        # warned of an overflow and failed GridFunction's finiteness check
+        with pytest.raises(InvalidWeightError, match="rescale"):
+            dyadic_maximal(GridFunction(3, vals))
+
+    @pytest.mark.filterwarnings("error")
+    def test_sums_just_inside_float64_range(self):
+        # the root's pair sum 1e308 + 1 stays finite
+        assert list(dyadic_maximal(GridFunction(1, [1e308, 1.0])).values) == [1e308, (1e308 + 1.0) * 0.5]
+
     def test_localized_on_root_matches_global(self):
         # rho's M(w 1_Q) at the root is the dyadic maximal function
         rng = np.random.default_rng(7)
