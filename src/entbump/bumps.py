@@ -31,17 +31,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BracketingError, InvalidCubeError, InvalidSpecError
+from .errors import BracketingError, InvalidCubeError, InvalidSpecError, InvalidWeightError
 from .grid import (
     DyadicCube,
     GridFunction,
     level_averages,
-    paint_down,
+    paint_leaves,
     reduce_up,
     require_weight,
-    split_levels,
 )
-from .weights import rho_all
+from .weights import _rho_levels
 
 _LN2 = math.log(2.0)
 _LOG2_3 = float(np.log2(3.0))
@@ -303,38 +302,56 @@ def k_epsilon(eps: EpsilonSpec, tol: float = 1e-12, max_terms: int = 128) -> KEp
     return KEpsilonResult(total, used, hit_max and nondecreasing)
 
 
-def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str, table=None) -> list:
-    """Entropy-bumped average of w on every cube, one array per level, from
-    one rho_all: w's RhoTable ``table``, or a fresh one (which validates w)
-    when None.
+def _entropy_level(avg, r, vacuous, eps: EpsilonSpec, variant: str) -> np.ndarray:
+    """The entropy-bumped averages of one level's cubes, from their
+    averages ``avg``, their rho ``r`` and the ``vacuous`` mask:
 
     ``full``: <w>_Q * rho_w(Q) * eps(rho_w(Q));
     ``log``:  <w>_Q * shifted_log2(rho_w(Q)) * eps(rho_w(Q)).
     Vacuous cubes give 0.
 
-    The levels are views of one flat array. Per level, log2(2 + rho) and
-    then eps of it go through one cell-size buffer, and ``rho < 1`` through
-    one boolean buffer. Vacuous cubes keep their NaN rho, which passes the
-    domain check and is zeroed at the end.
+    log2(2 + rho) and then eps of it go through one buffer. Vacuous cubes
+    keep their NaN rho, which passes the domain check and is zeroed at the
+    end. A product past float64's range raises InvalidWeightError
+    (``_bumped``).
     """
+    low = r < 1.0
+    clip = low.any()
+    if clip:
+        _check_eps_domain(r[low])
+    log_r = np.add(2.0, r)
+    np.log2(log_r, out=log_r)
+    vals = _bumped(avg, r if variant == "full" else log_r)
+    if clip:
+        # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
+        log_r[low] = _LOG2_3
+    _bumped(vals, eps._eval_from_log(log_r, out=log_r), out=vals)
+    vals[vacuous] = 0.0
+    return vals
+
+
+def _bumped(a, b, out=None):
+    """a * b for the entropy-bumped averages, which scale with w: a product
+    past float64's range raises InvalidWeightError."""
+    try:
+        with np.errstate(over="raise"):
+            return np.multiply(a, b, out=out)
+    except FloatingPointError:
+        raise InvalidWeightError(
+            "entropy-bumped averages overflow float64; rescale w (the majorant scales with w)"
+        ) from None
+
+
+def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str):
+    """Entropy-bumped average of w on every cube, from one ``_rho_levels``
+    sweep (which validates w): yields (level, rho, vacuous, norms) for the
+    levels N, ..., 0, each level's norms (``_entropy_level``) made as soon
+    as its rho is ready. An unknown ``variant`` raises ValueError at the
+    call."""
     if variant not in ("full", "log"):
         raise ValueError(f"unknown entropy norm variant {variant!r}")
-    if table is None:
-        table = rho_all(w)
-    norms = split_levels(np.empty((2 << w.resolution) - 1), w.resolution)
-    log_buf, low_buf = np.empty(w.n_cells), np.empty(w.n_cells, dtype=bool)
-    for avg, r, vac, vals in zip(level_averages(w.values), table.values, table.vacuous, norms):
-        low = np.less(r, 1.0, out=low_buf[: r.size])
-        log_r = np.add(2.0, r, out=log_buf[: r.size])
-        np.log2(log_r, out=log_r)
-        np.multiply(avg, r if variant == "full" else log_r, out=vals)
-        if low.any():
-            _check_eps_domain(r[low])
-            # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
-            log_r[low] = _LOG2_3
-        vals *= eps._eval_from_log(log_r, out=log_r)
-        vals[vac] = 0.0
-    return norms
+    return ((level, r, vac, _entropy_level(avg, r, vac, eps, variant))
+            for level, avg, r, vac in _rho_levels(w))
 
 
 _WIDTH = 4e-16  # machine bracket width: a row is solved once hi - lo <= _WIDTH * hi
@@ -422,57 +439,63 @@ def _search(rows: tuple, lam0: np.ndarray, phi) -> tuple:
             np.where(up, m0, m_probe), np.where(up, m_probe, m0))
 
 
+def _secant(lo, g_lo, hi, g_hi, out) -> np.ndarray:
+    """The Illinois step's point of every open row, into ``out``, which is
+    returned: the secant of g = log Phi-mean against log lambda, lo * (hi /
+    lo)^t with t = g_lo / (g_lo - g_hi), evaluated through log1p and expm1
+    so a bracket a few ulps wide keeps its resolution. A point that is not
+    finite (a zero or infinite Phi-mean at an end) falls back to the
+    midpoint, geometric on a bracket wider than a factor 2 and arithmetic
+    otherwise, and every point keeps 2e-16 hi away from both ends, so a
+    step next to the root crosses it instead of creeping up to it at the
+    noise floor. The temporaries end with the call, before the Phi call."""
+    span = g_lo - g_hi
+    np.log1p(np.divide(hi - lo, lo, out=out), out=out)
+    out *= g_lo / span
+    np.expm1(out, out=out)
+    out *= lo
+    out += lo
+    # out and span are >= 0 or NaN, so their sum is finite iff both are
+    bad = ~np.isfinite(out + span)
+    if bad.any():
+        a, b = lo[bad], hi[bad]
+        out[bad] = np.where(b > 2.0 * a, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
+    pad = 0.5 * _WIDTH * hi  # 2e-16 hi; an open row has room for both pads
+    np.maximum(out, lo + pad, out=out)
+    return np.minimum(out, hi - pad, out=out)
+
+
 def _illinois(rows: tuple, phi, lo, hi, m_lo, m_hi) -> tuple:
     """Close every row's bracket, Phi-mean m_lo > 1 at lo and m_hi <= 1 at
-    hi, to machine width; returns the final hi ends and their Phi-means.
-    ``rows`` is a row set (``_rowset``).
+    hi, to machine width; the final hi ends and their Phi-means overwrite
+    ``hi`` and ``m_hi``, which are returned. ``rows`` is a row set
+    (``_rowset``).
 
-    Each step is the secant of log Phi-mean against log lambda, which is
-    exact for ``power:r`` and nearly so for the log bumps: with g = log m,
-    the point lo * (hi / lo)^t, t = g_lo / (g_lo - g_hi), evaluated through
-    log1p and expm1 so a bracket a few ulps wide keeps its resolution. When
+    Each step is the secant of log Phi-mean against log lambda (``_secant``),
+    which is exact for ``power:r`` and nearly so for the log bumps. When
     the same end moves twice running, the retained end's g is scaled by
     1 - g_new / g_replaced, or by 0.5 when that is not positive (Anderson
-    and Bjorck, BIT 13, 1973; the Illinois rule always halves). A point
-    that is not finite (a zero or infinite Phi-mean at an end) falls back
-    to the midpoint, geometric on a bracket wider than a factor 2 and
-    arithmetic otherwise, and every point keeps 2e-16 hi away from both
-    ends, so a step next to the root crosses it instead of creeping up to
-    it at the noise floor. All open rows share one Phi call per step.
+    and Bjorck, BIT 13, 1973; the Illinois rule always halves). All open
+    rows share one Phi call per step.
     """
-    out, m_out = hi.copy(), m_hi.copy()
+    out, m_out = hi, m_hi
     # per open row: lo, g_lo, hi, g_hi, m_hi, the end moved last (1 lo, 0 hi, NaN neither), index
     state = np.stack((lo, np.log(m_lo), hi, np.log(m_hi), m_hi,
                       np.full(hi.size, math.nan), np.arange(hi.size)))
     for _ in range(200):
         lo, g_lo, hi, g_hi, m_hi, last, index = state
-        width = hi - lo
-        done = width <= _WIDTH * hi
+        done = hi - lo <= _WIDTH * hi
         if done.any():
             at = index[done].astype(np.intp)
             out[at], m_out[at] = hi[done], m_hi[done]
             keep = ~done
             if not keep.any():
                 break
-            state, rows, width = state.compress(keep, axis=1), _rows(rows, keep), width[keep]
+            state, rows = state.compress(keep, axis=1), _rows(rows, keep)
             lo, g_lo, hi, g_hi, m_hi, last, index = state
         new = np.empty((3, lo.size))  # the step's point, its g and Phi-mean
-        x, g = new[0], new[1]
-        span = g_lo - g_hi
-        np.log1p(np.divide(width, lo, out=x), out=x)
-        x *= g_lo / span
-        np.expm1(x, out=x)
-        x *= lo
-        x += lo
-        # x and span are >= 0 or NaN, so their sum is finite iff both are
-        bad = ~np.isfinite(x + span)
-        if bad.any():
-            a, b = lo[bad], hi[bad]
-            x[bad] = np.where(b > 2.0 * a, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
-        pad = 0.5 * _WIDTH * hi  # 2e-16 hi; an open row has room for both pads
-        np.maximum(x, lo + pad, out=x)
-        np.minimum(x, hi - pad, out=x)
-        new[2] = m = _phi_means(phi, rows, x)
+        g = new[1]
+        new[2] = m = _phi_means(phi, rows, _secant(lo, g_lo, hi, g_hi, out=new[0]))
         np.log(m, out=g)
         above = m > 1.0
         # both ends are scaled; the replaced one is overwritten below
@@ -502,6 +525,19 @@ def _unit_norm(phi) -> float:
     return u
 
 
+def _end_means(phi, rows: tuple, lo: np.ndarray, hi: np.ndarray, ends: np.ndarray) -> tuple:
+    """Phi-means (at lo, at hi) of every row of the row set ``rows``, from
+    one Phi call: at hi for every row, at lo for the rows where ``ends`` is
+    true and +inf at lo elsewhere (lo = 0 read as lam -> 0+). The combined
+    row set and its Phi-means end with the call."""
+    at_lo = _rows(rows, ends)
+    both = (*(np.concatenate(pair) for pair in zip(rows[:2], at_lo[:2])), rows[2] + at_lo[2])
+    m = _phi_means(phi, both, np.concatenate((hi, lo[ends])))
+    m_lo = np.full(hi.size, math.inf)
+    m_lo[ends] = m[hi.size:]
+    return m_lo, m[:hi.size].copy()
+
+
 def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
     ``blocks``, one 2D array (a level, one row per cube) or a list of them
@@ -523,38 +559,35 @@ def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np
     if not tol > 0:
         raise ValueError("tol must be positive")
     rows = _rowset([blocks] if isinstance(blocks, np.ndarray) else blocks)
-    lam0 = _row_means(rows, rows[0])
-    out = np.zeros(lam0.size)
-    live = lam0 != 0.0
+    live = _row_means(rows, rows[0]) != 0.0
     if not live.any():
-        return out
+        return np.zeros(live.size)
     # copies: the ends are written below, and lo and hi may be one array
     lo, hi = lo[live], hi[live]
     if not live.all():
-        rows, lam0 = _rows(rows, live), lam0[live]
+        rows = _rows(rows, live)
     # Phi of a huge w / lam may overflow to inf, and the log of a zero or
     # infinite Phi-mean is not finite; a step from either falls back to a
     # midpoint.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         is_open = hi - lo > _WIDTH * hi
-        ends = is_open & (lo > 0.0)
-        at_lo = _rows(rows, ends)
-        both = (*(np.concatenate(pair) for pair in zip(rows[:2], at_lo[:2])), rows[2] + at_lo[2])
-        m = _phi_means(phi, both, np.concatenate((hi, lo[ends])))
-        m_hi, m_lo = m[:hi.size], np.full(hi.size, math.inf)
-        m_lo[ends] = m[hi.size:]
+        m_lo, m_hi = _end_means(phi, rows, lo, hi, is_open & (lo > 0.0))
         if np.any(m_lo < m_hi * (1.0 - _SLACK)):
             raise InvalidSpecError("Phi-mean is not decreasing in lambda")
         redo = ~np.where(is_open, (m_lo > 1.0) & (m_hi <= 1.0), np.abs(m_hi - 1.0) <= tol)
         if redo.any():
-            lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(_rows(rows, redo), lam0[redo], phi)
+            again = _rows(rows, redo)
+            lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(again, _row_means(again, again[0]), phi)
             is_open |= redo
-        if is_open.any():
+        if is_open.all():  # the row set and its ends as they are, not copies
+            _illinois(rows, phi, lo, hi, m_lo, m_hi)
+        elif is_open.any():
             hi[is_open], m_hi[is_open] = _illinois(_rows(rows, is_open), phi, lo[is_open],
                                                    hi[is_open], m_lo[is_open], m_hi[is_open])
     gap = np.abs(m_hi - 1.0)
     if not np.all(gap <= tol):
         raise BracketingError(f"Illinois solve stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol")
+    out = np.zeros(live.size)
     out[live] = hi
     return out
 
@@ -591,14 +624,21 @@ def m_entropy(
     variant: str = "log",
 ) -> GridFunction:
     """Entropy-bump maximal function: per cell, the max of the entropy-bumped
-    averages (``_entropy_levels``) over the cubes containing it.
+    averages over the cubes containing it.
+
+    One ``_entropy_levels`` sweep keeps each level's norms and lets its rho
+    go, and one leaves-only max paint (``paint_leaves``) reads them; the
+    rho table and a second averages pyramid are never built. A weight whose
+    bumped averages overflow float64 raises InvalidWeightError.
 
     ``collections`` is an optional nonempty list of SparseCollections (read
     through ``members``, one boolean array per level), whose union is the
     cube set; None means all dyadic cubes of the grid. Cells covered by no
     cube get 0. A member finer than w's grid raises InvalidCubeError.
     """
-    norms = _entropy_levels(w, eps, variant)
+    norms = [None] * (w.resolution + 1)
+    for level, _, _, vals in _entropy_levels(w, eps, variant):
+        norms[level] = vals
     if collections is not None:
         if not isinstance(collections, (list, tuple)) or len(collections) == 0:
             raise ValueError("collections must be a nonempty list of cube sets")
@@ -609,7 +649,7 @@ def m_entropy(
             for ok, mem in zip(allowed, coll.members):
                 ok |= mem
         norms = [np.where(ok, v, -math.inf) for ok, v in zip(allowed, norms)]
-    out = paint_down(norms, np.maximum)[-1]
+    out = paint_leaves(norms, np.maximum)
     if collections is not None:
         # -inf marks the cells no member covers; with all cubes there are none
         out = np.where(np.isneginf(out), 0.0, out)
@@ -653,7 +693,7 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
         for level in range(top, stop):
             norms[level] = got[(1 << level) - (1 << top) : (2 << level) - (1 << top)]
         below = norms[top]
-    return GridFunction(n, paint_down(norms, np.maximum)[-1])
+    return GridFunction._adopt(n, paint_leaves(norms, np.maximum))
 
 
 def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
@@ -664,8 +704,8 @@ def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
     array per level); ``SparseCollection(n, cubes)`` converts DyadicCubes.
     ``alpha[l]`` is the float array of level-l coefficients, length 2^l;
     entries off the members are ignored. Per level, one product over the
-    members' indices, then a downward max paint. A product that is NaN (an
-    infinite coefficient on a zero average) counts as no value.
+    members' indices, then a leaves-only downward max paint. A product that
+    is NaN (an infinite coefficient on a zero average) counts as no value.
 
     Raises InvalidCubeError when a member is finer than f's grid (a coarser
     collection is fine), and ValueError when a level holding members has no
@@ -695,6 +735,6 @@ def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
             vals = coeff * avgs[level][idx]
             vals[np.isnan(vals)] = -math.inf
             per_level[level][idx] = vals
-    out = paint_down(per_level, np.maximum)[-1]
+    out = paint_leaves(per_level, np.maximum)
     out = np.where(np.isneginf(out), 0.0, out)
     return GridFunction(n, out)

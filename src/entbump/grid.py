@@ -274,9 +274,13 @@ def weak_l1_norm(g: GridFunction, w: GridFunction) -> float:
     (every sort then yields the one permutation), so the stable sort runs
     only on inputs with a tie.
 
-    Two cell-size buffers carry the work: -|g| (the sort key) and the
-    sorted values. Once the order is final, the first takes the gathered
-    weights, their running sum, its scaling and the product in place.
+    Three cell-size arrays carry the work: -|g| (the sort key), the order
+    and the sorted values. On a tie the unstable order and its sorted
+    values are dropped before the stable sort builds its own. Once the
+    order is final, the key's buffer takes the gathered weights, their
+    running sum, its scaling and the product in place; the gathers index
+    with mode="clip", which never moves a valid index and, unlike the
+    default, writes into ``out`` without a buffered copy.
     """
     _same_resolution(g, w)
     require_weight(w)
@@ -287,10 +291,12 @@ def weak_l1_norm(g: GridFunction, w: GridFunction) -> float:
     order = np.argsort(neg)
     v_sorted = np.take(neg, order)
     if (v_sorted[1:] == v_sorted[:-1]).any():
+        del order, v_sorted
         order = np.argsort(neg, kind="stable")
-        np.take(neg, order, out=v_sorted)
+        v_sorted = np.take(neg, order)
     np.negative(v_sorted, out=v_sorted)
-    cum_w = np.take(w.values, order, out=neg)
+    cum_w = np.take(w.values, order, out=neg, mode="clip")
+    del order
     np.cumsum(cum_w, out=cum_w)
     cum_w *= w.cell_width
     # Within a run of equal values the last position dominates, so a plain
@@ -323,10 +329,24 @@ def paint_down(per_level, op) -> list[np.ndarray]:
     """Per-level arrays painted from the root down: entry 0 is per_level[0]
     and entry l is op(np.repeat(entry[l - 1], 2), per_level[l]), so each
     cube sees its ancestors' values folded in root-first order. The last
-    entry is the per-cell result."""
+    entry is the per-cell result; a caller that reads only that entry uses
+    paint_leaves, which does not keep the others."""
     out = [per_level[0]]
     for values in per_level[1:]:
         out.append(op(np.repeat(out[-1], 2), values))
+    return out
+
+
+def paint_leaves(per_level, op) -> np.ndarray:
+    """The last entry of paint_down(per_level, op), with the same bits, from
+    one running level: each step repeats it and folds the next level into
+    the repeat in place, so at most the previous level and the new one are
+    held. ``op`` is a binary ufunc; with one level, per_level[0] itself is
+    returned."""
+    out = per_level[0]
+    for values in per_level[1:]:
+        out = np.repeat(out, 2)
+        op(out, values, out=out)
     return out
 
 

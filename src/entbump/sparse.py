@@ -40,11 +40,12 @@ from .grid import (
     level_averages,
     level_sums,
     paint_down,
+    paint_leaves,
     require_weight,
     restrict,
     split_levels,
 )
-from .weights import rho_all
+from .weights import RhoTable
 
 
 class SparseCollection:
@@ -677,10 +678,14 @@ def _nearest_same(parent: np.ndarray, key: np.ndarray, todo: np.ndarray) -> np.n
 
 
 def _majorant(w: GridFunction, eps: EpsilonSpec) -> tuple:
-    """w's RhoTable and the cells of m_entropy(w, eps): one rho table feeds
-    the majorant and the rho-bins."""
-    table = rho_all(w)
-    return table, paint_down(_entropy_levels(w, eps, "log", table), np.maximum)[-1]
+    """w's RhoTable and the cells of m_entropy(w, eps), from one
+    ``_entropy_levels`` sweep: the table keeps each level's rho for the
+    rho-bins, and a leaves-only max paint reads the norms."""
+    n = w.resolution
+    values, vac, norms = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+    for level, r, vacuous, vals in _entropy_levels(w, eps, "log"):
+        values[level], vac[level], norms[level] = r, vacuous, vals
+    return RhoTable(n, tuple(values), tuple(vac)), paint_leaves(norms, np.maximum)
 
 
 def proof_replay(
@@ -750,7 +755,7 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
 
     # H: the union of the maximal dyadic cubes with <f>_Q above the
     # threshold, i.e. the cells with some ancestor above it.
-    h_set = CellSet(n, paint_down(favg, np.maximum)[-1] > threshold)
+    h_set = CellSet(n, paint_leaves(favg, np.maximum) > threshold)
     w_h = integral(w, h_set)
     g_prime = g_set.difference(h_set)
     w_gprime = integral(w, g_prime)

@@ -24,9 +24,9 @@ from .grid import (
     DyadicCube,
     GridFunction,
     integral,
+    _half_sum,
     level_averages,
-    level_sums,
-    paint_down,
+    paint_leaves,
     require_weight,
 )
 
@@ -38,14 +38,15 @@ VACUOUS = math.nan
 def dyadic_maximal(w: GridFunction) -> GridFunction:
     """M w(x) = max over dyadic cubes Q containing x of <w>_Q.
 
-    One downward max paint over the level-average arrays, O(n) total.
+    One leaves-only downward max paint over the level-average arrays,
+    O(n) total.
     Raises InvalidWeightError when the pairwise sums overflow float64.
     """
     require_weight(w)
     avgs = level_averages(w.values)
     if not math.isfinite(avgs[0][0]):
         raise InvalidWeightError("weight sums overflow float64; rescale w (M w scales with w)")
-    return GridFunction(w.resolution, paint_down(avgs, np.maximum)[-1])
+    return GridFunction._adopt(w.resolution, paint_leaves(avgs, np.maximum))
 
 
 def rho(w: GridFunction, cube: DyadicCube) -> float:
@@ -60,7 +61,7 @@ def rho(w: GridFunction, cube: DyadicCube) -> float:
     w_sum = float(w.values[a:b].sum())
     if w_sum == 0.0:
         return VACUOUS
-    m_sum = float(paint_down(level_averages(w.values[a:b]), np.maximum)[-1].sum())
+    m_sum = float(paint_leaves(level_averages(w.values[a:b]), np.maximum).sum())
     return m_sum / w_sum
 
 
@@ -106,45 +107,55 @@ class RhoTable:
             self.write_rows(fh, "\r\n")
 
 
-# sums past float64's range overflow to inf, which the root's rho catches
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def rho_all(w: GridFunction) -> RhoTable:
-    """rho for every cube in O(n log n).
+def _rho_levels(w: GridFunction):
+    """The bottom-up sweep behind rho_all: yields (level, <w>_Q, rho,
+    vacuous) for the levels N, N - 1, ..., 0, one array each of that
+    level's cubes, NaN rho on vacuous cubes.
 
     For a cell x inside a level-l cube Q, M(w 1_Q)(x) is the suffix maximum
     (from level l down to the leaves) of the averages along x's ancestor
-    path. Sweeping l from the leaves up keeps one suffix-max array at leaf
-    granularity, updated in place on its (2^l, 2^(n-l)) view, and sums each
-    row of that view for the per-cube sums. Width-2 rows are added as two
-    columns (one addition, so the same bits as the reduction); wider rows
-    keep numpy's row sum, whose summation order the reports depend on.
-    Raises InvalidWeightError when the sums overflow float64.
+    path. The sweep keeps one suffix-max array at leaf granularity, updated
+    in place on its (2^l, 2^(n-l)) view, and sums each row of that view for
+    the per-cube M-sums. Each level's averages and w-sums are built from
+    the level below by the pairwise steps of level_averages and level_sums,
+    so they have those ladders' bits, and only the level below is held.
+    Width-2 rows are added as two columns (one addition, so the same bits
+    as the reduction); wider rows keep numpy's row sum, whose summation
+    order the reports depend on. Raises InvalidWeightError, before the root
+    is yielded, when the sums overflow float64.
     """
     require_weight(w)
-    n_levels = w.resolution + 1
-    avgs = level_averages(w.values)
-    wsums = level_sums(w.values)
-    n = w.n_cells
-    values: list = [None] * n_levels
-    vac: list = [None] * n_levels
-    suffix = avgs[w.resolution].copy()
+    avg = wsum = w.values  # at the leaves, each cell's average and sum
+    suffix = w.values.copy()
     for level in range(w.resolution, -1, -1):
-        rows = suffix.reshape(1 << level, n >> level)
-        if level < w.resolution:
-            np.maximum(avgs[level][:, None], rows, out=rows)
-        if rows.shape[1] == 2:
-            m_sums = rows[:, 0] + rows[:, 1]
-        else:
-            m_sums = rows.sum(axis=1)
-        r = m_sums / wsums[level]
-        vacuous_mask = wsums[level] == 0.0
-        r[vacuous_mask] = np.nan
-        values[level] = r
-        vac[level] = vacuous_mask
-    # every cube's M-sum and w-sum is at most the root's, so a finite root
-    # rho means no sum overflowed
-    if not (vac[0][0] or math.isfinite(values[0][0])):
-        raise InvalidWeightError("weight sums overflow float64; rescale w (rho is scale-invariant)")
+        rows = suffix.reshape(1 << level, -1)
+        # sums past float64's range overflow to inf, which the root's rho
+        # catches; the state is set per level, not across the yield
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if level < w.resolution:
+                avg, wsum = _half_sum(avg[0::2], avg[1::2]), np.add(wsum[0::2], wsum[1::2])
+                np.maximum(avg[:, None], rows, out=rows)
+            r = rows[:, 0] + rows[:, 1] if rows.shape[1] == 2 else rows.sum(axis=1)
+            np.divide(r, wsum, out=r)
+        vacuous = wsum == 0.0
+        r[vacuous] = np.nan
+        # every cube's M-sum and w-sum is at most the root's, so a finite
+        # root rho means no sum overflowed
+        if level == 0 and not (vacuous[0] or math.isfinite(r[0])):
+            raise InvalidWeightError("weight sums overflow float64; rescale w (rho is scale-invariant)")
+        yield level, avg, r, vacuous
+
+
+def rho_all(w: GridFunction) -> RhoTable:
+    """rho for every cube in O(n log n): one ``_rho_levels`` sweep, of which
+    the table keeps each level's rho and vacuous mask. Beside the table the
+    sweep holds one cell-size suffix max and one level of averages and
+    w-sums, not whole pyramids. Raises InvalidWeightError when the sums
+    overflow float64.
+    """
+    values, vac = [None] * (w.resolution + 1), [None] * (w.resolution + 1)
+    for level, _, r, vacuous in _rho_levels(w):
+        values[level], vac[level] = r, vacuous
     return RhoTable(w.resolution, tuple(values), tuple(vac))
 
 
@@ -229,5 +240,5 @@ def a1_generator(g: GridFunction, s: float) -> GridFunction:
         raise InvalidWeightError(f"exponent must be in (0, 1), got {s}")
     if not np.any(g.values != 0):
         raise InvalidWeightError("generator function is identically zero")
-    m = dyadic_maximal(GridFunction(g.resolution, np.abs(g.values)))
-    return GridFunction(g.resolution, np.power(m.values, s))
+    m = dyadic_maximal(GridFunction._adopt(g.resolution, np.abs(g.values)))
+    return GridFunction._adopt(g.resolution, np.power(m.values, s))

@@ -926,7 +926,7 @@ def level_proof_replay(s, f, w, g_set, eps):
     parts classified in one pass, each (r, k) band a member mask of the part
     with whole-grid sweeps for its generations and E_Q cells, and one
     m_coeff paint per rho-bin for the coarse right-hand side."""
-    from entbump.bumps import _entropy_levels, m_coeff
+    from entbump.bumps import m_coeff
     from entbump.grid import (
         CellSet,
         GridFunction,
@@ -972,7 +972,7 @@ def level_proof_replay(s, f, w, g_set, eps):
     n = f.resolution
     w_g = integral(w, g_set)
     table = rho_all(w)
-    majorant = paint_down(_entropy_levels(w, eps, "log", table), np.maximum)[-1]
+    majorant = paint_down(temp_entropy_levels(w, eps, "log", table), np.maximum)[-1]
     denom = float(np.dot(np.abs(f.values), majorant) * f.cell_width)
     threshold = 4.0 / w_g
     if denom == 0.0:

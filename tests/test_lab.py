@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,22 @@ class TestMainExperiment:
         b = json.dumps(main_theorem_experiment(cfg).to_json_dict(), sort_keys=True)
         assert a == b
 
+    @pytest.mark.parametrize("family", ["power:0", "power:0.5", "power:0.9", "power:0.99", "a1gen"])
+    def test_peak_memory_of_one_trial_at_n16(self, family):
+        # 3.07 MiB for every family here, set while T f is built beside w,
+        # f and the signs; the majorant is gone by then, and f and the
+        # signs before the weak norm. Holding all of them through the weak
+        # norm, with whole pyramids in the majorant, peaked at 4.51 MiB.
+        cfg = TrialConfig(resolution=16, trials=1, seed=0, weight_families=(family,),
+                          function_families=("haar_packet",))
+        tracemalloc.start()
+        try:
+            main_theorem_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
+
 
 class TestCorollaryExperiment:
     def test_uniformity_across_s(self):
@@ -295,13 +312,13 @@ class TestStructuralSweeps:
 
     def test_adversarial_replay_trial_builds_one_rho_table(self, monkeypatch):
         import entbump.bumps
-        import entbump.sparse
         import entbump.weights
 
+        # every rho table and entropy majorant comes from one _rho_levels sweep
         calls = []
-        real = entbump.weights.rho_all
-        for module in (entbump.weights, entbump.bumps, entbump.sparse):
-            monkeypatch.setattr(module, "rho_all", lambda w: calls.append(w) or real(w))
+        real = entbump.weights._rho_levels
+        for module in (entbump.weights, entbump.bumps):
+            monkeypatch.setattr(module, "_rho_levels", lambda w: calls.append(w) or real(w))
         cfg = small(resolution=6, trials=1, function_families=("adversarial",))
         assert replay_random_suite(cfg).all_passed
         assert len(calls) == 1

@@ -39,9 +39,10 @@ PUBLIC = (
     "weak_l1_norm", "weak_type_quotient",
 )
 
-# grid's two sweeps and the level split: the README's overview explains the
-# layout with them, and they stay internal to the modules.
-README_INTERNALS = {"paint_down", "reduce_up", "split_levels"}
+# grid's two sweeps, the cells-only paint and the level split: the README's
+# overview explains the layout with them, and they stay internal to the
+# modules.
+README_INTERNALS = {"paint_down", "paint_leaves", "reduce_up", "split_levels"}
 
 MODULES = ("bumps", "cli", "errors", "grid", "lab", "sparse", "svgplot", "weights")
 

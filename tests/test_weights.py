@@ -208,6 +208,36 @@ class TestRho:
         w = GridFunction(18, rng.lognormal(0.0, 2.0, 1 << 18))
         _assert_table_bits(rho_all(w), w)
 
+    # The streaming sweep builds each level from the level below; these
+    # edges check it against the ladder oracle built from whole pyramids.
+    @pytest.mark.parametrize("resolution", list(range(13)) + [18])
+    def test_streamed_table_matches_repeat_ladder_at_every_resolution(self, resolution):
+        rng = np.random.default_rng(100 + resolution)
+        size = 1 << resolution
+        vals = rng.lognormal(0.0, 4.0, size)
+        vals[size // 2 : size // 2 + max(1, size // 8)] = 0.0  # a vacuous subtree
+        _assert_table_bits(rho_all(GridFunction(resolution, vals)), GridFunction(resolution, vals))
+
+    @pytest.mark.parametrize("vals", [
+        [1e308, 1.0],  # every sum just inside float64's range
+        [1e-310, 3e-312, 0.0, 5e-324],  # subnormal cells, a subnormal half-sum rounding to 0
+        [5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-324],
+        [0.0, 0.0, 0.0, 0.0],  # all vacuous
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_streamed_table_matches_repeat_ladder_at_float_edges(self, vals):
+        w = GridFunction(len(vals).bit_length() - 1, vals)
+        _assert_table_bits(rho_all(w), w)
+
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_table_matches_repeat_ladder_on_mixed_scales(self, resolution, data):
+        # zeros, subnormals and cells up to 1e300 in one weight
+        size = 1 << resolution
+        cell = st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-300, 1e300))
+        w = GridFunction(resolution, data.draw(st.lists(cell, min_size=size, max_size=size)))
+        _assert_table_bits(rho_all(w), w)
+
     def test_csv(self, tmp_path):
         w = GridFunction(1, [1.0, 3.0])
         table = rho_all(w)
