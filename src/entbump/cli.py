@@ -8,15 +8,14 @@ usage, bad input files, or out-of-range configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from .bumps import EpsilonSpec, OrliczSpec, m_entropy, m_orlicz
-from .errors import ConfigError, FileFormatError
-from .grid import ROOT, GridFunction, load_grid_function, require_weight
+from .errors import ConfigError
+from .grid import ROOT, GridFunction, _save_json, load_grid_function, require_weight
 from .lab import (
     MAX_RESOLUTION_ENV,
     TrialConfig,
@@ -169,9 +168,7 @@ def _cmd_maximal(args) -> int:
         payload["orlicz"] = mo.values.tolist()
         print(f"  orlicz_range = [{mo.values.min():.6g}, {mo.values.max():.6g}]")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(payload, args.out)
         print(f"values written to {args.out}")
     return 0
 
@@ -216,9 +213,7 @@ def _cmd_sparse_split(args) -> int:
             f"{check.worst_ratio:.6g}, {'PASS' if check.passed else 'FAIL'}"
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(payload, args.out)
         print(f"split written to {args.out}")
     print(f"RESULT: {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
@@ -358,14 +353,8 @@ def run(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # all domain errors of this package subclass ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # every domain error of this package subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,6 +371,14 @@ def _half_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def level_sums(values: np.ndarray) -> list[np.ndarray]:
     """Per-level cube sums of a cell array (same ladder as level_averages)."""
     return reduce_up(np.asarray(values, dtype=np.float64), np.add)
+
+
+def _save_json(payload, path) -> None:
+    """Write payload as every report file is written: sorted keys, two-space
+    indent, one trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_grid_function(f: GridFunction, path) -> None:

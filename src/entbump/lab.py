@@ -11,7 +11,6 @@ re-running a config byte reproduces its JSON and CSV output.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -33,6 +32,7 @@ from .grid import (
     CellSet,
     DyadicCube,
     GridFunction,
+    _save_json,
     integral,
     require_weight,
     split_levels,
@@ -205,9 +205,7 @@ class ExperimentReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(self.to_json_dict(), path)
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -636,6 +634,17 @@ def domination_random_suite(cfg: TrialConfig) -> ExperimentReport:
     return report
 
 
+def _over_dyadic(name: str, values: np.ndarray, md: np.ndarray) -> dict:
+    """min / max / mean of values / md over the cells where md > 0, keyed
+    ``<name>_over_dyadic_<stat>``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(md > 0, values / md, np.nan)
+    return {
+        f"{name}_over_dyadic_{stat}": float(reduce(ratio))
+        for stat, reduce in (("min", np.nanmin), ("max", np.nanmax), ("mean", np.nanmean))
+    }
+
+
 def maximal_comparison(
     w: GridFunction, eps: EpsilonSpec, phi: OrliczSpec | None = None,
     config: dict | None = None,
@@ -647,26 +656,13 @@ def maximal_comparison(
         raise InvalidWeightError("weight is identically zero")
     md = dyadic_maximal(w).values
     me = m_entropy(w, eps).values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_e = np.where(md > 0, me / md, np.nan)
     aggregates = {
         "resolution": w.resolution,
-        "entropy_over_dyadic_min": float(np.nanmin(ratio_e)),
-        "entropy_over_dyadic_max": float(np.nanmax(ratio_e)),
-        "entropy_over_dyadic_mean": float(np.nanmean(ratio_e)),
+        **_over_dyadic("entropy", me, md),
         "entropy_dominates_dyadic": bool(np.all(me >= md * (1.0 - 1e-12))),
     }
     if phi is not None:
-        mo = m_orlicz(w, phi).values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_o = np.where(md > 0, mo / md, np.nan)
-        aggregates.update(
-            {
-                "orlicz_over_dyadic_min": float(np.nanmin(ratio_o)),
-                "orlicz_over_dyadic_max": float(np.nanmax(ratio_o)),
-                "orlicz_over_dyadic_mean": float(np.nanmean(ratio_o)),
-            }
-        )
+        aggregates.update(_over_dyadic("orlicz", m_orlicz(w, phi).values, md))
     return ExperimentReport(
         kind="compare",
         config=config or {"resolution": w.resolution},

@@ -16,7 +16,6 @@ is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
@@ -36,6 +35,7 @@ from .grid import (
     CellSet,
     DyadicCube,
     GridFunction,
+    _save_json,
     integral,
     level_averages,
     level_sums,
@@ -613,9 +613,7 @@ class ProofReplayReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(self.to_json_dict(), path)
 
 
 def _ceil_log2(x: np.ndarray) -> np.ndarray:
