@@ -373,6 +373,13 @@ def level_sums(values: np.ndarray) -> list[np.ndarray]:
     return reduce_up(np.asarray(values, dtype=np.float64), np.add)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's own pairwise reduction. np.dot hands long sums
+    to BLAS, which may split them across threads, so its bits would depend
+    on the thread count; this order depends only on the length."""
+    return float(np.add.reduce(a * b))
+
+
 def _save_json(payload, path) -> None:
     """Write payload as every report file is written: sorted keys, two-space
     indent, one trailing newline."""

@@ -32,6 +32,7 @@ from .grid import (
     CellSet,
     DyadicCube,
     GridFunction,
+    _dot,
     _save_json,
     integral,
     require_weight,
@@ -59,7 +60,7 @@ from .weights import (
     power_weight,
 )
 
-VERSION = "0.6.0"
+VERSION = "0.7.0"
 
 MAX_RESOLUTION_ENV = "ENDPOINT_LAB_MAX_N"
 
@@ -284,7 +285,7 @@ def _majorant_norm(f: GridFunction, majorant) -> float:
     """integral |f| * majorant, the quotient's denominator; ValueError when
     it vanishes."""
     maj = majorant.values if isinstance(majorant, GridFunction) else np.asarray(majorant)
-    denom = float(np.dot(np.abs(f.values), maj) * f.cell_width)
+    denom = _dot(np.abs(f.values), maj) * f.cell_width
     if denom <= 0.0:
         raise ValueError("majorant norm of f vanishes, quotient undefined")
     return denom
@@ -371,7 +372,7 @@ def _fs_check(cubes, alpha, f, w, lam, mf) -> FsCheckResult:
     cubes) already computed."""
     mw = m_coeff(w, alpha, cubes)
     lhs = superlevel_weight(mf, lam, w)
-    rhs = float(np.dot(np.abs(f.values), mw.values) * f.cell_width) / lam
+    rhs = _dot(np.abs(f.values), mw.values) * f.cell_width / lam
     return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + FS_REL_TOL))
 
 

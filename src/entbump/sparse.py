@@ -35,6 +35,7 @@ from .grid import (
     CellSet,
     DyadicCube,
     GridFunction,
+    _dot,
     _save_json,
     integral,
     level_averages,
@@ -507,7 +508,7 @@ def sparse_dominate_bilinear(
     base = GridFunction(f.resolution, np.abs(f.values) + np.abs(g.values))
     s = cz_stopping_collection(base, ROOT, a)
     tf = haar_transform(spec, f)
-    pairing = float(np.dot(tf.values, g.values) * f.cell_width)
+    pairing = _dot(tf.values, g.values) * f.cell_width
     form = bilinear_form([s], f, g)
     if form > 0.0:
         ratio = abs(pairing) / form
@@ -740,7 +741,7 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
 
     if table is None:
         table, majorant = _majorant(w, eps)
-    denom = float(np.dot(np.abs(f.values), majorant) * f.cell_width)
+    denom = _dot(np.abs(f.values), majorant) * f.cell_width
     threshold = 4.0 / w_g
     if denom == 0.0:
         # f is identically zero: every class is empty, all checks vacuous.
@@ -801,7 +802,7 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
         # The coarse right-hand side integrates M^S w over the rho-bin.
         cubes = np.sort(in_bin)
         m_s = _cells(n, level[cubes], index[cubes], bin_max[cubes])
-        rhs = float(np.dot(abs_fn, m_s) * cell_width)
+        rhs = _dot(abs_fn, m_s) * cell_width
         for lo, hi in _runs(k[in_bin]):
             band = in_bin[lo:hi]
             rb, kb, count = int(r[band[0]]), int(k[band[0]]), hi - lo
@@ -823,7 +824,7 @@ def _proof_replay(s, f, w, g_set, eps, table, majorant) -> ProofReplayReport:
                 owner = _cells(n, level[band], index[band], np.arange(1, count + 1))
                 eq_w = np.bincount(owner, weights=wgp_cells, minlength=count + 1)
                 chain = _down(band_parent, avg, np.add, 0.0, levels)[band]
-                disjoint_sum = float(np.dot(chain, eq_w[1:] * cell_width))
+                disjoint_sum = _dot(chain, eq_w[1:] * cell_width)
                 disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
                 band_records.append(BandRecord(
                     regime="far", **shared, disjoint_constant=disjoint_sum * (2.0 ** kb),

@@ -723,7 +723,7 @@ def loop_fs_random_suite(cfg):
         lam = max(base * float(rng.uniform(0.3, 1.2)), 1e-300)
         lhs = superlevel_weight(mf, lam, w)
         mw = loop_m_coeff(w, alpha, cubes)
-        rhs = float(np.dot(np.abs(f.values), mw.values) * f.cell_width) / lam
+        rhs = float(np.add.reduce(np.abs(f.values) * mw.values)) * f.cell_width / lam
         slack = 0.0 if rhs == 0.0 else lhs / rhs
         worst_slack = max(worst_slack, slack)
         report.records.append(
@@ -811,7 +811,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
     n = f.resolution
     w_g = integral(w, g_set)
     majorant = m_entropy(w, eps, variant="log")
-    denom = float(np.dot(np.abs(f.values), majorant.values) * f.cell_width)
+    denom = float(np.add.reduce(np.abs(f.values) * majorant.values)) * f.cell_width
     threshold = 4.0 / w_g
     if denom == 0.0:
         return ProofReplayReport(
@@ -867,7 +867,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
         coarse_rhs = {}
         for r, members in bin_members.items():
             m_s = m_coeff(w, unit, SparseCollection(n, members))
-            coarse_rhs[r] = float(np.dot(np.abs(fn.values), m_s.values) * cell_width)
+            coarse_rhs[r] = float(np.add.reduce(np.abs(fn.values) * m_s.values)) * cell_width
 
         for (r, k), members in sorted(groups.items()):
             sub = SparseCollection(n, members)
@@ -973,7 +973,7 @@ def level_proof_replay(s, f, w, g_set, eps):
     w_g = integral(w, g_set)
     table = rho_all(w)
     majorant = paint_down(temp_entropy_levels(w, eps, "log", table), np.maximum)[-1]
-    denom = float(np.dot(np.abs(f.values), majorant) * f.cell_width)
+    denom = float(np.add.reduce(np.abs(f.values) * majorant)) * f.cell_width
     threshold = 4.0 / w_g
     if denom == 0.0:
         return ProofReplayReport(
@@ -1012,7 +1012,7 @@ def level_proof_replay(s, f, w, g_set, eps):
         for rb in distinct(r[classified]):
             in_bin = classified & (r == rb)
             m_s = m_coeff(w, unit, select(part, in_bin))
-            rhs = float(np.dot(np.abs(fn.values), m_s.values) * cell_width)
+            rhs = float(np.add.reduce(np.abs(fn.values) * m_s.values)) * cell_width
             for kb in distinct(k[in_bin]):
                 in_band = in_bin & (k == kb)
                 band = select(part, in_band)
@@ -1035,7 +1035,7 @@ def level_proof_replay(s, f, w, g_set, eps):
                     owner = _positions(band)[-1]
                     eq_w = np.bincount(owner + 1, weights=wgp_cells, minlength=count + 1)
                     disjoint_sum = float(
-                        np.dot(chain_sums(band, favg), eq_w[1:] * cell_width)
+                        np.add.reduce(chain_sums(band, favg) * (eq_w[1:] * cell_width))
                     )
                     disjoint_limit = CONSTANT_BOUND * (2.0 ** (-kb)) * (1.0 + REL_TOL)
                     report.band_records.append(BandRecord(

@@ -45,12 +45,12 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "3915c15e2cf6155017abcc6075f7e562804692f4f8c6a3688e05ab06c9497a81",
-    "main": "aad369051c7a31faa8dc3ab44c022ee72aba561255d2784936cac49a646b4aa0",
-    "corollary": "5a2035486e965f35705e17580558c6e179f0c987df583cfe43aa5fc82bc8db17",
-    "ainf": "416ba3100773f552326301adf25b573fc5c749cbcea47419fa8540eafc050139",
-    "domination": "3255b5b1923636e4795b8ff1e5d3458b49a894e28b263409ee71b7584a2cba83",
-    "replay": "686a9ff2cd962c93f4dc14e7e088f5fbba544c4e111c0e891eef0a1098405600",
+    "fs": "a8ec6ee7594b8575783fc45490f4cea65f050e46a444bd764eb24abe87014dee",
+    "main": "c472e6da247982cdd51c2351ecaff5c104af2120e1c1c7645577faa7b25960af",
+    "corollary": "d4d1db41a171de790f62681b5c9818fcda6c4bbea87600bab425eab744e94086",
+    "ainf": "11a69f1a27de5e8175c3b726aaafb55af18a520bdcb728abaedca12f9096543a",
+    "domination": "e61e4fd83d6676a80b39baf8928d87254279036a90a4bb65fb3f7767206cb42b",
+    "replay": "90b476690dfc2e7a43352e2c5133b63772f3088ab36ae2d4a4d56416c84b7428",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
     "maximal": "8e0d96b07e750f4cd5f84b303f39aa880f5563267d2988a31266e06a16e5ad5e",
@@ -60,8 +60,8 @@ CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]
 
 CLI_STDOUT_DIGESTS = {
     "verify-fs": "a71a57e24764bc110ab38bb9384fdce9068d9ecaa6ba4061ea14a53ed331f7e9",
-    "verify-main": "4d61d4e8ce48cda696a363efacf7794cda540a0061514bbe5d37c3b86458f505",
-    "verify-cor": "7b0beddf2fb756cfc4ac48ff10a77b495284c76e750ba199b77e629052099ea9",
+    "verify-main": "959ad32da0d5030718c0e02e359ac25e9cdc5e18d68fe9a8a34512e19c22ad5c",
+    "verify-cor": "e80095019443e9603a2ad351a0c1129b1a9bba22e95ce77807bf30a33457c177",
     "verify-ainf": "24c83e73a58858a8d0d21a22475321298c4192d1b27a47aa61c39c6a659484e5",
     "domination": "573101ecbb9b7e7eb3d7fa26eca6ab21b9552bfa3796d0380a0146f6dc2c34eb",
     "replay": "2234b61d00d0f7f0d510e6dab2152f88d87e4a2d2e9e3a2862339b465934473f",
@@ -77,14 +77,14 @@ CLI_N14_DIGESTS = {
 }
 
 CLI_FILE_DIGESTS = {
-    "verify-main.csv": "92a32bf1a715fda49f40398639f12b8c10f39ae585922d51ce15752c28f4a94f",
+    "verify-main.csv": "30b6671b66fc545b7a33c929b97a41761b296d9a28c8540112a70e16c8aa3b76",
     "domination.svg": "1944da1d5a1aefd38ceaec51b26728cf80ad8770356823c154fd5d77d735296a",
 }
 
 
 REPLAY_DEMO_DIGESTS = {
     "stdout": "00bdc9345699670de34b5d5675883fb4f4426b09c9846d4d109bc07aa4a2a838",
-    "replay_demo.json": "06e25527e5095eeec545af9ae0dd058b1cc6f22ca961cb2dfb192de32c873f19",
+    "replay_demo.json": "59dc76f064faa4092eb0e0a9230816320c4de8a7b6832cbf8e054ad37ff281c8",
 }
 
 
@@ -142,16 +142,36 @@ def test_suite_command_file_digest(name, flag, tmp_path, capsys):
     assert _sha256(path) == CLI_FILE_DIGESTS[name]
 
 
-def test_replay_demo_digests(tmp_path):
-    # the child imports the entbump under test, and writes its report into
-    # its working directory under the name its stdout prints
-    script = Path(__file__).resolve().parents[1] / "scripts" / "replay_demo.py"
+def _child_env(**extra) -> dict:
+    # a child process imports the entbump under test
     src = str(Path(entbump.__file__).resolve().parents[1])
     rest = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""), **extra)
+
+
+def test_n14_stdout_does_not_depend_on_the_blas_thread_count():
+    # np.dot hands a sum of more than 10,000 products to BLAS, which may split
+    # it across threads; a report's pairings must not read that split
+    args = "verify-main --n 14 --trials 10 --seed 3"
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "entbump", *args.split()],
+            capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == CLI_N14_DIGESTS[args]
+
+
+def test_replay_demo_digests(tmp_path):
+    # the child writes its report into its working directory under the name
+    # its stdout prints
+    script = Path(__file__).resolve().parents[1] / "scripts" / "replay_demo.py"
     proc = subprocess.run(
         [sys.executable, str(script), "--n", "8", "--out", "replay_demo.json"],
-        capture_output=True, cwd=tmp_path, env=env,
+        capture_output=True, cwd=tmp_path, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == REPLAY_DEMO_DIGESTS["stdout"]
