@@ -177,8 +177,9 @@ def _cmd_sparse_split(args) -> int:
     if args.collection:
         if not os.path.exists(args.collection):
             raise ConfigError(f"no such collection file: {args.collection}")
-        coll = SparseCollection.load(args.collection)
-        _check_cap(coll.resolution)
+        resolution, cubes = SparseCollection._read(args.collection)
+        _check_cap(resolution)
+        coll = SparseCollection(resolution, cubes)
     else:
         _check_cap(args.n)
         rng = trial_rng(args.seed, 0)

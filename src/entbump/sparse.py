@@ -126,6 +126,12 @@ class SparseCollection:
 
     @classmethod
     def load(cls, path) -> "SparseCollection":
+        return cls(*cls._read(path))
+
+    @staticmethod
+    def _read(path) -> tuple:
+        """(resolution, cubes) of a file in the ``save`` format, validated
+        line by line; no member array is built."""
         with open(path) as fh:
             lines = fh.read().splitlines()
         resolution = None
@@ -162,7 +168,7 @@ class SparseCollection:
             cubes.append(cube)
         if resolution is None:
             raise FileFormatError(path, 1, "empty file, expected a resolution line")
-        return cls(resolution, cubes)
+        return resolution, cubes
 
 
 def _ancestor_counts(s: SparseCollection) -> list:

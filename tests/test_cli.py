@@ -170,6 +170,14 @@ def test_sparse_split_bad_collection(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_sparse_split_collection_over_the_cap(tmp_path, capsys):
+    # the header is checked against the cap before any member array exists
+    path = tmp_path / "huge.txt"
+    path.write_text("60\n0 0\n")
+    assert run(["sparse-split", "--collection", str(path)]) == 2
+    assert "resolution 60 exceeds the cap" in capsys.readouterr().err
+
+
 def test_sparse_split_missing_collection(tmp_path, capsys):
     assert run(["sparse-split", "--collection", str(tmp_path / "nope.txt")]) == 2
     assert "no such collection file" in capsys.readouterr().err
