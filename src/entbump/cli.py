@@ -20,7 +20,9 @@ from .lab import (
     MAX_RESOLUTION_ENV,
     TrialConfig,
     VERSION,
+    WEIGHT_FAMILY_FORMS,
     _draw_weight,
+    _weight_family,
     ainf_lemma_sweep,
     corollary_experiment,
     domination_random_suite,
@@ -42,7 +44,7 @@ from .svgplot import emit_svg
 from .weights import dyadic_maximal, rho_all
 
 WEIGHT_FAMILY_HELP = (
-    "weight: a family spec drawn per run (power:<s>, a1gen, random) "
+    f"weight: a family spec drawn per run ({WEIGHT_FAMILY_FORMS}) "
     "or a path to a grid function file"
 )
 
@@ -59,7 +61,7 @@ def _check_cap(n: int) -> None:
 
 def _resolve_weight(value: str, n: int, seed: int) -> GridFunction:
     """Family specs are drawn with the run's seed; anything else is a path."""
-    if value.startswith("power:") or value in ("a1gen", "random"):
+    if _weight_family(value) is not None:
         w, _, _ = _draw_weight(trial_rng(seed, 0), n, value)
         return w
     if not os.path.exists(value):
@@ -301,7 +303,7 @@ COMMANDS = (
     ("verify-main", "weak-type bound against the entropy majorant", 10,
      (_trials(100), _bound(64.0), *PLOT, EPS,
       _arg("--weight", type=str, default=None,
-           help="restrict to one weight family (power:<s>, a1gen, random)")),
+           help=f"restrict to one weight family ({WEIGHT_FAMILY_FORMS})")),
      {"handler": _suite_command(main_theorem_experiment)}),
     ("verify-cor", "uniformity of the normalized power-weight quotients", 10,
      (_trials(100), *PLOT,

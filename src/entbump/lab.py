@@ -64,6 +64,7 @@ VERSION = "0.7.0"
 
 MAX_RESOLUTION_ENV = "ENDPOINT_LAB_MAX_N"
 
+WEIGHT_FAMILY_FORMS = "power:<s>, a1gen, random"
 DEFAULT_WEIGHT_FAMILIES = ("power:0", "power:0.5", "power:0.9", "power:0.99", "a1gen")
 DEFAULT_FUNCTION_FAMILIES = ("indicator", "random", "haar_packet", "adversarial")
 DEFAULT_S_LIST = (0.0, 0.5, 0.9, 0.96875)
@@ -115,6 +116,9 @@ class TrialConfig:
             raise ConfigError(f"bound must be positive, got {self.bound}")
         if not self.weight_families:
             raise ConfigError("weight_families must be nonempty")
+        for family in self.weight_families:
+            if _weight_family(family) is None:
+                raise ConfigError(f"unknown weight family {family!r}")
         if not self.function_families:
             raise ConfigError("function_families must be nonempty")
         object.__setattr__(self, "weight_families", tuple(self.weight_families))
@@ -230,16 +234,36 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def _weight_family(spec: str):
+    """(name, s) of a weight family spec: ("power", s) for power:<s> with s
+    in [0, 1), ("a1gen", None) or ("random", None). None when the spec names
+    no family; ConfigError, naming the spec, when it names one malformed."""
+    name, colon, arg = spec.partition(":")
+    if name not in ("power", "a1gen", "random"):
+        return None
+    if name != "power":
+        if colon:
+            raise ConfigError(f"bad weight spec {spec!r}: {name} takes no parameter")
+        return name, None
+    try:
+        s = float(arg)
+    except ValueError:
+        s = math.nan
+    if not 0.0 <= s < 1.0:
+        raise ConfigError(f"bad weight spec {spec!r}: power:<s> needs a number s in [0, 1)")
+    return name, s
+
+
 def _draw_weight(rng, resolution: int, family: str):
     """Returns (weight, label, s-or-None)."""
-    if family.startswith("power:"):
-        s = float(family.split(":", 1)[1])
+    name, s = _weight_family(family) or (None, None)
+    if name == "power":
         return power_weight(s, resolution), family, s
-    if family == "a1gen":
+    if name == "a1gen":
         g = GridFunction._adopt(resolution, rng.standard_normal(1 << resolution))
         s = float(rng.uniform(0.3, 0.95))
         return a1_generator(g, s), family, None
-    if family == "random":
+    if name == "random":
         vals = np.exp(rng.normal(0.0, 1.5, 1 << resolution))
         return GridFunction(resolution, vals), family, None
     raise ConfigError(f"unknown weight family {family!r}")

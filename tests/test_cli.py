@@ -142,6 +142,15 @@ def test_bad_eps_spec(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rho", "verify-main"])
+@pytest.mark.parametrize("spec", ["power:abc", "power:"])
+def test_malformed_weight_spec_is_named(command, spec, capsys):
+    assert run([command, "--n", "3", "--weight", spec]) == 2
+    err = capsys.readouterr().err
+    assert f"bad weight spec {spec!r}" in err
+    assert "could not convert" not in err
+
+
 def test_sparse_split_random(tmp_path, capsys):
     path = tmp_path / "split.json"
     assert run(["sparse-split", "--n", "6", "--seed", "2", "--out", str(path)]) == 0

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -139,6 +140,14 @@ class TestTrialConfig:
             TrialConfig(eps="nope:1")
         with pytest.raises(InvalidSpecError):
             TrialConfig(phi="power:-2")
+
+    @pytest.mark.parametrize(
+        "spec", ["power:abc", "power:", "power", "power:1", "power:nan", "a1gen:2", "bogus"]
+    )
+    def test_bad_weight_family_fails_fast(self, spec):
+        # the spec is parsed when the config is built, and the error names it
+        with pytest.raises(ConfigError, match=re.escape(repr(spec))):
+            TrialConfig(weight_families=("power:0.5", spec))
 
     def test_to_dict_round(self):
         cfg = small(phi="power:2")
