@@ -1,25 +1,11 @@
 #!/usr/bin/env python3
-"""Run every verification subcommand at a small, fast scale.
+"""Run every verification subcommand at a small, fast scale, with the
+Orlicz path, the n = 18 resolution cap and the edge resolutions beside them.
 
-Also runs the Orlicz path (`compare --phi`, `maximal --phi`), `compare`
-at n = 14 with the `loglog:0.5` entropy bump against the abstract's
-`logprod:e2=1,e3=1,e4=1.5` Orlicz bump, `verify-fs` at n = 14 with 20
-trials, and at the n = 18 resolution cap `sparse-split`,
-`maximal` without and with `--phi llog:0.5` and `--phi
-logprod:e2=1,e3=1,e4=1.5` (the max paints, and the Orlicz level solve
-with every cube certified, for the llog bump and for the iterated-log
-bump of the abstract's order claim), `maximal` with that iterated-log
-bump at n = 12 (where the Orlicz solve groups its levels four at a
-time), `maximal --phi llog:0.5` at n = 0 (one Orlicz group holding
-only the leaves), `compare --phi dlr:0.25` at n = 1, `maximal --phi
-llog:0.5` at n = 13 (the first group the leaves and one level above
-them), and `domination`,
-`verify-main` and `replay` with 5 trials each (the stopping tree, Haar and
-sparse sweeps, the weak-type quotient with its entropy majorant and
-weak-L1 sort, and the decomposition replay on per-level arrays). Exit
-code is the number of failed checks, so CI can gate on zero; a check
-fails when its command exits nonzero or raises. Pass --n / --trials /
---seed to rescale; the defaults finish in well under a minute.
+The job list in main() says what runs. The exit code is the number of
+failed jobs, so CI can gate on zero; a job fails when its command exits
+nonzero or raises. Pass --n / --trials / --seed to rescale; the defaults
+finish in well under a minute.
 """
 
 import argparse
