@@ -35,7 +35,6 @@ from .errors import BracketingError, InvalidCubeError, InvalidSpecError, Invalid
 from .grid import (
     DyadicCube,
     GridFunction,
-    level_averages,
     paint_leaves,
     reduce_up,
     require_weight,
@@ -703,38 +702,76 @@ def m_coeff(f: GridFunction, alpha, cubes) -> GridFunction:
     ``cubes`` is a SparseCollection (read through ``members``, one boolean
     array per level); ``SparseCollection(n, cubes)`` converts DyadicCubes.
     ``alpha[l]`` is the float array of level-l coefficients, length 2^l;
-    entries off the members are ignored. Per level, one product over the
-    members' indices, then a leaves-only downward max paint. A product that
-    is NaN (an infinite coefficient on a zero average) counts as no value.
+    entries off the members are ignored. The checks build one flat
+    coefficient array, and ``_coeff_maxima`` computes the maxima from it in
+    one pass. A product that is NaN (an infinite coefficient on a zero
+    average) counts as no value.
 
     Raises InvalidCubeError when a member is finer than f's grid (a coarser
     collection is fine), and ValueError when a level holding members has no
     coefficient array or one of the wrong length, or when a member's
-    coefficient is NaN (missing) or negative.
+    coefficient is NaN (missing) or negative; levels are checked from the
+    root down, so the coarsest bad level is the one named. A ValueError
+    also comes when a product is infinite.
     """
     n = f.resolution
-    avgs = level_averages(np.abs(f.values))
-    per_level = [np.full(1 << level, -math.inf) for level in range(n + 1)]
-    with np.errstate(invalid="ignore"):  # inf * 0 products, dropped below
-        for level, mem in enumerate(cubes.members):
-            idx = mem.nonzero()[0]
-            if not idx.size:
-                continue
-            if level > n:
-                raise InvalidCubeError(f"cube level {level} exceeds resolution {n}")
-            coeff = np.asarray(alpha[level], dtype=np.float64) if level < len(alpha) else None
-            if coeff is None or coeff.shape != mem.shape:
-                raise ValueError(f"alpha[{level}] must hold {mem.size} coefficients")
-            coeff = coeff[idx]
-            bad = ~(coeff >= 0.0)
-            if bad.any():
-                first = int(np.argmax(bad))
-                cube = DyadicCube(level, int(idx[first]))
-                what = "missing" if math.isnan(coeff[first]) else "negative"
-                raise ValueError(f"coefficient for {cube} is {what}")
-            vals = coeff * avgs[level][idx]
-            vals[np.isnan(vals)] = -math.inf
-            per_level[level][idx] = vals
-    out = paint_leaves(per_level, np.maximum)
-    out = np.where(np.isneginf(out), 0.0, out)
-    return GridFunction(n, out)
+    (out,) = _coeff_maxima(f.values[None], _flat_coefficients(cubes, alpha, n))
+    return GridFunction._adopt(n, out)
+
+
+def _flat_coefficients(cubes, alpha, resolution: int) -> np.ndarray:
+    """m_coeff's checks of cubes and alpha at a grid of this resolution,
+    turned into the flat coefficient array ``_coeff_maxima`` takes: each
+    member's alpha entry in (level, index) order, NaN off the members."""
+    flat = np.full((2 << resolution) - 1, math.nan)
+    for level, mem in enumerate(cubes.members):
+        if not mem.any():
+            continue
+        if level > resolution:
+            raise InvalidCubeError(f"cube level {level} exceeds resolution {resolution}")
+        coeff = np.asarray(alpha[level], dtype=np.float64) if level < len(alpha) else None
+        if coeff is None or coeff.shape != mem.shape:
+            raise ValueError(f"alpha[{level}] must hold {mem.size} coefficients")
+        bad = mem & ~(coeff >= 0.0)
+        if bad.any():
+            first = int(np.argmax(bad))
+            what = "missing" if math.isnan(coeff[first]) else "negative"
+            raise ValueError(f"coefficient for {DyadicCube(level, first)} is {what}")
+        np.copyto(flat[(1 << level) - 1 : (2 << level) - 1], coeff, where=mem)
+    return flat
+
+
+def _coeff_maxima(values, coeff) -> np.ndarray:
+    """The coefficient maximal function of each row of ``values``, a
+    (k, 2^n) stack of cell arrays: per cell, the max over the cubes Q
+    containing it of coeff[Q] * <|row|>_Q, 0 where no cube has a value.
+    ``coeff`` is flat in (level, index) order, level l at
+    [2^l - 1, 2^(l+1) - 1), NaN off the cubes; it is not checked (m_coeff
+    checks it, the fs trial draws it valid).
+
+    One flat buffer holds the |row| averages pyramids level after level,
+    each level's rows side by side, so a level of all k rows is one
+    contiguous run whose pairs never straddle two rows: the pyramid is built
+    from the leaves up by level_averages' (a + b) * 0.5 steps on these
+    runs, and the paint from the root down multiplies each level by its
+    coefficients, then takes np.fmax with the repeated level above. np.fmax
+    drops NaN, so a NaN product (off the cubes, or an infinite coefficient
+    on a zero average) counts as no value; a cell left NaN reads 0.
+    Returns a fresh (k, 2^n) array.
+    """
+    k, cells = np.shape(values)
+    n = cells.bit_length() - 1
+    buf = np.empty(k * (2 * cells - 1))
+    runs = [buf[k * ((1 << level) - 1) : k * ((2 << level) - 1)] for level in range(n + 1)]
+    np.abs(values, out=runs[n].reshape(k, cells))
+    for below, above in zip(runs[:0:-1], runs[-2::-1]):
+        np.add(below[0::2], below[1::2], out=above)
+        above *= 0.5
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN: no value
+        for level, run in enumerate(runs):
+            rows = run.reshape(k, -1)
+            rows *= coeff[(1 << level) - 1 : (2 << level) - 1]
+            if level:
+                np.fmax(np.repeat(runs[level - 1], 2), run, out=run)
+    leaves = runs[n].reshape(k, cells)
+    return np.where(np.isnan(leaves), 0.0, leaves)

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bumps import (
     EpsilonSpec,
     OrliczSpec,
+    _coeff_maxima,
+    _flat_coefficients,
     k_epsilon,
     m_coeff,
     m_entropy,
@@ -33,17 +35,15 @@ from .grid import (
     DyadicCube,
     GridFunction,
     _dot,
+    _same_resolution,
     _save_json,
     integral,
     require_weight,
-    split_levels,
-    superlevel_weight,
     weak_l1_norm,
 )
 from .sparse import (
     CONSTANT_BOUND,
     HaarSpec,
-    SparseCollection,
     _majorant,
     _proof_replay,
     cz_stopping_collection,
@@ -169,7 +169,9 @@ class TrialRecord:
     passed: bool | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the instance dict holds exactly the fields, in field order; every
+        # field is a scalar, so the shallow copy is asdict's value
+        return dict(vars(self))
 
 
 CSV_COLUMNS = ("trial", "s", "K_eps", "a1", "ainf", "quotient", "normalized_quotient", "pass")
@@ -383,20 +385,29 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCh
 
     Raises ValueError for a nonpositive or NaN lam, and m_coeff's errors:
     InvalidCubeError for a member finer than the grid, ValueError for a
-    missing (NaN), negative or wrongly sized coefficient array.
+    missing (NaN), negative or wrongly sized coefficient array or an
+    infinite product.
     """
     require_weight(w)
     if not lam > 0.0:
         raise ValueError(f"level must be positive, got {lam}")
-    return _fs_check(cubes, alpha, f, w, lam, m_coeff(f, alpha, cubes))
+    if f.resolution != w.resolution:
+        # m_coeff's errors on f, then on w, come before the mismatch
+        m_coeff(f, alpha, cubes)
+        m_coeff(w, alpha, cubes)
+        _same_resolution(f, w)
+    n = f.resolution
+    rows = _coeff_maxima((f.values, w.values), _flat_coefficients(cubes, alpha, n))
+    mf, mw = (GridFunction._adopt(n, row).values for row in rows)
+    return _fs_result(f, w, lam, mf, mw)
 
 
-def _fs_check(cubes, alpha, f, w, lam, mf) -> FsCheckResult:
-    """fs_check on a valid weight and level, with mf = m_coeff(f, alpha,
-    cubes) already computed."""
-    mw = m_coeff(w, alpha, cubes)
-    lhs = superlevel_weight(mf, lam, w)
-    rhs = _dot(np.abs(f.values), mw.values) * f.cell_width / lam
+def _fs_result(f, w, lam, mf, mw) -> FsCheckResult:
+    """fs_check on a valid weight and level, from the cell arrays mf and mw
+    of M_alpha f and M_alpha w. Both are >= 0, so {mf > lam} is the set
+    superlevel_weight measures."""
+    lhs = float(w.values[mf > lam].sum() * w.cell_width)
+    rhs = _dot(np.abs(f.values), mw) * f.cell_width / lam
     return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + FS_REL_TOL))
 
 
@@ -410,19 +421,19 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
         f = _draw_function(rng, n, ffam, majorant=w.values)
         # Memberships and coefficients are drawn in (level, index) order into
         # one flat array, level l at [2^l - 1, 2^(l+1) - 1); an empty draw
-        # falls back to the root alone.
+        # falls back to the root alone. coeff is valid as drawn (NaN off the
+        # members, in [0.1, 2) on them), so it goes to _coeff_maxima
+        # unchecked, with f and w as one two-row stack.
         member = rng.random((2 << n) - 1) < 0.4
         if not member.any():
             member[0] = True
         coeff = np.full(member.size, math.nan)
         coeff[member] = rng.uniform(0.1, 2.0, int(np.count_nonzero(member)))
-        cubes = SparseCollection._from_members(split_levels(member, n))
-        alpha = split_levels(coeff, n)
-        mf = m_coeff(f, alpha, cubes)
-        positive = mf.values[mf.values > 0]
+        mf, mw = _coeff_maxima((f.values, w.values), coeff)
+        positive = mf[mf > 0]
         base = float(np.quantile(positive, float(rng.uniform(0.1, 0.9)))) if positive.size else 1.0
         lam = max(base * float(rng.uniform(0.3, 1.2)), 1e-300)
-        res = _fs_check(cubes, alpha, f, w, lam, mf)
+        res = _fs_result(f, w, lam, mf, mw)
         slack = 0.0 if res.rhs == 0.0 else res.lhs / res.rhs
         return TrialRecord(
             trial=t, weight=wlabel, function=ffam, s=None, k_eps=None,

@@ -673,7 +673,8 @@ def loop_m_coeff(f, alpha, cubes):
             raise ValueError(f"missing coefficient for {cube}") from None
         if a < 0:
             raise ValueError(f"coefficient for {cube} is negative")
-        val = a * avgs[cube.level][cube.index]
+        # Python floats: inf * 0 is NaN without numpy's invalid-value warning
+        val = float(a) * float(avgs[cube.level][cube.index])
         if val > per_level[cube.level][cube.index]:
             per_level[cube.level][cube.index] = val
     out = np.zeros(1 << n)

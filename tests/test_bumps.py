@@ -36,6 +36,7 @@ from entbump import bumps
 from entbump.bumps import (
     _EPS_CATALOG,
     _PHI_CATALOG,
+    _coeff_maxima,
     _entropy_level,
     _entropy_levels,
     _level_orlicz,
@@ -1192,3 +1193,94 @@ class TestMCoeff:
         got = m_coeff(f, alpha, cubes).values
         ref = loop_m_coeff(f, alpha_dict, list(cubes)).values
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("resolution, alpha, members, error, message", [
+        # the coarsest bad level wins, whatever the finer levels hold
+        (2, [np.ones(1), np.array([-1.0, 1.0]), np.ones(4)], [(1, 0), (3, 0)],
+         ValueError, "coefficient for DyadicCube(level=1, index=0) is negative"),
+        (2, [np.ones(1), np.ones(3), np.array([1.0, -1.0, 1.0, 1.0])], [(1, 0), (2, 1)],
+         ValueError, "alpha[1] must hold 2 coefficients"),
+        (2, [np.ones(1)], [(0, 0), (2, 1), (1, 0)],
+         ValueError, "alpha[1] must hold 2 coefficients"),
+        (1, [np.ones(1), np.full(2, math.nan), np.ones(4)], [(1, 0), (2, 0)],
+         ValueError, "coefficient for DyadicCube(level=1, index=0) is missing"),
+        # within a level: finer than the grid, then alpha[l], then the cubes
+        (2, [np.ones(1), np.ones(2), np.ones(4)], [(3, 0)],
+         InvalidCubeError, "cube level 3 exceeds resolution 2"),
+        (2, [np.ones(1), np.full(3, -1.0)], [(1, 0)],
+         ValueError, "alpha[1] must hold 2 coefficients"),
+        (2, [np.ones(1), np.ones(2), np.array([1.0, -1.0, 1.0, math.nan])], [(2, 1), (2, 3)],
+         ValueError, "coefficient for DyadicCube(level=2, index=1) is negative"),
+        (2, [np.ones(1), np.ones(2), np.array([1.0, math.nan, 1.0, -2.0])], [(2, 1), (2, 3)],
+         ValueError, "coefficient for DyadicCube(level=2, index=1) is missing"),
+    ])
+    def test_error_order(self, resolution, alpha, members, error, message):
+        f = GridFunction(resolution, np.arange(1.0, 1.0 + (1 << resolution)))
+        cubes = SparseCollection(max(level for level, _ in members),
+                                 [DyadicCube(*m) for m in members])
+        with pytest.raises(error) as info:
+            m_coeff(f, alpha, cubes)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_bad_entries_off_the_members_are_ignored(self):
+        f = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
+        alpha = [np.array([-1.0]), np.array([math.nan, 2.0]),
+                 np.array([-5.0, 1.0, math.nan, math.nan])]
+        got = m_coeff(f, alpha, SparseCollection(2, [DyadicCube(1, 1), DyadicCube(2, 1)]))
+        assert list(got.values) == [0.0, 2.0, 7.0, 7.0]
+
+    def test_infinite_product_is_rejected(self):
+        f = GridFunction(2, [0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            m_coeff(f, [np.array([math.inf])], SparseCollection(0, [ROOT]))
+
+
+@st.composite
+def coeff_stacks(draw):
+    """(rows, flat coefficients, cube list, alpha dict): 1-3 rows of a grid
+    of resolution n <= 8, cubes on a grid of resolution m <= n, and their
+    coefficients in _coeff_maxima's flat (level, index) order, NaN off the
+    cubes. A coefficient may be inf only where every row averages 0, the
+    one place its product is not inf."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, n))
+    cell = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    rows = np.array(draw(st.lists(
+        st.lists(cell, min_size=1 << n, max_size=1 << n), min_size=1, max_size=3)))
+    coeff = np.full((2 << n) - 1, math.nan)
+    cubes, alpha = [], {}
+    for pos, q in enumerate(enumerate_cubes(m)):
+        if not draw(st.booleans()):
+            continue
+        a = draw(st.one_of(st.floats(0.0, 10.0), st.just(math.inf)))
+        lo, hi = q.cell_range(n)
+        if a == math.inf and rows[:, lo:hi].any():
+            a = 1.0
+        coeff[pos] = alpha[q] = a
+        cubes.append(q)
+    return rows, coeff, cubes, alpha
+
+
+class TestCoeffMaxima:
+    @given(coeff_stacks())
+    @settings(max_examples=120, deadline=None)
+    @example((np.array([[2.5]]), np.array([0.3]), [ROOT], {ROOT: 0.3}))
+    @example((np.array([[1.0, -2.0], [0.0, 0.0]]), np.full(3, math.nan), [], {}))
+    @example((np.array([[0.0, 2.0], [0.0, 3.0], [0.0, 0.0]]),
+              np.array([0.5, math.inf, 1.0]),
+              [ROOT, DyadicCube(1, 0), DyadicCube(1, 1)],
+              {ROOT: 0.5, DyadicCube(1, 0): math.inf, DyadicCube(1, 1): 1.0}))
+    @example((np.arange(32.0).reshape(2, 16) - 9.0,
+              np.concatenate([[math.nan, math.nan, 1.5, math.nan, 0.7, 0.0, 0.0],
+                              np.full(24, math.nan)]),
+              [DyadicCube(1, 1), DyadicCube(2, 1), DyadicCube(2, 2), DyadicCube(2, 3)],
+              {DyadicCube(1, 1): 1.5, DyadicCube(2, 1): 0.7, DyadicCube(2, 2): 0.0,
+               DyadicCube(2, 3): 0.0}))
+    def test_rows_match_loop_oracle_bit_for_bit(self, inst):
+        rows, coeff, cubes, alpha = inst
+        n = int(rows.shape[1]).bit_length() - 1
+        got = _coeff_maxima(rows, coeff)
+        assert got.shape == rows.shape
+        for row, out in zip(rows, got):
+            ref = loop_m_coeff(GridFunction(n, row), alpha, cubes).values
+            assert out.tobytes() == ref.tobytes()

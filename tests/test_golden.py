@@ -6,8 +6,8 @@ stdout of ``rho --n 10`` and the ``--out`` file of ``maximal --n 10 --phi
 llog:0.5`` (the dyadic, entropy and Orlicz maximal arrays). The command
 layer is pinned too: the stdout of each suite command at ``--n 6 --trials
 10 --seed 3``, the CSV of ``verify-main --out`` and the SVG of ``domination
---plot`` at the same flags, the stdout of ``verify-main`` and ``verify-cor``
-at ``--n 14``, and the stdout and ``--out`` JSON of
+--plot`` at the same flags, the stdout of ``verify-main``, ``verify-cor`` and
+``verify-fs`` at ``--n 14``, and the stdout and ``--out`` JSON of
 ``scripts/replay_demo.py --n 8``, the one script that prints cube records. A
 change that moves any of them on purpose bumps ``VERSION`` and says why in
 CHANGES.md; a refactor leaves them alone.
@@ -74,6 +74,8 @@ CLI_N14_DIGESTS = {
         "a7c7fc21e69e16bfc4872c19185336ebda23a55a075c25a66bb7be2bebfcb700",
     "verify-cor --n 14 --trials 5 --seed 3":
         "cf397f0133957f6e53f97de0f2851927612c2a82b8a1307d5a7ed3e71f38b578",
+    "verify-fs --n 14 --trials 20 --seed 3":
+        "86196cd5436416b260741b85cda3b05a6e5dca4efa2dd1d71d7a8a9c8d4dfb0a",
 }
 
 CLI_FILE_DIGESTS = {

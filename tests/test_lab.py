@@ -20,6 +20,7 @@ from entbump import (
     InvalidSpecError,
     OrliczSpec,
     ROOT,
+    ResolutionMismatchError,
     SparseCollection,
     TrialConfig,
     ainf_lemma_sweep,
@@ -32,12 +33,13 @@ from entbump import (
     power_weight,
     replay_random_suite,
     resolution_cap,
+    superlevel_weight,
     trial_rng,
     weak_type_quotient,
 )
 from entbump.lab import CSV_COLUMNS, MAX_RESOLUTION_ENV, _running_max
 
-from oracles import loop_fs_random_suite
+from oracles import enumerate_cubes, loop_fs_random_suite, loop_m_coeff
 
 
 def small(**kwargs):
@@ -226,14 +228,61 @@ class TestFsCheck:
             ref = json.dumps(loop_fs_random_suite(cfg).to_json_dict(), sort_keys=True)
             assert got == ref
 
-    def test_random_suite_runs_m_coeff_twice_per_trial(self, monkeypatch):
+    def test_random_suite_makes_one_two_row_kernel_call_per_trial(self, monkeypatch):
         import entbump.lab
 
-        calls = []
-        real = entbump.lab.m_coeff
-        monkeypatch.setattr(entbump.lab, "m_coeff", lambda *a: calls.append(a) or real(*a))
+        rows = []
+        real = entbump.lab._coeff_maxima
+        monkeypatch.setattr(entbump.lab, "_coeff_maxima",
+                            lambda values, coeff: rows.append(len(values)) or real(values, coeff))
+        monkeypatch.setattr(entbump.lab, "m_coeff", None)
         assert fs_random_suite(small(trials=6)).all_passed
-        assert len(calls) == 2 * 6
+        assert rows == [2] * 6
+
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_two_row_pass_matches_loop_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        f = GridFunction(n, rng.standard_normal(1 << n) * (rng.random(1 << n) < 0.7))
+        w = GridFunction(n, rng.exponential(size=1 << n) * (rng.random(1 << n) < 0.8))
+        m = int(rng.integers(0, n + 1))
+        cubes = [q for q in enumerate_cubes(m) if rng.random() < 0.5]
+        alpha = {q: float(rng.uniform(0.0, 3.0)) for q in cubes}
+        per_level = [np.full(1 << level, math.nan) for level in range(m + 1)]
+        for q, a in alpha.items():
+            per_level[q.level][q.index] = a
+        lam = float(rng.uniform(0.05, 2.0))
+        got = fs_check(SparseCollection(m, cubes), per_level, f, w, lam)
+        mf = loop_m_coeff(f, alpha, cubes)
+        mw = loop_m_coeff(w, alpha, cubes)
+        lhs = superlevel_weight(mf, lam, w)
+        rhs = float(np.add.reduce(np.abs(f.values) * mw.values)) * f.cell_width / lam
+        assert (got.lam, got.lhs, got.rhs) == (lam, lhs, rhs)
+        assert got.passed == (lhs <= rhs * (1.0 + 1e-9))
+
+    def test_infinite_product_is_rejected(self):
+        ones = GridFunction(2, np.ones(4))
+        halves = GridFunction(2, [0.0, 0.0, 1.0, 1.0])
+        cubes = SparseCollection(1, [DyadicCube(1, 0)])
+        alpha = [np.ones(1), np.array([math.inf, 1.0])]
+        # inf on f's zero average is no value; on w's positive one it is inf
+        with pytest.raises(ValueError, match="finite"):
+            fs_check(cubes, alpha, halves, ones, lam=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            fs_check(cubes, alpha, ones, halves, lam=0.5)
+        res = fs_check(cubes, alpha, halves, halves, lam=0.5)
+        assert (res.lhs, res.rhs) == (0.0, 0.0)
+
+    def test_resolution_mismatch_comes_after_the_coefficient_errors(self):
+        f = GridFunction(3, np.arange(8.0))
+        w = GridFunction(2, np.ones(4))
+        unit = [np.ones(1 << level) for level in range(4)]
+        with pytest.raises(InvalidCubeError, match="exceeds resolution 2"):
+            fs_check(SparseCollection(3, [DyadicCube(3, 1)]), unit, f, w, lam=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            fs_check(self.root_only, [np.array([math.inf])], f, w, lam=0.5)
+        with pytest.raises(ResolutionMismatchError, match="3 vs 2"):
+            fs_check(self.root_only, unit, f, w, lam=0.5)
 
     def test_random_suite_constant_one(self):
         report = fs_random_suite(small(trials=40))
