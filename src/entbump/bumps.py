@@ -616,43 +616,19 @@ def orlicz_norm(
                                cells.max(keepdims=True))[0])
 
 
-def m_entropy(
-    w: GridFunction,
-    eps: EpsilonSpec,
-    collections=None,
-    variant: str = "log",
-) -> GridFunction:
+def m_entropy(w: GridFunction, eps: EpsilonSpec, variant: str = "log") -> GridFunction:
     """Entropy-bump maximal function: per cell, the max of the entropy-bumped
-    averages over the cubes containing it.
+    averages over the dyadic cubes containing it.
 
     One ``_entropy_levels`` sweep keeps each level's norms and lets its rho
     go, and one leaves-only max paint (``paint_leaves``) reads them; the
     rho table and a second averages pyramid are never built. A weight whose
     bumped averages overflow float64 raises InvalidWeightError.
-
-    ``collections`` is an optional nonempty list of SparseCollections (read
-    through ``members``, one boolean array per level), whose union is the
-    cube set; None means all dyadic cubes of the grid. Cells covered by no
-    cube get 0. A member finer than w's grid raises InvalidCubeError.
     """
     norms = [None] * (w.resolution + 1)
     for level, _, _, vals in _entropy_levels(w, eps, variant):
         norms[level] = vals
-    if collections is not None:
-        if not isinstance(collections, (list, tuple)) or len(collections) == 0:
-            raise ValueError("collections must be a nonempty list of cube sets")
-        allowed = [np.zeros(v.size, dtype=bool) for v in norms]
-        for coll in collections:
-            if any(mem.any() for mem in coll.members[len(norms):]):
-                raise InvalidCubeError(f"a member is finer than resolution {w.resolution}")
-            for ok, mem in zip(allowed, coll.members):
-                ok |= mem
-        norms = [np.where(ok, v, -math.inf) for ok, v in zip(allowed, norms)]
-    out = paint_leaves(norms, np.maximum)
-    if collections is not None:
-        # -inf marks the cells no member covers; with all cubes there are none
-        out = np.where(np.isneginf(out), 0.0, out)
-    return GridFunction._adopt(w.resolution, out)
+    return GridFunction._adopt(w.resolution, paint_leaves(norms, np.maximum))
 
 
 def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFunction:
@@ -737,7 +713,9 @@ def _flat_coefficients(cubes, alpha, resolution: int) -> np.ndarray:
             first = int(np.argmax(bad))
             what = "missing" if math.isnan(coeff[first]) else "negative"
             raise ValueError(f"coefficient for {DyadicCube(level, first)} is {what}")
-        np.copyto(flat[(1 << level) - 1 : (2 << level) - 1], coeff, where=mem)
+        # + 0.0 maps a -0.0 coefficient to +0.0, so the maxima's zero
+        # cells do not take a sign from numpy's fmax loop order
+        np.copyto(flat[(1 << level) - 1 : (2 << level) - 1], coeff + 0.0, where=mem)
     return flat
 
 

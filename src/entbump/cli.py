@@ -62,8 +62,7 @@ def _check_cap(n: int) -> None:
 def _resolve_weight(value: str, n: int, seed: int) -> GridFunction:
     """Family specs are drawn with the run's seed; anything else is a path."""
     if _weight_family(value) is not None:
-        w, _, _ = _draw_weight(trial_rng(seed, 0), n, value)
-        return w
+        return _draw_weight(trial_rng(seed, 0), n, value)[0]
     if not os.path.exists(value):
         raise ConfigError(f"no such weight file: {value}")
     w = load_grid_function(value)
@@ -101,16 +100,13 @@ def _verdict(report) -> int:
 
 
 def _base_config(args) -> TrialConfig:
-    fields = {
-        "resolution": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "eps": getattr(args, "eps", "log_pow:2"),
-        "stopping_a": getattr(args, "a", 4.0),
-    }
-    bound = getattr(args, "bound", None)
-    if bound is not None:
-        fields["bound"] = bound
+    """The suite's TrialConfig from the flags its command defines; a field
+    whose flag the command lacks keeps its TrialConfig default."""
+    fields = {"resolution": args.n, "trials": args.trials, "seed": args.seed}
+    if hasattr(args, "eps"):
+        fields["eps"] = args.eps
+    if hasattr(args, "a"):
+        fields["stopping_a"] = args.a
     weight = getattr(args, "weight", None)
     if weight is not None:
         fields["weight_families"] = (weight,)
@@ -191,7 +187,7 @@ def _cmd_sparse_split(args) -> int:
         {"a": args.a, "collection": args.collection, "n": coll.resolution,
          "seed": args.seed}
     )
-    packing = carleson_check(coll, lam=2.0)
+    packing = carleson_check(coll)
     print(f"  members = {len(coll)}")
     print(f"  carleson_worst_ratio = {packing.worst_ratio:.6g}")
     print(f"check carleson: {'PASS' if packing.passed else 'FAIL'}")
@@ -275,9 +271,10 @@ def _bound(default):
 
 
 WEIGHT = _arg("--weight", type=str, default="random", help=WEIGHT_FAMILY_HELP)
-EPS = _arg("--eps", type=str, default="log_pow:2", help="entropy bump spec")
+EPS = _arg("--eps", type=str, default=TrialConfig.eps, help="entropy bump spec")
 PHI = _arg("--phi", type=str, default=None, help="Orlicz bump spec")
-STOP_A = _arg("--a", type=float, default=4.0, help="stopping factor (default 4)")
+STOP_A = _arg("--a", type=float, default=TrialConfig.stopping_a,
+              help="stopping factor (default 4)")
 PLOT = (
     _arg("--plot", type=str, default=None, help="write an SVG chart here"),
     _arg("--plot-kind", type=str, default="scatter",
@@ -286,7 +283,8 @@ PLOT = (
 
 # One row per subcommand: name, help, default --n, its arguments beyond
 # --n/--seed/--out, and the values set_defaults wires in. Every row sets
-# the handler; only the suites whose gate reads a bound take --bound.
+# the handler; only the suites whose gate reads a bound take --bound, and
+# their handlers pass it to the suite.
 COMMANDS = (
     ("rho", "local oscillation table of a weight", 10, (WEIGHT,),
      {"handler": _cmd_rho}),
@@ -299,12 +297,12 @@ COMMANDS = (
      {"handler": _cmd_sparse_split}),
     ("domination", "sparse domination of random sign transforms", 10,
      (_trials(100), _bound(16.0), *PLOT, STOP_A),
-     {"handler": _suite_command(domination_random_suite)}),
+     {"handler": lambda args: _run_suite(args, domination_random_suite, bound=args.bound)}),
     ("verify-main", "weak-type bound against the entropy majorant", 10,
      (_trials(100), _bound(64.0), *PLOT, EPS,
       _arg("--weight", type=str, default=None,
            help=f"restrict to one weight family ({WEIGHT_FAMILY_FORMS})")),
-     {"handler": _suite_command(main_theorem_experiment)}),
+     {"handler": lambda args: _run_suite(args, main_theorem_experiment, bound=args.bound)}),
     ("verify-cor", "uniformity of the normalized power-weight quotients", 10,
      (_trials(100), *PLOT,
       _arg("--s-list", type=str, default="0,0.5,0.9,0.96875",

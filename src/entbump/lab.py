@@ -60,7 +60,7 @@ from .weights import (
     power_weight,
 )
 
-VERSION = "0.7.0"
+VERSION = "0.8.0"
 
 MAX_RESOLUTION_ENV = "ENDPOINT_LAB_MAX_N"
 
@@ -97,11 +97,9 @@ class TrialConfig:
     trials: int = 100
     seed: int = 0
     eps: str = "log_pow:2"
-    phi: str | None = None
     weight_families: tuple = DEFAULT_WEIGHT_FAMILIES
     function_families: tuple = DEFAULT_FUNCTION_FAMILIES
     stopping_a: float = 4.0
-    bound: float = 64.0
 
     def __post_init__(self):
         if self.resolution < 0:
@@ -112,8 +110,6 @@ class TrialConfig:
             raise ConfigError(f"negative seed {self.seed}")
         if not self.stopping_a > 2.0:
             raise ConfigError(f"stopping factor must exceed 2, got {self.stopping_a}")
-        if not self.bound > 0.0:
-            raise ConfigError(f"bound must be positive, got {self.bound}")
         if not self.weight_families:
             raise ConfigError("weight_families must be nonempty")
         for family in self.weight_families:
@@ -123,9 +119,8 @@ class TrialConfig:
             raise ConfigError("function_families must be nonempty")
         object.__setattr__(self, "weight_families", tuple(self.weight_families))
         object.__setattr__(self, "function_families", tuple(self.function_families))
-        # parsed once, failing fast; not fields, so eq and repr skip them
+        # parsed once, failing fast; not a field, so eq and repr skip it
         object.__setattr__(self, "_eps", EpsilonSpec.parse(self.eps))
-        object.__setattr__(self, "_phi", None if self.phi is None else OrliczSpec.parse(self.phi))
 
     def weight_family(self, t: int) -> str:
         """Weight family of trial t, round-robin over weight_families."""
@@ -138,20 +133,15 @@ class TrialConfig:
     def eps_spec(self) -> EpsilonSpec:
         return self._eps
 
-    def phi_spec(self) -> OrliczSpec | None:
-        return self._phi
-
     def to_dict(self) -> dict:
         return {
             "resolution": self.resolution,
             "trials": self.trials,
             "seed": self.seed,
             "eps": self.eps,
-            "phi": self.phi,
             "weight_families": list(self.weight_families),
             "function_families": list(self.function_families),
             "stopping_a": self.stopping_a,
-            "bound": self.bound,
         }
 
 
@@ -257,17 +247,16 @@ def _weight_family(spec: str):
 
 
 def _draw_weight(rng, resolution: int, family: str):
-    """Returns (weight, label, s-or-None)."""
+    """Returns (weight, s), s the exponent of a power weight, else None."""
     name, s = _weight_family(family) or (None, None)
     if name == "power":
-        return power_weight(s, resolution), family, s
+        return power_weight(s, resolution), s
     if name == "a1gen":
         g = GridFunction._adopt(resolution, rng.standard_normal(1 << resolution))
-        s = float(rng.uniform(0.3, 0.95))
-        return a1_generator(g, s), family, None
+        return a1_generator(g, float(rng.uniform(0.3, 0.95))), None
     if name == "random":
         vals = np.exp(rng.normal(0.0, 1.5, 1 << resolution))
-        return GridFunction(resolution, vals), family, None
+        return GridFunction(resolution, vals), None
     raise ConfigError(f"unknown weight family {family!r}")
 
 
@@ -328,25 +317,16 @@ def weak_type_quotient(g: GridFunction, w: GridFunction, f: GridFunction, majora
 # ---------------------------------------------------------------------------
 
 
-# The suites whose gate reads TrialConfig.bound; the others check fixed
-# constants, and their report configs leave the bound out.
-_BOUND_GATED = ("main", "domination")
-
-
 def run_suite(kind: str, cfg: TrialConfig, trial, count: int | None = None) -> ExperimentReport:
     """The trial loop of every suite.
 
     Trial t, for t in range(count) (``cfg.trials`` by default), returns the
     TrialRecord of ``trial(t, trial_rng(cfg.seed, t))``. The report carries
-    the config (without the bound unless ``kind`` is in _BOUND_GATED) and the
-    records; the suite sets aggregates and pass flags.
+    the config and the records; the suite sets aggregates and pass flags.
     """
     count = cfg.trials if count is None else count
     records = [trial(t, trial_rng(cfg.seed, t)) for t in range(count)]
-    config = cfg.to_dict()
-    if kind not in _BOUND_GATED:
-        del config["bound"]
-    return ExperimentReport(kind=kind, config=config, records=records)
+    return ExperimentReport(kind=kind, config=cfg.to_dict(), records=records)
 
 
 def _running_max(values, start: float = 0.0) -> tuple:
@@ -416,8 +396,8 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
     n = cfg.resolution
 
     def trial(t, rng):
-        ffam = cfg.function_family(t)
-        w, wlabel, _ = _draw_weight(rng, n, cfg.weight_family(t))
+        wfam, ffam = cfg.weight_family(t), cfg.function_family(t)
+        w, _ = _draw_weight(rng, n, wfam)
         f = _draw_function(rng, n, ffam, majorant=w.values)
         # Memberships and coefficients are drawn in (level, index) order into
         # one flat array, level l at [2^l - 1, 2^(l+1) - 1); an empty draw
@@ -436,7 +416,7 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
         res = _fs_result(f, w, lam, mf, mw)
         slack = 0.0 if res.rhs == 0.0 else res.lhs / res.rhs
         return TrialRecord(
-            trial=t, weight=wlabel, function=ffam, s=None, k_eps=None,
+            trial=t, weight=wfam, function=ffam, s=None, k_eps=None,
             a1=None, ainf=None, quotient=slack, normalized_quotient=None,
             passed=res.passed,
         )
@@ -455,22 +435,25 @@ def fs_random_suite(cfg: TrialConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def main_theorem_experiment(cfg: TrialConfig) -> ExperimentReport:
+def main_theorem_experiment(cfg: TrialConfig, bound: float = 64.0) -> ExperimentReport:
     """Random sign transforms against the entropy-majorant weak-type bound.
 
     The quotient weak-L1(w)(T f) / integral |f| M_eps w must stay below
-    bound * K_eps across all trials. A trial takes the denominator as soon
-    as f is drawn and lets the majorant go; the signs and f go once T f is
-    built, so the weak norm runs beside w and T f alone.
+    bound * K_eps across all trials; bound must be positive (ConfigError
+    otherwise). A trial takes the denominator as soon as f is drawn and lets
+    the majorant go; the signs and f go once T f is built, so the weak norm
+    runs beside w and T f alone.
     """
+    if not bound > 0.0:
+        raise ConfigError(f"bound must be positive, got {bound}")
     eps = cfg.eps_spec()
     ke = k_epsilon(eps)
-    limit = math.inf if ke.diverged else cfg.bound * ke.value
+    limit = math.inf if ke.diverged else bound * ke.value
     n = cfg.resolution
 
     def trial(t, rng):
-        ffam = cfg.function_family(t)
-        w, wlabel, s = _draw_weight(rng, n, cfg.weight_family(t))
+        wfam, ffam = cfg.weight_family(t), cfg.function_family(t)
+        w, s = _draw_weight(rng, n, wfam)
         majorant = m_entropy(w, eps)
         f = _draw_function(rng, n, ffam, majorant=majorant.values)
         denom = _majorant_norm(f, majorant)
@@ -479,19 +462,20 @@ def main_theorem_experiment(cfg: TrialConfig) -> ExperimentReport:
         del f
         q = weak_l1_norm(tf, w) / denom
         return TrialRecord(
-            trial=t, weight=wlabel, function=ffam, s=s, k_eps=ke.value,
+            trial=t, weight=wfam, function=ffam, s=s, k_eps=ke.value,
             a1=None, ainf=None, quotient=q, normalized_quotient=q / ke.value
             if ke.value > 0 else None,
             passed=q <= limit,
         )
 
     report = run_suite("main", cfg, trial)
+    report.config["bound"] = bound
     max_q, argmax = _running_max(r.quotient for r in report.records)
     report.aggregates = {
         "k_eps": ke.value,
         "k_eps_terms": ke.terms_used,
         "k_eps_diverged": ke.diverged,
-        "bound": cfg.bound,
+        "bound": bound,
         "limit": limit,
         "max_quotient": max_q,
         "argmax_trial": argmax,
@@ -567,7 +551,8 @@ def ainf_lemma_sweep(cfg: TrialConfig) -> ExperimentReport:
     n = cfg.resolution
 
     def trial(t, rng):
-        w, wlabel, s = _draw_weight(rng, n, cfg.weight_family(t))
+        wfam = cfg.weight_family(t)
+        w, s = _draw_weight(rng, n, wfam)
         level = int(rng.integers(0, n + 1))
         index = int(rng.integers(0, 1 << level))
         cube = DyadicCube(level, index)
@@ -579,7 +564,7 @@ def ainf_lemma_sweep(cfg: TrialConfig) -> ExperimentReport:
         mask[a:b] = sel
         ratio = ainf_lemma_ratio(w, cube, CellSet(n, mask))
         return TrialRecord(
-            trial=t, weight=wlabel, function=None, s=s, k_eps=None,
+            trial=t, weight=wfam, function=None, s=s, k_eps=None,
             a1=None, ainf=None, quotient=ratio, normalized_quotient=None,
             passed=ratio <= 8.0,
         )
@@ -601,8 +586,8 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
 
     def trial(t, rng):
         nonlocal vacuous
-        ffam = cfg.function_family(t)
-        w, wlabel, s = _draw_weight(rng, n, cfg.weight_family(t))
+        wfam, ffam = cfg.weight_family(t), cfg.function_family(t)
+        w, s = _draw_weight(rng, n, wfam)
         # heavy-tailed base so stopping trees reach a few generations
         base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
         coll = cz_stopping_collection(base, ROOT, cfg.stopping_a)
@@ -621,7 +606,7 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
             rep = _proof_replay(coll, f, w, g_set, eps, table, majorant)
         vacuous += int(rep.vacuous)
         return TrialRecord(
-            trial=t, weight=wlabel, function=ffam, s=s, k_eps=None,
+            trial=t, weight=wfam, function=ffam, s=s, k_eps=None,
             a1=None, ainf=None, quotient=rep.max_measured_constant(),
             normalized_quotient=None, passed=rep.all_ok,
         )
@@ -639,10 +624,15 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
     return report
 
 
-def domination_random_suite(cfg: TrialConfig) -> ExperimentReport:
+def domination_random_suite(
+    cfg: TrialConfig, bound: float = CONSTANT_BOUND
+) -> ExperimentReport:
     """Random sign transforms and test pairs against the sparse bilinear
     form over the stopping cubes of |f| + |g|; the measured pairing-to-form
-    ratio must stay at or below cfg.bound."""
+    ratio must stay at or below bound, which must be positive (ConfigError
+    otherwise)."""
+    if not bound > 0.0:
+        raise ConfigError(f"bound must be positive, got {bound}")
     n = cfg.resolution
 
     def trial(t, rng):
@@ -655,18 +645,19 @@ def domination_random_suite(cfg: TrialConfig) -> ExperimentReport:
         return TrialRecord(
             trial=t, weight="none", function=f"{ffam}|{gfam}", s=None,
             k_eps=None, a1=None, ainf=None, quotient=res.measured_ratio,
-            normalized_quotient=None, passed=res.measured_ratio <= cfg.bound,
+            normalized_quotient=None, passed=res.measured_ratio <= bound,
         )
 
     report = run_suite("domination", cfg, trial)
+    report.config["bound"] = bound
     max_ratio, argmax = _running_max(r.quotient for r in report.records)
     report.aggregates = {
         "max_ratio": max_ratio,
         "argmax_trial": argmax,
-        "bound": cfg.bound,
+        "bound": bound,
         "mean_ratio": float(np.mean([r.quotient for r in report.records])),
     }
-    report.pass_flags = {"domination_bound": max_ratio <= cfg.bound}
+    report.pass_flags = {"domination_bound": max_ratio <= bound}
     return report
 
 

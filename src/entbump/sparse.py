@@ -244,25 +244,18 @@ def _positions(s: SparseCollection) -> list:
 @dataclass(frozen=True)
 class CarlesonReport:
     passed: bool
-    lam: float
-    include_self: bool
     worst_cube: DyadicCube | None
     worst_ratio: float
 
 
-def carleson_check(
-    s: SparseCollection, lam: float = 2.0, include_self: bool = False
-) -> CarlesonReport:
+def carleson_check(s: SparseCollection) -> CarlesonReport:
     """Packing check: for every member Q, sum of |Q'| over members Q'
-    strictly inside Q (plus Q itself if include_self) is <= lam |Q|."""
-    cells = _descendant_cells(s, union=False)
-    if include_self:
-        cells = [c + (1 << (s.resolution - level)) for level, c in enumerate(cells)]
-    ratios = _cell_ratios(s, cells)
+    strictly inside Q is <= 2 |Q|."""
+    ratios = _cell_ratios(s, _descendant_cells(s, union=False))
     if not ratios.size:
-        return CarlesonReport(True, lam, include_self, None, 0.0)
+        return CarlesonReport(True, None, 0.0)
     worst_cube, worst_ratio = _first_max(s, ratios)
-    return CarlesonReport(worst_ratio <= lam, lam, include_self, worst_cube, worst_ratio)
+    return CarlesonReport(worst_ratio <= 2.0, worst_cube, worst_ratio)
 
 
 class _EqSets(Mapping):
@@ -320,10 +313,8 @@ class StrongSparsenessReport:
     worst_ratio: float
 
 
-def strong_sparseness_check(
-    s: SparseCollection, bound: float = 0.25
-) -> StrongSparsenessReport:
-    """Check |union of strict S-descendants of Q| <= bound * |Q| per member.
+def strong_sparseness_check(s: SparseCollection) -> StrongSparsenessReport:
+    """Check |union of strict S-descendants of Q| <= |Q| / 4 per member.
 
     The union of strict descendants equals the disjoint union of the maximal
     S-children, so this is an exact integer computation.
@@ -332,7 +323,7 @@ def strong_sparseness_check(
     if not ratios.size:
         return StrongSparsenessReport(True, None, 0.0)
     worst_cube, worst = _first_max(s, ratios)
-    return StrongSparsenessReport(worst <= bound, worst_cube, worst)
+    return StrongSparsenessReport(worst <= 0.25, worst_cube, worst)
 
 
 def split_eight(s: SparseCollection) -> list[SparseCollection]:
@@ -340,9 +331,9 @@ def split_eight(s: SparseCollection) -> list[SparseCollection]:
     mod 8; each part satisfies the quarter condition of
     strong_sparseness_check.
 
-    Requires the packing bound with lam = 2 (raises otherwise).
+    Requires the packing bound 2 of carleson_check (raises otherwise).
     """
-    report = carleson_check(s, lam=2.0)
+    report = carleson_check(s)
     if not report.passed:
         raise SparsePreconditionError(
             f"collection fails the Carleson bound (worst ratio {report.worst_ratio:.3f} "
@@ -355,24 +346,22 @@ def split_eight(s: SparseCollection) -> list[SparseCollection]:
     ]
 
 
-def bilinear_form(collections, f: GridFunction, g: GridFunction) -> float:
-    """sum over collections and members of |Q| <f>_Q <g>_Q, with the
+def bilinear_form(s: SparseCollection, f: GridFunction, g: GridFunction) -> float:
+    """sum over the members Q of s of |Q| <f>_Q <g>_Q, with the
     absolute-value averages of this package.
 
-    The terms are added one at a time in (collection, level, index) order.
+    The terms are added one at a time in (level, index) order.
     """
     if f.resolution != g.resolution:
         raise ResolutionMismatchError("f and g live on different grids")
+    if s.resolution != f.resolution:
+        raise ResolutionMismatchError("collection resolution does not match f")
     favg = level_averages(np.abs(f.values))
     gavg = level_averages(np.abs(g.values))
-    terms = [np.zeros(1)]
-    for coll in collections:
-        if coll.resolution != f.resolution:
-            raise ResolutionMismatchError("collection resolution does not match f")
-        terms += [
-            2.0 ** -level * favg[level][mem] * gavg[level][mem]
-            for level, mem in enumerate(coll.members)
-        ]
+    terms = [np.zeros(1)] + [
+        2.0 ** -level * favg[level][mem] * gavg[level][mem]
+        for level, mem in enumerate(s.members)
+    ]
     return float(np.cumsum(np.concatenate(terms))[-1])
 
 
@@ -491,7 +480,7 @@ def haar_transform(spec: HaarSpec, f: GridFunction) -> GridFunction:
 
 @dataclass(frozen=True)
 class DominationResult:
-    collections: list
+    collection: SparseCollection
     pairing: float
     form: float
     measured_ratio: float
@@ -503,7 +492,7 @@ def sparse_dominate_bilinear(
     """Measure |<T f, g>| against the sparse form over the stopping cubes of
     |f| + |g|.
 
-    Returns the collections used, both sides, and the ratio; a zero form
+    Returns the collection used, both sides, and the ratio; a zero form
     with nonzero pairing is reported as an infinite ratio (it cannot occur
     for admissible inputs).
     """
@@ -515,12 +504,12 @@ def sparse_dominate_bilinear(
     s = cz_stopping_collection(base, ROOT, a)
     tf = haar_transform(spec, f)
     pairing = _dot(tf.values, g.values) * f.cell_width
-    form = bilinear_form([s], f, g)
+    form = bilinear_form(s, f, g)
     if form > 0.0:
         ratio = abs(pairing) / form
     else:
         ratio = 0.0 if pairing == 0.0 else math.inf
-    return DominationResult([s], pairing, form, ratio)
+    return DominationResult(s, pairing, form, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -313,16 +313,15 @@ def brute_children_cover(cubes, resolution):
     return cover
 
 
-def brute_carleson(cubes, resolution, include_self=False):
+def brute_carleson(cubes, resolution):
     """(worst member, worst ratio) of the packing check: per member, the cells
-    of the members strictly inside it (plus its own with include_self) over
-    its cells; the first maximum in (level, index) order. (None, 0.0) for an
-    empty set."""
+    of the members strictly inside it over its cells; the first maximum in
+    (level, index) order. (None, 0.0) for an empty set."""
     keys = sorted(set(cubes))
     worst, worst_ratio = None, 0.0
     for level, index in keys:
         own = 1 << (resolution - level)
-        total = own if include_self else 0
+        total = 0
         for lev, idx in keys:
             if lev > level and idx >> (lev - level) == index:
                 total += 1 << (resolution - lev)
@@ -707,7 +706,7 @@ def loop_fs_random_suite(cfg):
         rng = trial_rng(cfg.seed, i)
         wfam = cfg.weight_families[i % len(cfg.weight_families)]
         ffam = cfg.function_families[i % len(cfg.function_families)]
-        w, wlabel, _ = _draw_weight(rng, n, wfam)
+        w, _ = _draw_weight(rng, n, wfam)
         f = _draw_function(rng, n, ffam, majorant=w.values)
         cubes = [
             DyadicCube(level, index)
@@ -729,7 +728,7 @@ def loop_fs_random_suite(cfg):
         worst_slack = max(worst_slack, slack)
         report.records.append(
             TrialRecord(
-                trial=i, weight=wlabel, function=ffam, s=None, k_eps=None,
+                trial=i, weight=wfam, function=ffam, s=None, k_eps=None,
                 a1=None, ainf=None, quotient=slack, normalized_quotient=None,
                 passed=lhs <= rhs * (1.0 + 1e-9),
             )

@@ -66,14 +66,14 @@ def test_acceptance_02_eight_way_split():
         rng = trial_rng(20, i)
         base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
         coll = cz_stopping_collection(base, ROOT, a)
-        assert carleson_check(coll, lam=2.0).passed
+        assert carleson_check(coll).passed
         parts = split_eight(coll)
         back = sorted(
             (q for part in parts for q in part), key=lambda q: (q.level, q.index)
         )
         assert back == list(coll.cubes)
         for part in parts:
-            assert strong_sparseness_check(part, bound=0.25).passed
+            assert strong_sparseness_check(part).passed
         checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 500 and elapsed <= 60.0
@@ -159,9 +159,7 @@ def test_acceptance_06_power_weight_uniformity():
 
 def test_acceptance_07_sparse_domination():
     start = time.perf_counter()
-    report = domination_random_suite(
-        TrialConfig(resolution=10, trials=500, seed=0, bound=16.0)
-    )
+    report = domination_random_suite(TrialConfig(resolution=10, trials=500, seed=0))
     elapsed = time.perf_counter() - start
     max_ratio = report.aggregates["max_ratio"]
     ok = report.all_passed and max_ratio <= 16.0 and elapsed <= 120.0

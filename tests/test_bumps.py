@@ -362,19 +362,18 @@ class TestEntropyNorm:
 
     @pytest.mark.parametrize("variant", ["log", "full"])
     def test_reads_m_entropy_bits(self, variant):
-        # Each cube's norm is the value m_entropy paints from it, bit for bit,
-        # and matches the one-cube formula to rounding.
+        # Each cell of m_entropy is, bit for bit, the max of the norms of the
+        # cubes containing it, read cube by cube from one _entropy_levels
+        # sweep; each norm matches the one-cube formula to rounding.
         rng = np.random.default_rng(3)
         w = GridFunction(5, np.exp(rng.normal(0.0, 2.0, 32)) * (rng.random(32) < 0.8))
         eps = EpsilonSpec.log_pow(2.0)
         norms = entropy_levels(w, eps, variant)
-        for level in range(6):
-            q = DyadicCube(level, (7 * level) % (1 << level))
-            got = norms[level][q.index]
-            cube_only = m_entropy(w, eps, [SparseCollection(5, [q])], variant=variant)
-            a, b = q.cell_range(5)
-            assert np.all(cube_only.values[a:b] == got)
+        for q in enumerate_cubes(5):
+            got = norms[q.level][q.index]
             assert got == pytest.approx(brute_entropy_norm(w, q, eps, variant), rel=1e-13)
+        want = [max(norms[level][cell >> (5 - level)] for level in range(6)) for cell in range(32)]
+        assert np.array_equal(ieee_bits(m_entropy(w, eps, variant=variant).values), ieee_bits(want))
 
     def test_errors(self):
         w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
@@ -515,20 +514,6 @@ class TestEntropyBuffers:
             tracemalloc.stop()
         assert peak <= 2.7 * 2**20
 
-    @pytest.mark.parametrize("eps", EPS, ids=lambda e: e.name)
-    def test_collections_zero_uncovered_cells(self, eps):
-        w = GridFunction(6, self._weights(6)[1])
-        coll = SparseCollection(6, [DyadicCube(2, 1), DyadicCube(4, 13), DyadicCube(6, 60)])
-        norms = [np.where(ok, v, -math.inf)
-                 for ok, v in zip(coll.members, temp_entropy_levels(w, eps))]
-        painted = paint_down(norms, np.maximum)[-1]
-        want = np.where(np.isneginf(painted), 0.0, painted)
-        got = m_entropy(w, eps, collections=[coll]).values
-        assert np.array_equal(ieee_bits(got), ieee_bits(want))
-        covered = np.zeros(64, dtype=bool)
-        covered[16:32] = covered[52:56] = covered[60] = True
-        assert np.all(got[~covered] == 0.0) and np.all(np.isfinite(got))
-
 
 class TestMEntropy:
     @given(st.integers(0, 5), st.data())
@@ -559,33 +544,6 @@ class TestMEntropy:
             me = m_entropy(w, EpsilonSpec.log_pow(2.0)).values
             md = dyadic_maximal(w).values
             assert np.all(me >= md * (1.0 - 1e-12))
-
-    def test_collections_restriction(self):
-        w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
-        eps = EpsilonSpec.constant(1.0)
-        got = m_entropy(w, eps, collections=[SparseCollection(2, [DyadicCube(1, 1)])])
-        # cells under the chosen cube see its norm, others see zero
-        assert got.values[0] == 0.0
-        assert got.values[1] == 0.0
-        assert got.values[2] == got.values[3] > 0
-
-    def test_collections_union(self):
-        # Several collections act as their union; a coarser collection is
-        # fine, a member finer than the grid is not, nor is an empty list.
-        rng = np.random.default_rng(4)
-        w = GridFunction(4, rng.random(16) + 0.05)
-        eps = EpsilonSpec.log_pow(1.0)
-        a = [DyadicCube(1, 0), DyadicCube(3, 6)]
-        b = [DyadicCube(2, 3), DyadicCube(4, 1)]
-        union = m_entropy(w, eps, [SparseCollection(4, a + b)])
-        split = m_entropy(w, eps, [SparseCollection(4, a), SparseCollection(4, b)])
-        assert np.array_equal(union.values, split.values)
-        coarse = m_entropy(w, eps, [SparseCollection(2, [DyadicCube(1, 0)])])
-        assert np.array_equal(coarse.values, m_entropy(w, eps, [SparseCollection(4, a[:1])]).values)
-        with pytest.raises(InvalidCubeError):
-            m_entropy(w, eps, [SparseCollection(5, [DyadicCube(5, 0)])])
-        with pytest.raises(ValueError):
-            m_entropy(w, eps, [])
 
 
 class TestOrliczNorm:
@@ -1148,6 +1106,17 @@ class TestMCoeff:
         f = GridFunction(1, [1.0, 2.0])
         with pytest.raises(ValueError, match="negative"):
             m_coeff(f, [np.array([-1.0])], SparseCollection(1, [ROOT]))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_negative_zero_coefficients_give_positive_zeros(self, n):
+        # f = 1, the root at 0.0 and every leaf at -0.0: numpy's fmax picks
+        # between equal zeros by its loop order, the oracle keeps the root's
+        f = GridFunction(n, np.ones(1 << n))
+        leaves = [DyadicCube(n, i) for i in range(1 << n)]
+        alpha = [np.zeros(1 << level) for level in range(n)] + [np.full(1 << n, -0.0)]
+        got = m_coeff(f, alpha, SparseCollection(n, [ROOT, *leaves])).values
+        want = loop_m_coeff(f, {ROOT: 0.0, **dict.fromkeys(leaves, -0.0)}, [ROOT, *leaves])
+        assert np.array_equal(ieee_bits(got), ieee_bits(want.values))
 
     def test_nan_only_off_the_members_is_fine(self):
         f = GridFunction(1, [1.0, 3.0])

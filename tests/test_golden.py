@@ -45,12 +45,12 @@ SUITES = {
 }
 
 DIGESTS = {
-    "fs": "a8ec6ee7594b8575783fc45490f4cea65f050e46a444bd764eb24abe87014dee",
-    "main": "c472e6da247982cdd51c2351ecaff5c104af2120e1c1c7645577faa7b25960af",
-    "corollary": "d4d1db41a171de790f62681b5c9818fcda6c4bbea87600bab425eab744e94086",
-    "ainf": "11a69f1a27de5e8175c3b726aaafb55af18a520bdcb728abaedca12f9096543a",
-    "domination": "e61e4fd83d6676a80b39baf8928d87254279036a90a4bb65fb3f7767206cb42b",
-    "replay": "90b476690dfc2e7a43352e2c5133b63772f3088ab36ae2d4a4d56416c84b7428",
+    "fs": "d04159732b1f85bef6382bc507832f013beee905276ec436058306e7127e8377",
+    "main": "80e11feb7552cce062502f46bbe8592c35e1c5d83e26d119f9005ee504b56d68",
+    "corollary": "e8d22fcee2cba121e210facc76be3f649843b7a5889d6172d4609359f3f85050",
+    "ainf": "3dedf76e3514ad735807e29d69bd6a48c5413fb55dca12802ac1d6717178da88",
+    "domination": "226ae6046b1223f70314f804b9524683e837fc0de8b1ddbb68e702dcc9302ce4",
+    "replay": "9adcf403bdcc7e73f38579e2a7bf70f0b5691a45a31544cb74147460a2348e5f",
     "sparse-split": "0271d272a478f209756dd0c7f71a990b996f2697edc4ae236bc2dcd33d67feb4",
     "rho": "76f8ca5301b97a9d69015c1252639e17f5039dbc6b788b17af4dc13129ad7805",
     "maximal": "8e0d96b07e750f4cd5f84b303f39aa880f5563267d2988a31266e06a16e5ad5e",
@@ -59,23 +59,23 @@ DIGESTS = {
 CLI_ARGS = ["--n", "6", "--trials", "10", "--seed", "3"]
 
 CLI_STDOUT_DIGESTS = {
-    "verify-fs": "a71a57e24764bc110ab38bb9384fdce9068d9ecaa6ba4061ea14a53ed331f7e9",
-    "verify-main": "959ad32da0d5030718c0e02e359ac25e9cdc5e18d68fe9a8a34512e19c22ad5c",
-    "verify-cor": "e80095019443e9603a2ad351a0c1129b1a9bba22e95ce77807bf30a33457c177",
-    "verify-ainf": "24c83e73a58858a8d0d21a22475321298c4192d1b27a47aa61c39c6a659484e5",
-    "domination": "573101ecbb9b7e7eb3d7fa26eca6ab21b9552bfa3796d0380a0146f6dc2c34eb",
-    "replay": "2234b61d00d0f7f0d510e6dab2152f88d87e4a2d2e9e3a2862339b465934473f",
+    "verify-fs": "bdbdc2fb4d41d98a7c085d9aefc98e1315bd42e43eb4b571328250a2fc3e0326",
+    "verify-main": "edbc9a624cbb48cb5dd301cfef04ea8342f9a87625fd74d5e7f0df8cf730fd84",
+    "verify-cor": "4d35af627fa96bb699100cb12a544137b6f70bc8fa816eeb5cd4b8c03c2f407e",
+    "verify-ainf": "0f3aa7d9067fd8d635370f8eaded91a8ea77173610805d336541f6b55703a1a2",
+    "domination": "93803fea9f41cec0c3ca0c98a091756405d3a71897d3596875e3d8b95d2cd83e",
+    "replay": "0c35f67e367bb4a21d3f47e0d37109e03edb38ba8d262444341daf126ab9cbee",
 }
 
 # Stdout nearer the n = 18 cap, where the whole-grid kernels work on views
 # of thousands of cells per row rather than a handful.
 CLI_N14_DIGESTS = {
     "verify-main --n 14 --trials 10 --seed 3":
-        "a7c7fc21e69e16bfc4872c19185336ebda23a55a075c25a66bb7be2bebfcb700",
+        "426d8a1ecedb0b2484060effa184683a5090aacbf37bba641c6d7e0eb73617e3",
     "verify-cor --n 14 --trials 5 --seed 3":
-        "cf397f0133957f6e53f97de0f2851927612c2a82b8a1307d5a7ed3e71f38b578",
+        "24de5288b1e96d269fc4add498c37586e70c9dcc089ac9a842a7e66f2237348e",
     "verify-fs --n 14 --trials 20 --seed 3":
-        "86196cd5436416b260741b85cda3b05a6e5dca4efa2dd1d71d7a8a9c8d4dfb0a",
+        "8d9e16c25784acc21332c70bd4badccb9e6ffe3caa12ab50716fc21a94374d1c",
 }
 
 CLI_FILE_DIGESTS = {

@@ -121,7 +121,6 @@ class TestTrialConfig:
     def test_defaults_valid(self):
         cfg = TrialConfig()
         assert cfg.eps_spec() == EpsilonSpec.log_pow(2.0)
-        assert cfg.phi_spec() is None
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -133,15 +132,11 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             TrialConfig(stopping_a=2.0)
         with pytest.raises(ConfigError):
-            TrialConfig(bound=0.0)
-        with pytest.raises(ConfigError):
             TrialConfig(weight_families=())
         with pytest.raises(ConfigError):
             TrialConfig(function_families=())
         with pytest.raises(InvalidSpecError):
             TrialConfig(eps="nope:1")
-        with pytest.raises(InvalidSpecError):
-            TrialConfig(phi="power:-2")
 
     @pytest.mark.parametrize(
         "spec", ["power:abc", "power:", "power", "power:1", "power:nan", "a1gen:2", "bogus"]
@@ -152,26 +147,21 @@ class TestTrialConfig:
             TrialConfig(weight_families=("power:0.5", spec))
 
     def test_to_dict_round(self):
-        cfg = small(phi="power:2")
+        cfg = small(eps="loglog:0.5")
         d = cfg.to_dict()
-        assert d["resolution"] == 5 and d["phi"] == "power:2"
+        assert d["resolution"] == 5 and d["eps"] == "loglog:0.5"
         assert TrialConfig(**d) == cfg
 
-    def test_phi_spec(self):
-        assert small(phi="llog:0.5").phi_spec() == OrliczSpec.llog(0.5)
-
     def test_specs_parsed_once(self, monkeypatch):
-        cfg = small(phi="llog:0.5")
+        cfg = small(eps="loglog:0.5")
         monkeypatch.setattr(EpsilonSpec, "parse", None)
-        monkeypatch.setattr(OrliczSpec, "parse", None)
         assert cfg.eps_spec() is cfg.eps_spec()
-        assert cfg.phi_spec() is cfg.phi_spec()
         monkeypatch.undo()
-        # the parsed specs are not fields: equality, hash and repr see the
-        # spec strings only
-        twin = small(phi="llog:0.5")
+        # the parsed spec is not a field: equality, hash and repr see the
+        # spec string only
+        twin = small(eps="loglog:0.5")
         assert cfg == twin and hash(cfg) == hash(twin) and repr(cfg) == repr(twin)
-        assert "_eps" not in repr(cfg) and "_phi" not in cfg.to_dict()
+        assert "_eps" not in repr(cfg) and "_eps" not in cfg.to_dict()
 
 
 class TestWeakTypeQuotient:
@@ -301,11 +291,18 @@ class TestMainExperiment:
         assert report.all_passed
         ke = report.aggregates["k_eps"]
         assert ke == pytest.approx(0.4779546611060648, rel=1e-12)
-        assert report.aggregates["limit"] == pytest.approx(cfg.bound * ke)
+        assert report.config["bound"] == report.aggregates["bound"] == 64.0
+        assert report.aggregates["limit"] == pytest.approx(64.0 * ke)
         assert report.aggregates["max_quotient"] <= report.aggregates["limit"]
         assert 0 <= report.aggregates["argmax_trial"] < cfg.trials
         for rec in report.records:
             assert rec.normalized_quotient == pytest.approx(rec.quotient / ke)
+
+    @pytest.mark.parametrize("suite", [main_theorem_experiment, domination_random_suite])
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+    def test_nonpositive_bound_is_rejected(self, suite, bound):
+        with pytest.raises(ConfigError, match="bound must be positive"):
+            suite(small(trials=1), bound=bound)
 
     def test_divergent_bump_gives_infinite_limit(self):
         report = main_theorem_experiment(small(trials=4, eps="constant:1"))
@@ -382,14 +379,14 @@ class TestStructuralSweeps:
         assert len(calls) == 1
 
     def test_domination_suite(self):
-        cfg = small(resolution=5, trials=12, bound=16.0)
-        report = domination_random_suite(cfg)
+        # the paper's constant 16 is the default gate
+        report = domination_random_suite(small(resolution=5, trials=12))
         assert report.all_passed
         assert report.aggregates["max_ratio"] <= 16.0
-        assert report.aggregates["bound"] == 16.0
+        assert report.config["bound"] == report.aggregates["bound"] == 16.0
 
     def test_tiny_bound_fails_honestly(self):
-        report = domination_random_suite(small(resolution=5, trials=6, bound=1e-9))
+        report = domination_random_suite(small(resolution=5, trials=6), bound=1e-9)
         assert not report.all_passed
         assert not report.pass_flags["domination_bound"]
 

@@ -185,17 +185,10 @@ class TestCarleson:
     def test_all_cubes_ratio_two(self):
         cubes = [DyadicCube(l, i) for l in range(3) for i in range(1 << l)]
         s = SparseCollection(2, cubes)
-        report = carleson_check(s, lam=2.0)
+        report = carleson_check(s)
         assert report.passed
         assert report.worst_ratio == 2.0
         assert report.worst_cube == ROOT
-
-    def test_include_self_shifts_by_one(self):
-        cubes = [DyadicCube(l, i) for l in range(3) for i in range(1 << l)]
-        s = SparseCollection(2, cubes)
-        report = carleson_check(s, lam=2.0, include_self=True)
-        assert not report.passed
-        assert report.worst_ratio == 3.0
 
     def test_disjoint_family_trivially_passes(self):
         s = SparseCollection(3, [DyadicCube(3, i) for i in range(8)])
@@ -351,7 +344,7 @@ class TestStoppingCubes:
         s = cz_stopping_collection(f, ROOT, a)
         assert ROOT in s
         assert certify_half_sparse(s)
-        assert carleson_check(s, lam=2.0).passed
+        assert carleson_check(s).passed
         favg = level_averages(np.abs(f.values))
 
         def avg(q):
@@ -422,21 +415,19 @@ class TestSweepsAgainstOracles:
         for q, cells in eq.eq_sets.items():
             assert cells.cell_count() == (1 << (n - q.level)) - want[(q.level, q.index)]
 
-    @given(cube_sets, st.booleans())
-    @example((0, 0.9, 0), False)
-    @example((3, 0.9, 0), False)
+    @given(cube_sets)
+    @example((0, 0.9, 0))
+    @example((3, 0.9, 0))
     @settings(max_examples=60, deadline=None)
-    def test_carleson_and_split(self, args, include_self):
+    def test_carleson_and_split(self, args):
         n = args[0]
         pairs = cube_set(*args)
         s = SparseCollection(n, [DyadicCube(*q) for q in pairs])
-        report = carleson_check(s, lam=2.0, include_self=include_self)
-        worst_q, worst = brute_carleson(pairs, n, include_self)
+        report = carleson_check(s)
+        worst_q, worst = brute_carleson(pairs, n)
         assert report.worst_ratio == worst
         assert report.worst_cube == (None if worst_q is None else DyadicCube(*worst_q))
         assert report.passed == (worst <= 2.0)
-        if include_self:
-            return
         if not report.passed:
             with pytest.raises(SparsePreconditionError):
                 split_eight(s)
@@ -496,11 +487,11 @@ class TestSweepsAgainstOracles:
         g = GridFunction(n, rng.standard_normal(1 << n))
         favg = level_averages(np.abs(f.values))
         gavg = level_averages(np.abs(g.values))
-        assert bilinear_form([s, s], f, g) == loop_bilinear(pairs + pairs, favg, gavg)
+        assert bilinear_form(s, f, g) == loop_bilinear(pairs, favg, gavg)
         # against 1, the form is the mean of the sparse operator A_S |f|
         ones = GridFunction(n, np.ones(1 << n))
         a_s = loop_sparse_apply(pairs, favg, n)
-        assert bilinear_form([s], f, ones) == pytest.approx(a_s.mean(), rel=1e-12)
+        assert bilinear_form(s, f, ones) == pytest.approx(a_s.mean(), rel=1e-12)
 
     @given(st.integers(0, 60))
     @settings(max_examples=20, deadline=None)
@@ -534,7 +525,7 @@ class TestBilinearForm:
         f = GridFunction(2, [2.0, 2.0, 1.0, 1.0])
         g = GridFunction(2, [4.0, 0.0, 0.0, 0.0])
         s = SparseCollection(2, [ROOT, DyadicCube(1, 0)])
-        got = bilinear_form([s], f, g)
+        got = bilinear_form(s, f, g)
         assert got == pytest.approx(1.0 * 1.5 * 1.0 + 0.5 * 2.0 * 2.0, rel=1e-15)
         assert isinstance(got, float)
 
@@ -542,17 +533,16 @@ class TestBilinearForm:
         f = GridFunction(1, [-2.0, 2.0])
         g = GridFunction(1, [1.0, -1.0])
         s = SparseCollection(1, [ROOT])
-        assert bilinear_form([s], f, g) == pytest.approx(2.0)
-        assert bilinear_form([s, s], f, g) == pytest.approx(4.0)
+        assert bilinear_form(s, f, g) == pytest.approx(2.0)
 
     def test_mismatch(self):
         f = GridFunction(2, np.ones(4))
         g = GridFunction(1, np.ones(2))
         s = SparseCollection(2, [ROOT])
         with pytest.raises(ResolutionMismatchError):
-            bilinear_form([s], f, g)
+            bilinear_form(s, f, g)
         with pytest.raises(ResolutionMismatchError):
-            bilinear_form([SparseCollection(1, [ROOT])], f, f)
+            bilinear_form(SparseCollection(1, [ROOT]), f, f)
 
     @given(st.integers(0, 80))
     @settings(max_examples=25, deadline=None)
@@ -562,13 +552,13 @@ class TestBilinearForm:
         fv = rng.standard_normal(1 << n)
         gv = rng.standard_normal(1 << n)
         _, s = random_collection(n, seed + 1000)
-        got = bilinear_form([s], GridFunction(n, fv), GridFunction(n, gv))
+        got = bilinear_form(s, GridFunction(n, fv), GridFunction(n, gv))
         want = brute_bilinear([(q.level, q.index) for q in s], fv, gv, n)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def cell_pairings(s, f):
-    """2^n * bilinear_form([s], f, 1_x) per cell x: the sparse operator
+    """2^n * bilinear_form(s, f, 1_x) per cell x: the sparse operator
     A_S f(x) = sum over members Q containing x of <|f|>_Q, read through the
     form."""
     n = f.resolution
@@ -576,7 +566,7 @@ def cell_pairings(s, f):
     for x in range(1 << n):
         g = np.zeros(1 << n)
         g[x] = 1.0
-        out[x] = bilinear_form([s], f, GridFunction(n, g)) * (1 << n)
+        out[x] = bilinear_form(s, f, GridFunction(n, g)) * (1 << n)
     return out
 
 
@@ -610,7 +600,7 @@ class TestSparseOperator:
         # when g is replaced by its averages, so compare the f-side instead
         ones = GridFunction(n, np.ones(1 << n))
         assert float(np.dot(a_s, ones.values)) / (1 << n) == pytest.approx(
-            bilinear_form([s], f, ones), rel=1e-12
+            bilinear_form(s, f, ones), rel=1e-12
         )
         assert pairing >= 0.0
 
@@ -719,11 +709,10 @@ class TestDomination:
         g = GridFunction(n, rng.standard_normal(1 << n))
         spec = HaarSpec.from_rng(n, rng)
         result = sparse_dominate_bilinear(spec, f, g, a=4.0)
-        assert len(result.collections) == 1
-        s = result.collections[0]
+        s = result.collection
         base = GridFunction(n, np.abs(f.values) + np.abs(g.values))
         assert s == cz_stopping_collection(base, ROOT, 4.0)
-        assert result.form == pytest.approx(bilinear_form([s], f, g), rel=1e-12)
+        assert result.form == pytest.approx(bilinear_form(s, f, g), rel=1e-12)
         tf = haar_transform(spec, f)
         want_pairing = float(np.dot(tf.values, g.values)) / (1 << n)
         assert result.pairing == pytest.approx(want_pairing, rel=1e-12, abs=1e-15)

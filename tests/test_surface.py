@@ -2,17 +2,21 @@
 
 ``entbump.__all__`` is compared with a fixed tuple, so a name joins or
 leaves the public surface only with an edit here, and every package name
-the README's prose cites must be in it. Every top-level function of
-``tests/oracles.py`` must back some test, directly or through another
-oracle.
+the README's prose cites must be in it. So are the fields of TrialConfig,
+and the default bound of each bound-gated suite equals its command's
+``--bound`` default. Every top-level function of ``tests/oracles.py`` must
+back some test, directly or through another oracle.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import entbump
+from entbump.cli import build_parser
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -46,11 +50,30 @@ README_INTERNALS = {"paint_down", "paint_leaves", "reduce_up", "split_levels"}
 
 MODULES = ("bumps", "cli", "errors", "grid", "lab", "sparse", "svgplot", "weights")
 
+TRIAL_CONFIG_FIELDS = (
+    "resolution", "trials", "seed", "eps", "weight_families", "function_families",
+    "stopping_a",
+)
+
 
 def test_all_is_pinned():
     assert len(set(entbump.__all__)) == len(entbump.__all__)
     assert tuple(sorted(entbump.__all__)) == PUBLIC
     assert all(hasattr(entbump, name) for name in PUBLIC)
+
+
+def test_trial_config_fields_are_pinned():
+    fields = tuple(f.name for f in dataclasses.fields(entbump.TrialConfig))
+    assert fields == TRIAL_CONFIG_FIELDS
+    assert tuple(entbump.TrialConfig().to_dict()) == TRIAL_CONFIG_FIELDS
+
+
+def test_suite_bound_defaults_match_the_cli():
+    parser = build_parser()
+    for command, suite in (("verify-main", entbump.main_theorem_experiment),
+                           ("domination", entbump.domination_random_suite)):
+        default = inspect.signature(suite).parameters["bound"].default
+        assert parser.parse_args([command]).bound == default, command
 
 
 def test_readme_names_are_public():
