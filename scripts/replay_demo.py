@@ -17,7 +17,6 @@ from entbump import (
     CellSet,
     EpsilonSpec,
     GridFunction,
-    ROOT,
     cz_stopping_collection,
     proof_replay,
 )
@@ -35,7 +34,7 @@ def main() -> int:
     rng = trial_rng(args.seed, 0)
     size = 1 << args.n
     base = GridFunction(args.n, np.exp(rng.normal(0.0, 2.0, size)))
-    coll = cz_stopping_collection(base, ROOT, 4.0)
+    coll = cz_stopping_collection(base, 4.0)
     w = GridFunction(args.n, np.exp(rng.normal(0.0, 1.5, size)))
     f = GridFunction(args.n, np.abs(rng.standard_normal(size)))
     g_mask = rng.random(size) < 0.5

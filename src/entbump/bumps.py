@@ -272,21 +272,24 @@ class KEpsilonResult:
     diverged: bool
 
 
-def k_epsilon(eps: EpsilonSpec, tol: float = 1e-12, max_terms: int = 128) -> KEpsilonResult:
+_K_TOL = 1e-12  # k_epsilon stops at the first term below this
+_K_MAX_TERMS = 128  # or after this many terms
+
+
+def k_epsilon(eps: EpsilonSpec) -> KEpsilonResult:
     """Partial sum of the bump summability series sum_{k>=0} eps(2^{2^k})^-1.
 
-    Terms accumulate until one drops below tol or max_terms is reached; the
-    diverged flag is set when max_terms is hit with nondecreasing terms
-    (e.g. a constant bump), in which case the value is a partial sum only.
+    Terms accumulate until one drops below 1e-12 or 128 terms are summed;
+    the diverged flag is set when the 128th term is reached with
+    nondecreasing terms (e.g. a constant bump). Either way a bump that has
+    not converged by then reports a partial sum only.
     """
-    if not tol > 0 or max_terms < 1:
-        raise ValueError("tol must be positive and max_terms >= 1")
     total = 0.0
     used = 0
     prev = None
     nondecreasing = True
     hit_max = False
-    for k in range(max_terms):
+    for k in range(_K_MAX_TERMS):
         e = eps.at_tower(k)
         term = 0.0 if e == math.inf else 1.0 / e
         total += term
@@ -294,7 +297,7 @@ def k_epsilon(eps: EpsilonSpec, tol: float = 1e-12, max_terms: int = 128) -> KEp
         if prev is not None and term < prev - 1e-300:
             nondecreasing = False
         prev = term
-        if term < tol:
+        if term < _K_TOL:
             break
     else:
         hit_max = True
@@ -355,6 +358,7 @@ def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str):
 
 _WIDTH = 4e-16  # machine bracket width: a row is solved once hi - lo <= _WIDTH * hi
 _SLACK = 1e-9  # relative float slack of the Phi-mean monotonicity checks
+_CERTIFICATE = 1e-10  # every returned norm has |<Phi(w/lam)>_Q - 1| <= _CERTIFICATE
 # Most cells one group of levels, the leaves one level, hands a Phi call
 # (m_orlicz): up to n = 10 all levels share one group, a group holds 8 at
 # n = 11, 4 at n = 12 and 2 at n = 13, and from n = 14 on one level.
@@ -537,10 +541,10 @@ def _end_means(phi, rows: tuple, lo: np.ndarray, hi: np.ndarray, ends: np.ndarra
     return m_lo, m[:hi.size].copy()
 
 
-def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _level_orlicz(blocks: list, phi, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of every row of
-    ``blocks``, one 2D array (a level, one row per cube) or a list of them
-    (several levels), whose rows share every Phi call as one row set.
+    ``blocks``, a list of 2D arrays (one per level, one row per cube),
+    whose rows share every Phi call as one row set.
 
     ``lo`` / ``hi`` bracket each row's norm, as the min / max of the norms
     of its descendants at any one finer level do (for one-cell rows, lo =
@@ -553,11 +557,9 @@ def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np
     straddling or closed but uncertified, is replaced by the geometric
     search from <w>_Q. A Phi-mean lower at lo than at hi beyond the float
     slack raises InvalidSpecError. The result is the hi end, certified by
-    |<Phi(w/lam)>_Q - 1| <= tol (BracketingError otherwise).
+    |<Phi(w/lam)>_Q - 1| <= 1e-10 (BracketingError otherwise).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    rows = _rowset([blocks] if isinstance(blocks, np.ndarray) else blocks)
+    rows = _rowset(blocks)
     live = _row_means(rows, rows[0]) != 0.0
     if not live.any():
         return np.zeros(live.size)
@@ -573,7 +575,7 @@ def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np
         m_lo, m_hi = _end_means(phi, rows, lo, hi, is_open & (lo > 0.0))
         if np.any(m_lo < m_hi * (1.0 - _SLACK)):
             raise InvalidSpecError("Phi-mean is not decreasing in lambda")
-        redo = ~np.where(is_open, (m_lo > 1.0) & (m_hi <= 1.0), np.abs(m_hi - 1.0) <= tol)
+        redo = ~np.where(is_open, (m_lo > 1.0) & (m_hi <= 1.0), np.abs(m_hi - 1.0) <= _CERTIFICATE)
         if redo.any():
             again = _rows(rows, redo)
             lo[redo], hi[redo], m_lo[redo], m_hi[redo] = _search(again, _row_means(again, again[0]), phi)
@@ -584,35 +586,31 @@ def _level_orlicz(blocks, phi, tol: float, lo: np.ndarray, hi: np.ndarray) -> np
             hi[is_open], m_hi[is_open] = _illinois(_rows(rows, is_open), phi, lo[is_open],
                                                    hi[is_open], m_lo[is_open], m_hi[is_open])
     gap = np.abs(m_hi - 1.0)
-    if not np.all(gap <= tol):
-        raise BracketingError(f"Illinois solve stalled with |Phi-mean - 1| = {np.max(gap):.3e} > tol")
+    if not np.all(gap <= _CERTIFICATE):
+        raise BracketingError(
+            f"Illinois solve stalled with |Phi-mean - 1| = {np.max(gap):.3e} > {_CERTIFICATE:g}"
+        )
     out = np.zeros(live.size)
     out[live] = hi
     return out
 
 
-def orlicz_norm(
-    w: GridFunction,
-    cube: DyadicCube,
-    phi: OrliczSpec,
-    tol: float = 1e-10,
-) -> float:
+def orlicz_norm(w: GridFunction, cube: DyadicCube, phi: OrliczSpec) -> float:
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of w on one cube.
 
     A one-row call of the level solver ``_level_orlicz``, bracketed like
     every cube of ``m_orlicz``: by the min and max of its cells' norms
     w * u, u Phi's unit norm, so a one-cell cube is w * u and a larger one
     is closed by the log-log Illinois steps to machine bracket width.
-    Either way the certificate |<Phi(w/lam)>_Q - 1| <= tol is checked
+    Either way the certificate |<Phi(w/lam)>_Q - 1| <= 1e-10 is checked
     before the value is returned (BracketingError otherwise).
-    Identically-zero w on Q gives 0 with no Phi call; tol must be positive
-    (ValueError otherwise, NaN included).
+    Identically-zero w on Q gives 0 with no Phi call.
     """
     require_weight(w)
     a, b = cube.cell_range(w.resolution)
     vals = w.values[a:b]
     cells = vals * _unit_norm(phi) if vals.any() else vals
-    return float(_level_orlicz(vals[None, :], phi, tol, cells.min(keepdims=True),
+    return float(_level_orlicz([vals[None, :]], phi, cells.min(keepdims=True),
                                cells.max(keepdims=True))[0])
 
 
@@ -631,7 +629,7 @@ def m_entropy(w: GridFunction, eps: EpsilonSpec, variant: str = "log") -> GridFu
     return GridFunction._adopt(w.resolution, paint_leaves(norms, np.maximum))
 
 
-def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFunction:
+def m_orlicz(w: GridFunction, phi: OrliczSpec) -> GridFunction:
     """Orlicz maximal function: per cell, sup of orlicz_norm over all dyadic
     cubes containing it.
 
@@ -650,9 +648,8 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
     pairwise, of w * u over its cells in the first group and of its
     descendants' norms at the level below its group after that (a zero min
     goes straight to the Illinois steps). Every cube's certificate
-    |<Phi(w/lam)>_Q - 1| <= tol is checked inside that call, so a group
-    with one uncertified cube raises BracketingError; tol must be positive
-    (ValueError otherwise, NaN included).
+    |<Phi(w/lam)>_Q - 1| <= 1e-10 is checked inside that call, so a group
+    with one uncertified cube raises BracketingError.
     """
     require_weight(w)
     n = w.resolution
@@ -664,7 +661,7 @@ def m_orlicz(w: GridFunction, phi: OrliczSpec, tol: float = 1e-10) -> GridFuncti
         top = max(0, stop - span)
         lo, hi = (np.concatenate(reduce_up(below, op)[top:stop]) for op in (np.minimum, np.maximum))
         got = _level_orlicz([w.values.reshape(1 << level, -1) for level in range(top, stop)],
-                            phi, tol, lo, hi)
+                            phi, lo, hi)
         for level in range(top, stop):
             norms[level] = got[(1 << level) - (1 << top) : (2 << level) - (1 << top)]
         below = norms[top]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bumps import EpsilonSpec, OrliczSpec, m_entropy, m_orlicz
 from .errors import ConfigError
-from .grid import ROOT, GridFunction, _save_json, load_grid_function, require_weight
+from .grid import GridFunction, _save_json, load_grid_function, require_weight
 from .lab import (
     MAX_RESOLUTION_ENV,
     TrialConfig,
@@ -182,7 +182,7 @@ def _cmd_sparse_split(args) -> int:
         _check_cap(args.n)
         rng = trial_rng(args.seed, 0)
         base = GridFunction(args.n, np.exp(rng.normal(0.0, 2.0, 1 << args.n)))
-        coll = cz_stopping_collection(base, ROOT, args.a)
+        coll = cz_stopping_collection(base, args.a)
     _print_config(
         {"a": args.a, "collection": args.collection, "n": coll.resolution,
          "seed": args.seed}

@@ -8,7 +8,7 @@ same inputs give bit-identical results.
 
 Conventions used throughout the package:
 
-* ``average(f, Q)`` is the absolute-value average |Q|^-1 int_Q |f|.
+* ``<|f|>_Q`` is the absolute-value average |Q|^-1 int_Q |f|.
 * ``integral(f, S)`` is the signed integral over a cell set.
 * weights are GridFunctions with nonnegative cells (validated at use sites).
 """
@@ -235,12 +235,6 @@ def require_weight(w: GridFunction) -> GridFunction:
     return w
 
 
-def average(f: GridFunction, cube: DyadicCube) -> float:
-    """Absolute-value average |Q|^-1 int_Q |f| over the cube."""
-    a, b = cube.cell_range(f.resolution)
-    return float(np.mean(np.abs(f.values[a:b])))
-
-
 def integral(f: GridFunction, cells: CellSet) -> float:
     """Signed integral of f over the cell set."""
     _same_resolution(f, cells)
@@ -251,16 +245,6 @@ def restrict(f: GridFunction, cells: CellSet) -> GridFunction:
     """f * indicator(cells)."""
     _same_resolution(f, cells)
     return GridFunction(f.resolution, np.where(cells.mask, f.values, 0.0))
-
-
-def superlevel_weight(g: GridFunction, lam: float, w: GridFunction) -> float:
-    """w({|g| > lam}), the weight of the strict superlevel set."""
-    _same_resolution(g, w)
-    require_weight(w)
-    if not lam >= 0:
-        raise ValueError(f"level must be nonnegative, got {lam}")
-    mask = np.abs(g.values) > lam
-    return float(w.values[mask].sum() * w.cell_width)
 
 
 def weak_l1_norm(g: GridFunction, w: GridFunction) -> float:

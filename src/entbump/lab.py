@@ -23,14 +23,12 @@ from .bumps import (
     _coeff_maxima,
     _flat_coefficients,
     k_epsilon,
-    m_coeff,
     m_entropy,
     m_orlicz,
     shifted_log2,
 )
 from .errors import ConfigError, InvalidWeightError
 from .grid import (
-    ROOT,
     CellSet,
     DyadicCube,
     GridFunction,
@@ -87,7 +85,10 @@ def resolution_cap() -> int:
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for one trial; streams for distinct indices are independent."""
+    """Generator for one trial; streams for distinct indices are independent.
+    A negative seed raises ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"negative seed {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -363,7 +364,8 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCh
     (``alpha[l]`` of length 2^l); the inequality holds with constant exactly
     one, so only float slack is allowed on the right.
 
-    Raises ValueError for a nonpositive or NaN lam, and m_coeff's errors:
+    Raises ValueError for a nonpositive or NaN lam, ResolutionMismatchError
+    when f and w are on different grids, and m_coeff's errors:
     InvalidCubeError for a member finer than the grid, ValueError for a
     missing (NaN), negative or wrongly sized coefficient array or an
     infinite product.
@@ -371,11 +373,7 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCh
     require_weight(w)
     if not lam > 0.0:
         raise ValueError(f"level must be positive, got {lam}")
-    if f.resolution != w.resolution:
-        # m_coeff's errors on f, then on w, come before the mismatch
-        m_coeff(f, alpha, cubes)
-        m_coeff(w, alpha, cubes)
-        _same_resolution(f, w)
+    _same_resolution(f, w)
     n = f.resolution
     rows = _coeff_maxima((f.values, w.values), _flat_coefficients(cubes, alpha, n))
     mf, mw = (GridFunction._adopt(n, row).values for row in rows)
@@ -384,8 +382,8 @@ def fs_check(cubes, alpha, f: GridFunction, w: GridFunction, lam: float) -> FsCh
 
 def _fs_result(f, w, lam, mf, mw) -> FsCheckResult:
     """fs_check on a valid weight and level, from the cell arrays mf and mw
-    of M_alpha f and M_alpha w. Both are >= 0, so {mf > lam} is the set
-    superlevel_weight measures."""
+    of M_alpha f and M_alpha w. Both are >= 0, so lhs is w({M_alpha f >
+    lam}), the weight of the strict superlevel set."""
     lhs = float(w.values[mf > lam].sum() * w.cell_width)
     rhs = _dot(np.abs(f.values), mw) * f.cell_width / lam
     return FsCheckResult(lam, lhs, rhs, lhs <= rhs * (1.0 + FS_REL_TOL))
@@ -590,7 +588,7 @@ def replay_random_suite(cfg: TrialConfig) -> ExperimentReport:
         w, s = _draw_weight(rng, n, wfam)
         # heavy-tailed base so stopping trees reach a few generations
         base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-        coll = cz_stopping_collection(base, ROOT, cfg.stopping_a)
+        coll = cz_stopping_collection(base, cfg.stopping_a)
         # an adversarial f is drawn against the majorant the replay reads
         table, majorant = _majorant(w, eps) if ffam == "adversarial" else (None, None)
         f = _draw_function(rng, n, ffam, majorant=majorant)

@@ -31,7 +31,6 @@ from .errors import (
     SparsePreconditionError,
 )
 from .grid import (
-    ROOT,
     CellSet,
     DyadicCube,
     GridFunction,
@@ -365,36 +364,24 @@ def bilinear_form(s: SparseCollection, f: GridFunction, g: GridFunction) -> floa
     return float(np.cumsum(np.concatenate(terms))[-1])
 
 
-def cz_stopping_collection(
-    f: GridFunction, top: DyadicCube, a: float
-) -> SparseCollection:
-    """Calderon-Zygmund stopping cubes of f below the top cube.
+def cz_stopping_collection(f: GridFunction, a: float) -> SparseCollection:
+    """Calderon-Zygmund stopping cubes of f, starting at the root.
 
-    From each selected cube P (starting with top), select the maximal strict
-    subcubes Q with <|f|>_Q > a <|f|>_P and recurse. For a > 2 the selected
-    children of P cover less than |P|/a, so the output is strictly
+    From each selected cube P (starting with the root), select the maximal
+    strict subcubes Q with <|f|>_Q > a <|f|>_P and recurse. For a > 2 the
+    selected children of P cover less than |P|/a, so the output is strictly
     1/2-sparse.
 
-    One top-down paint over top's subtree: a cube is selected when its
-    average beats a times the average of its nearest selected ancestor.
+    One top-down paint: a cube is selected when its average beats a times
+    the average of its nearest selected ancestor.
     """
     if not a > 2.0:
         raise ValueError(f"stopping factor must exceed 2, got {a}")
-    n = f.resolution
-    if top.level > n:
-        raise InvalidCubeError(f"top cube at level {top.level} is finer than resolution {n}")
     favg = level_averages(np.abs(f.values))
-    if favg[top.level][top.index] == 0.0:
-        raise ValueError("f is (absolutely) degenerate on the top cube")
-    # Per depth d below top, the slice of top's level-(top.level + d)
-    # descendants and their averages.
-    cuts = [slice(top.index << d, (top.index + 1) << d) for d in range(n - top.level + 1)]
-    avgs = [favg[top.level + d][cut] for d, cut in enumerate(cuts)]
-    thr = paint_down([a * avgs[0]] + avgs[1:], lambda t, avg: np.where(avg > t, a * avg, t))
-    members = [np.zeros(1 << level, dtype=bool) for level in range(n + 1)]
-    members[top.level][top.index] = True
-    for d in range(1, len(cuts)):
-        members[top.level + d][cuts[d]] = avgs[d] > np.repeat(thr[d - 1], 2)
+    if favg[0][0] == 0.0:
+        raise ValueError("f is (absolutely) degenerate on the root")
+    thr = paint_down([a * favg[0]] + favg[1:], lambda t, avg: np.where(avg > t, a * avg, t))
+    members = [np.ones(1, dtype=bool)] + [avg > np.repeat(t, 2) for avg, t in zip(favg[1:], thr)]
     return SparseCollection._from_members(members)
 
 
@@ -501,7 +488,7 @@ def sparse_dominate_bilinear(
     if not np.any(f.values != 0) or not np.any(g.values != 0):
         raise ValueError("f and g must not be identically zero")
     base = GridFunction(f.resolution, np.abs(f.values) + np.abs(g.values))
-    s = cz_stopping_collection(base, ROOT, a)
+    s = cz_stopping_collection(base, a)
     tf = haar_transform(spec, f)
     pairing = _dot(tf.values, g.values) * f.cell_width
     form = bilinear_form(s, f, g)

@@ -58,6 +58,24 @@ def enumerate_cubes(resolution):
     ]
 
 
+def average(f: GridFunction, cube: DyadicCube) -> float:
+    """Absolute-value average |Q|^-1 int_Q |f| over the cube."""
+    a, b = cube.cell_range(f.resolution)
+    return float(np.mean(np.abs(f.values[a:b])))
+
+
+def superlevel_weight(g: GridFunction, lam: float, w: GridFunction) -> float:
+    """w({|g| > lam}), the weight of the strict superlevel set."""
+    from entbump.grid import _same_resolution, require_weight
+
+    _same_resolution(g, w)
+    require_weight(w)
+    if not lam >= 0:
+        raise ValueError(f"level must be nonnegative, got {lam}")
+    mask = np.abs(g.values) > lam
+    return float(w.values[mask].sum() * w.cell_width)
+
+
 def cube_average(values, level, index, resolution):
     width = 1 << (resolution - level)
     a = index * width
@@ -246,12 +264,13 @@ def loop_sparse_apply(cubes, favg, resolution):
     return acc
 
 
-def brute_cz_stopping(favg, resolution, top, a):
+def brute_cz_stopping(favg, resolution, a):
     """CZ stopping cubes as sorted (level, index) pairs, by the stack walk:
-    from each selected cube P, descend through its subcubes until one with
-    favg > a favg(P) is selected. favg holds the per-level |f| averages."""
-    selected = [top]
-    frontier = [top]
+    from each selected cube P, starting at the root, descend through its
+    subcubes until one with favg > a favg(P) is selected. favg holds the
+    per-level |f| averages."""
+    selected = [(0, 0)]
+    frontier = [(0, 0)]
     while frontier:
         plev, pidx = frontier.pop()
         threshold = a * float(favg[plev][pidx])
@@ -371,19 +390,20 @@ def mp_eps_value(name, params, t):
     raise ValueError(name)
 
 
-def mp_k_epsilon(name, params, tol=1e-12, max_terms=128):
-    """Reference series sum with exact tower arguments, same stopping rule."""
+def mp_k_epsilon(name, params):
+    """Reference series sum with exact tower arguments, same stopping rule:
+    the first term below 1e-12, or 128 terms."""
     import mpmath as mp
 
     mp.mp.dps = 60
     total = mp.mpf(0)
     used = 0
-    for k in range(max_terms):
+    for k in range(128):
         arg = mp.mpf(2) ** (mp.mpf(2) ** k)
         term = 1 / mp_eps_value(name, params, arg)
         total += term
         used += 1
-        if term < tol:
+        if term < 1e-12:
             break
     return float(total), used
 
@@ -446,15 +466,13 @@ def loop_bump_product(form, depth, x):
     return acc * c if c != 1.0 else acc.copy()
 
 
-def brute_orlicz_norm(values, level, index, resolution, phi, tol=1e-10):
+def brute_orlicz_norm(values, level, index, resolution, phi):
     """Luxemburg norm inf{lam > 0 : <Phi(w/lam)>_Q <= 1} of one cube, solved
     on its own: geometric bracketing from lam0 = <w>_Q (at most 60 doublings
     each way), scalar bisection to machine bracket width, then the
-    certificate |<Phi(w/lam)>_Q - 1| <= tol. Zero w on Q gives 0."""
+    certificate |<Phi(w/lam)>_Q - 1| <= 1e-10. Zero w on Q gives 0."""
     from entbump.errors import BracketingError, InvalidSpecError
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     width = 1 << (resolution - level)
     vals = np.asarray(values, dtype=np.float64)[index * width : (index + 1) * width]
     lam0 = float(np.mean(vals))
@@ -501,9 +519,9 @@ def brute_orlicz_norm(values, level, index, resolution, phi, tol=1e-10):
         else:
             hi = mid
     m = phi_mean(mid)
-    if abs(m - 1.0) > tol:
+    if abs(m - 1.0) > 1e-10:
         raise BracketingError(
-            f"bisection stalled with |Phi-mean - 1| = {abs(m - 1.0):.3e} > tol"
+            f"bisection stalled with |Phi-mean - 1| = {abs(m - 1.0):.3e} > 1e-10"
         )
     return mid
 
@@ -518,15 +536,15 @@ def ancestor_max(norm, resolution):
     ])
 
 
-def brute_m_orlicz(values, resolution, phi, tol=1e-10):
+def brute_m_orlicz(values, resolution, phi):
     """Orlicz maximal function per cell: the max of brute_orlicz_norm over
     the cell's ancestor cubes."""
     return ancestor_max(
-        lambda level, j: brute_orlicz_norm(values, level, j, resolution, phi, tol), resolution
+        lambda level, j: brute_orlicz_norm(values, level, j, resolution, phi), resolution
     )
 
 
-def level_m_orlicz(w, phi, tol=1e-10):
+def level_m_orlicz(w, phi):
     """m_orlicz solved one level at a time, each level bracketed by the
     pairwise min / max of its children's norms: the package's solver before
     levels were grouped, kept to pin the one-level groups bit for bit."""
@@ -537,10 +555,10 @@ def level_m_orlicz(w, phi, tol=1e-10):
 
     def parent(left, right):
         blocks = w.values.reshape(left.size, -1)
-        return _level_orlicz(blocks, phi, tol, np.minimum(left, right), np.maximum(left, right))
+        return _level_orlicz([blocks], phi, np.minimum(left, right), np.maximum(left, right))
 
     leaf = w.values * _unit_norm(phi)
-    per_level = reduce_up(_level_orlicz(w.values[:, None], phi, tol, leaf, leaf), parent)
+    per_level = reduce_up(_level_orlicz([w.values[:, None]], phi, leaf, leaf), parent)
     return GridFunction(w.resolution, paint_down(per_level, np.maximum)[-1])
 
 
@@ -688,7 +706,7 @@ def loop_m_coeff(f, alpha, cubes):
 def loop_fs_random_suite(cfg):
     """fs_random_suite with one scalar draw per cube and per coefficient, a
     DyadicCube-keyed alpha dict and loop_m_coeff."""
-    from entbump.grid import ROOT, DyadicCube, superlevel_weight
+    from entbump.grid import ROOT, DyadicCube
     from entbump.lab import (
         ExperimentReport,
         TrialRecord,

@@ -151,6 +151,19 @@ def test_malformed_weight_spec_is_named(command, spec, capsys):
     assert "could not convert" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rho", "--weight", "power:0.5"],  # draws nothing, yet seeds a generator
+    ["maximal"],
+    ["compare"],
+    ["sparse-split"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_named(argv, capsys):
+    # the suite commands' message, not numpy's "expected non-negative integer"
+    assert run([*argv, "--n", "3", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: negative seed -1\n")
+
+
 def test_sparse_split_random(tmp_path, capsys):
     path = tmp_path / "split.json"
     assert run(["sparse-split", "--n", "6", "--seed", "2", "--out", str(path)]) == 0

@@ -16,7 +16,6 @@ from entbump import (
     InvalidCubeError,
     InvalidWeightError,
     ResolutionMismatchError,
-    average,
     integral,
     level_averages,
     level_sums,
@@ -24,7 +23,6 @@ from entbump import (
     require_weight,
     restrict,
     save_grid_function,
-    superlevel_weight,
     weak_l1_norm,
 )
 
@@ -32,11 +30,13 @@ from entbump.grid import paint_down, reduce_up, split_levels
 from entbump.sparse import HaarSpec, haar_transform
 
 from oracles import (
+    average,
     brute_weak_l1,
     cube_average,
     enumerate_cubes,
     ieee_bits,
     stable_weak_l1,
+    superlevel_weight,
     temp_weak_l1,
 )
 

@@ -33,13 +33,12 @@ from entbump import (
     power_weight,
     replay_random_suite,
     resolution_cap,
-    superlevel_weight,
     trial_rng,
     weak_type_quotient,
 )
 from entbump.lab import CSV_COLUMNS, MAX_RESOLUTION_ENV, _running_max
 
-from oracles import enumerate_cubes, loop_fs_random_suite, loop_m_coeff
+from oracles import enumerate_cubes, loop_fs_random_suite, loop_m_coeff, superlevel_weight
 
 
 def small(**kwargs):
@@ -225,7 +224,7 @@ class TestFsCheck:
         real = entbump.lab._coeff_maxima
         monkeypatch.setattr(entbump.lab, "_coeff_maxima",
                             lambda values, coeff: rows.append(len(values)) or real(values, coeff))
-        monkeypatch.setattr(entbump.lab, "m_coeff", None)
+        monkeypatch.setattr(entbump.lab, "_flat_coefficients", None)  # no checks
         assert fs_random_suite(small(trials=6)).all_passed
         assert rows == [2] * 6
 
@@ -263,16 +262,17 @@ class TestFsCheck:
         res = fs_check(cubes, alpha, halves, halves, lam=0.5)
         assert (res.lhs, res.rhs) == (0.0, 0.0)
 
-    def test_resolution_mismatch_comes_after_the_coefficient_errors(self):
+    def test_resolution_mismatch_comes_before_the_coefficient_errors(self):
+        # the grids are compared before any coefficient is read
         f = GridFunction(3, np.arange(8.0))
         w = GridFunction(2, np.ones(4))
         unit = [np.ones(1 << level) for level in range(4)]
-        with pytest.raises(InvalidCubeError, match="exceeds resolution 2"):
-            fs_check(SparseCollection(3, [DyadicCube(3, 1)]), unit, f, w, lam=0.5)
-        with pytest.raises(ValueError, match="finite"):
-            fs_check(self.root_only, [np.array([math.inf])], f, w, lam=0.5)
-        with pytest.raises(ResolutionMismatchError, match="3 vs 2"):
-            fs_check(self.root_only, unit, f, w, lam=0.5)
+        for cubes, alpha in ((SparseCollection(3, [DyadicCube(3, 1)]), unit),
+                             (self.root_only, [np.array([math.inf])]),
+                             (self.root_only, [np.array([-1.0])]),
+                             (self.root_only, unit)):
+            with pytest.raises(ResolutionMismatchError, match="3 vs 2"):
+                fs_check(cubes, alpha, f, w, lam=0.5)
 
     def test_random_suite_constant_one(self):
         report = fs_random_suite(small(trials=40))

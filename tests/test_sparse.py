@@ -39,7 +39,7 @@ from entbump import (
     split_eight,
     strong_sparseness_check,
 )
-from entbump.grid import average, integral, level_averages
+from entbump.grid import integral, level_averages
 from entbump.lab import _draw_function, _draw_weight, trial_rng
 from entbump.sparse import (
     BandRecord,
@@ -80,7 +80,7 @@ def random_collection(resolution, seed):
     """CZ stopping cubes of a rough positive function; always half-sparse."""
     rng = np.random.default_rng(seed)
     f = GridFunction(resolution, np.exp(rng.normal(0.0, 2.0, 1 << resolution)))
-    return f, cz_stopping_collection(f, ROOT, 4.0)
+    return f, cz_stopping_collection(f, 4.0)
 
 
 def lognormal_instance(seed, n=6):
@@ -88,7 +88,7 @@ def lognormal_instance(seed, n=6):
     weight, and G the whole grid or a random half of it."""
     rng = np.random.default_rng(seed)
     base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-    s = cz_stopping_collection(base, ROOT, 4.0)
+    s = cz_stopping_collection(base, 4.0)
     w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
     f = GridFunction(n, np.abs(rng.standard_normal(1 << n)))
     if rng.random() < 0.5:
@@ -318,20 +318,20 @@ class TestStoppingCubes:
     def test_validation(self):
         f = GridFunction(2, [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            cz_stopping_collection(f, ROOT, 2.0)
+            cz_stopping_collection(f, 2.0)
         zero = GridFunction(2, [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            cz_stopping_collection(zero, ROOT, 4.0)
+            cz_stopping_collection(zero, 4.0)
 
     def test_constant_function_stops_at_top(self):
         f = GridFunction(3, np.ones(8))
-        s = cz_stopping_collection(f, ROOT, 4.0)
+        s = cz_stopping_collection(f, 4.0)
         assert s.cubes == (ROOT,)
 
     def test_spike_selects_the_spike(self):
         vals = np.ones(8)
         vals[3] = 100.0
-        s = cz_stopping_collection(GridFunction(3, vals), ROOT, 4.0)
+        s = cz_stopping_collection(GridFunction(3, vals), 4.0)
         assert ROOT in s
         assert DyadicCube(3, 3) in s
 
@@ -341,7 +341,7 @@ class TestStoppingCubes:
         rng = np.random.default_rng(seed)
         n = 6
         f = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-        s = cz_stopping_collection(f, ROOT, a)
+        s = cz_stopping_collection(f, a)
         assert ROOT in s
         assert certify_half_sparse(s)
         assert carleson_check(s).passed
@@ -443,12 +443,11 @@ class TestSweepsAgainstOracles:
         st.integers(0, 8),
         st.integers(0, 2**32 - 1),
         st.sampled_from([2.5, 4.0, 8.0]),
-        st.floats(0.0, 1.0),
     )
-    @example(0, 0, 4.0, 0.0)
-    @example(6, 1, 2.5, 0.5)
+    @example(0, 0, 4.0)
+    @example(6, 1, 2.5)
     @settings(max_examples=80, deadline=None)
-    def test_cz_stopping(self, n, seed, a, where):
+    def test_cz_stopping(self, n, seed, a):
         rng = np.random.default_rng(seed)
         vals = np.exp(rng.normal(0.0, 2.0, 1 << n))
         # zero-average blocks: whole dyadic blocks of cells set to zero
@@ -459,21 +458,12 @@ class TestSweepsAgainstOracles:
             vals[start : start + width] = 0.0
         f = GridFunction(n, vals)
         favg = level_averages(np.abs(vals))
-        level = min(n, int(where * (n + 1)))
-        top = DyadicCube(level, int(rng.integers(0, 1 << level)))
-        if favg[top.level][top.index] == 0.0:
+        if favg[0][0] == 0.0:
             with pytest.raises(ValueError):
-                cz_stopping_collection(f, top, a)
+                cz_stopping_collection(f, a)
             return
-        got = cz_stopping_collection(f, top, a)
-        assert [(q.level, q.index) for q in got] == brute_cz_stopping(
-            favg, n, (top.level, top.index), a
-        )
-
-    def test_cz_stopping_top_finer_than_grid(self):
-        f = GridFunction(2, np.ones(4))
-        with pytest.raises(InvalidCubeError):
-            cz_stopping_collection(f, DyadicCube(3, 0), 4.0)
+        got = cz_stopping_collection(f, a)
+        assert [(q.level, q.index) for q in got] == brute_cz_stopping(favg, n, a)
 
     @given(cube_sets)
     @example((0, 0.9, 0))
@@ -515,8 +505,8 @@ class TestSweepsAgainstOracles:
         # <|f|> of cell 3 is exactly 4 <|f|>_[0,1): a tie does not stop.
         f = GridFunction(2, [0.0, 0.0, 0.0, 4.0])
         favg = level_averages(f.values)
-        got = cz_stopping_collection(f, ROOT, 4.0)
-        assert [(q.level, q.index) for q in got] == brute_cz_stopping(favg, 2, (0, 0), 4.0)
+        got = cz_stopping_collection(f, 4.0)
+        assert [(q.level, q.index) for q in got] == brute_cz_stopping(favg, 2, 4.0)
         assert got.cubes == (ROOT,)
 
 
@@ -711,7 +701,7 @@ class TestDomination:
         result = sparse_dominate_bilinear(spec, f, g, a=4.0)
         s = result.collection
         base = GridFunction(n, np.abs(f.values) + np.abs(g.values))
-        assert s == cz_stopping_collection(base, ROOT, 4.0)
+        assert s == cz_stopping_collection(base, 4.0)
         assert result.form == pytest.approx(bilinear_form(s, f, g), rel=1e-12)
         tf = haar_transform(spec, f)
         want_pairing = float(np.dot(tf.values, g.values)) / (1 << n)
@@ -943,7 +933,7 @@ def far_instance(seed, n=10):
     g = rng.random(1 << n) < 0.5
     g[spike] = False
     base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-    s = cz_stopping_collection(base, ROOT, 4.0)
+    s = cz_stopping_collection(base, 4.0)
     return s, f, GridFunction(n, wv), CellSet(n, g), EpsilonSpec.constant(1.0)
 
 
@@ -953,7 +943,7 @@ def mixed_instance(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-    s = cz_stopping_collection(base, ROOT, 4.0)
+    s = cz_stopping_collection(base, 4.0)
     w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
     fv = np.abs(rng.standard_normal(1 << n)) * (rng.random(1 << n) < 0.6)
     fv[int(rng.integers(0, 1 << n))] += 1e3 * rng.random()
@@ -1158,7 +1148,7 @@ def workload_instance(n, seed, weight, function):
     eps = EpsilonSpec.log_pow(2.0)
     w = _draw_weight(rng, n, weight)[0]
     base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-    s = cz_stopping_collection(base, ROOT, 4.0)
+    s = cz_stopping_collection(base, 4.0)
     majorant = m_entropy(w, eps).values if function == "adversarial" else None
     f = _draw_function(rng, n, function, majorant=majorant)
     g = CellSet(n, rng.random(1 << n) < 0.5)
@@ -1217,7 +1207,7 @@ class TestReplayAgainstLevels:
     def test_stopping_tree_at_the_cap(self, n):
         rng = np.random.default_rng(n)
         base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
-        s = cz_stopping_collection(base, ROOT, 4.0)
+        s = cz_stopping_collection(base, 4.0)
         w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
         f = GridFunction(n, np.abs(rng.standard_normal(1 << n)))
         g = CellSet(n, rng.random(1 << n) < 0.5)

@@ -2,10 +2,11 @@
 
 ``entbump.__all__`` is compared with a fixed tuple, so a name joins or
 leaves the public surface only with an edit here, and every package name
-the README's prose cites must be in it. So are the fields of TrialConfig,
-and the default bound of each bound-gated suite equals its command's
-``--bound`` default. Every top-level function of ``tests/oracles.py`` must
-back some test, directly or through another oracle.
+the README's prose cites must be in it. So are the fields of TrialConfig
+and the defaulted parameters of every public function, and the default
+bound of each bound-gated suite equals its command's ``--bound`` default.
+Every top-level function of ``tests/oracles.py`` must back some test,
+directly or through another oracle.
 """
 
 import ast
@@ -30,7 +31,7 @@ PUBLIC = (
     "ROOT", "ResolutionMismatchError", "RhoTable", "SparseCollection",
     "SparsePreconditionError", "StrongSparsenessReport", "TrialConfig",
     "TrialRecord", "VERSION", "a1_constant", "a1_generator", "ainf_constant",
-    "ainf_lemma_ratio", "ainf_lemma_sweep", "average", "bilinear_form",
+    "ainf_lemma_ratio", "ainf_lemma_sweep", "bilinear_form",
     "build_disjoint_eq", "carleson_check", "certify_half_sparse",
     "corollary_experiment", "cz_stopping_collection", "domination_random_suite",
     "dyadic_maximal", "emit_svg", "fs_check", "fs_random_suite", "haar_transform",
@@ -39,7 +40,7 @@ PUBLIC = (
     "maximal_comparison", "orlicz_norm", "power_weight", "proof_replay",
     "replay_random_suite", "require_weight", "resolution_cap", "restrict", "rho",
     "rho_all", "save_grid_function", "shifted_log2", "sparse_dominate_bilinear",
-    "split_eight", "strong_sparseness_check", "superlevel_weight", "trial_rng",
+    "split_eight", "strong_sparseness_check", "trial_rng",
     "weak_l1_norm", "weak_type_quotient",
 )
 
@@ -55,6 +56,17 @@ TRIAL_CONFIG_FIELDS = (
     "stopping_a",
 )
 
+# Per public function, its parameters with a default: a settable value
+# joins the surface only with an edit here.
+DEFAULTED_PARAMETERS = {
+    "corollary_experiment": ("s_list",),
+    "domination_random_suite": ("bound",),
+    "m_entropy": ("variant",),
+    "main_theorem_experiment": ("bound",),
+    "maximal_comparison": ("phi", "config"),
+    "sparse_dominate_bilinear": ("a",),
+}
+
 
 def test_all_is_pinned():
     assert len(set(entbump.__all__)) == len(entbump.__all__)
@@ -66,6 +78,18 @@ def test_trial_config_fields_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(entbump.TrialConfig))
     assert fields == TRIAL_CONFIG_FIELDS
     assert tuple(entbump.TrialConfig().to_dict()) == TRIAL_CONFIG_FIELDS
+
+
+def test_defaulted_parameters_are_pinned():
+    defaulted = {}
+    for name in entbump.__all__:
+        obj = getattr(entbump, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            names = tuple(p.name for p in params if p.default is not p.empty)
+            if names:
+                defaulted[name] = names
+    assert defaulted == DEFAULTED_PARAMETERS
 
 
 def test_suite_bound_defaults_match_the_cli():
