@@ -6,6 +6,9 @@ of a heavy-tailed function, a lognormal weight, and a random target set.
 Every intermediate object of the argument is checked and printed: the
 exceptional set carve-out, the eight-way split, the rho bins, the level
 classes, and the measured constants per band.
+
+A resolution above the cap, a negative resolution or seed, a bad ``--eps``
+and an unwritable ``--out`` print ``error: ...`` and exit 2, as the CLI does.
 """
 
 import argparse
@@ -20,6 +23,7 @@ from entbump import (
     cz_stopping_collection,
     proof_replay,
 )
+from entbump.cli import _check_cap
 from entbump.lab import trial_rng
 
 
@@ -30,7 +34,17 @@ def main() -> int:
     parser.add_argument("--eps", type=str, default="log_pow:2", help="entropy bump spec")
     parser.add_argument("--out", type=str, default="replay_demo.json")
     args = parser.parse_args()
+    try:
+        return _replay(args)
+    except (ValueError, OSError) as exc:
+        # every domain error of the package subclasses ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _replay(args) -> int:
+    _check_cap(args.n)
+    eps = EpsilonSpec.parse(args.eps)
     rng = trial_rng(args.seed, 0)
     size = 1 << args.n
     base = GridFunction(args.n, np.exp(rng.normal(0.0, 2.0, size)))
@@ -42,7 +56,7 @@ def main() -> int:
         g_mask[:] = True
     g_set = CellSet(args.n, g_mask)
 
-    report = proof_replay(coll, f, w, g_set, EpsilonSpec.parse(args.eps))
+    report = proof_replay(coll, f, w, g_set, eps)
 
     print(f"collection: {len(coll)} stopping cubes on a 2^{args.n} grid")
     print(f"normalization: {report.normalization:.6g}")

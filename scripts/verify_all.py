@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every verification subcommand at a small, fast scale, with the
-Orlicz path, the n = 18 resolution cap and the edge resolutions beside them.
+Orlicz path, the n = 18 resolution cap and the edge resolutions beside them,
+and every suite once more at n = 0.
 
 The job list in main() says what runs. The exit code is the number of
 failed jobs, so CI can gate on zero; a job fails when its command exits
@@ -48,6 +49,10 @@ def main() -> int:
         ["compare", "--n", "1", "--seed", seed, "--phi", "dlr:0.25"],
         ["maximal", "--n", "13", "--seed", seed, "--phi", "llog:0.5"],
     ]
+    # every suite on the one-cell grid, where T f = 0 and no cube splits
+    jobs += [[command, "--n", "0", "--trials", "5", "--seed", seed]
+             for command in ("verify-fs", "verify-main", "verify-cor", "verify-ainf",
+                             "domination", "replay")]
     failures = []
     for argv in jobs:
         print(f"$ entbump {' '.join(argv)}")

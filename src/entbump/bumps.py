@@ -201,24 +201,6 @@ class EpsilonSpec(_Bump):
 
     _CATALOG, _KIND, _DEPTH = _EPS_CATALOG, "bump", 1
 
-    @classmethod
-    def constant(cls, c: float) -> "EpsilonSpec":
-        return cls("constant", (("c", float(c)),))
-
-    @classmethod
-    def log_pow(cls, p: float) -> "EpsilonSpec":
-        return cls("log_pow", (("p", float(p)),))
-
-    @classmethod
-    def loglog(cls, delta: float) -> "EpsilonSpec":
-        return cls("loglog", (("delta", float(delta)),))
-
-    def _eval_from_log(self, first_log, out=None):
-        """Evaluate the bump given L1 = shifted_log2(t); with ``out``, an
-        array of first_log's shape (first_log itself allowed), the values
-        go there."""
-        return self._product(first_log, out)
-
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
         _check_eps_domain(arr)
@@ -240,22 +222,6 @@ class OrliczSpec(_Bump):
     """
 
     _CATALOG, _KIND, _DEPTH = _PHI_CATALOG, "Orlicz bump", 0
-
-    @classmethod
-    def power(cls, r: float) -> "OrliczSpec":
-        return cls("power", (("r", float(r)),))
-
-    @classmethod
-    def llog(cls, delta: float) -> "OrliczSpec":
-        return cls("llog", (("delta", float(delta)),))
-
-    @classmethod
-    def dlr(cls, delta: float) -> "OrliczSpec":
-        return cls("dlr", (("delta", float(delta)),))
-
-    @classmethod
-    def logprod(cls, **exponents) -> "OrliczSpec":
-        return cls("logprod", tuple((k, float(v)) for k, v in exponents.items()))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
@@ -327,7 +293,7 @@ def _entropy_level(avg, r, vacuous, eps: EpsilonSpec, variant: str) -> np.ndarra
     if clip:
         # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
         log_r[low] = _LOG2_3
-    _bumped(vals, eps._eval_from_log(log_r, out=log_r), out=vals)
+    _bumped(vals, eps._product(log_r, out=log_r), out=vals)
     vals[vacuous] = 0.0
     return vals
 

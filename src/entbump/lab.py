@@ -118,6 +118,9 @@ class TrialConfig:
                 raise ConfigError(f"unknown weight family {family!r}")
         if not self.function_families:
             raise ConfigError("function_families must be nonempty")
+        for family in self.function_families:
+            if family not in DEFAULT_FUNCTION_FAMILIES:
+                raise ConfigError(f"unknown function family {family!r}")
         object.__setattr__(self, "weight_families", tuple(self.weight_families))
         object.__setattr__(self, "function_families", tuple(self.function_families))
         # parsed once, failing fast; not a field, so eq and repr skip it
@@ -297,18 +300,20 @@ def _draw_function(rng, resolution: int, family: str, majorant=None) -> GridFunc
     raise ConfigError(f"unknown function family {family!r}")
 
 
-def _majorant_norm(f: GridFunction, majorant) -> float:
+def _majorant_norm(f: GridFunction, majorant: GridFunction) -> float:
     """integral |f| * majorant, the quotient's denominator; ValueError when
     it vanishes."""
-    maj = majorant.values if isinstance(majorant, GridFunction) else np.asarray(majorant)
-    denom = _dot(np.abs(f.values), maj) * f.cell_width
+    denom = _dot(np.abs(f.values), majorant.values) * f.cell_width
     if denom <= 0.0:
         raise ValueError("majorant norm of f vanishes, quotient undefined")
     return denom
 
 
-def weak_type_quotient(g: GridFunction, w: GridFunction, f: GridFunction, majorant) -> float:
-    """weak-L1(w) size of g over the L1 norm of f against the majorant."""
+def weak_type_quotient(
+    g: GridFunction, w: GridFunction, f: GridFunction, majorant: GridFunction
+) -> float:
+    """weak-L1(w) size of g over the L1 norm of f against the majorant, a
+    GridFunction on f's grid."""
     denom = _majorant_norm(f, majorant)
     return weak_l1_norm(g, w) / denom
 
@@ -489,11 +494,15 @@ def corollary_experiment(cfg: TrialConfig, s_list=DEFAULT_S_LIST) -> ExperimentR
 
     Trial t runs exponent s_list[t // cfg.trials]. The normalized maxima
     must be uniform in s: max over s at most four times the median over s.
+    A repeated exponent raises ConfigError, as its maxima would share a key.
     """
     if not s_list:
         raise ConfigError("s_list must be nonempty")
     n = cfg.resolution
     s_list = [float(s) for s in s_list]
+    for i, s in enumerate(s_list):
+        if s in s_list[:i]:
+            raise ConfigError(f"repeated exponent {s!r} in s_list")
     per_s = []
     for s in s_list:
         w = power_weight(s, n)

@@ -412,15 +412,6 @@ class HaarSpec:
         self.signs = tuple(stored)
 
     @classmethod
-    def constant(cls, resolution: int, sign: int = 1) -> "HaarSpec":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return cls(
-            resolution,
-            [np.full(1 << level, float(sign)) for level in range(resolution)],
-        )
-
-    @classmethod
     def _from_signs(cls, signs) -> "HaarSpec":
         """The spec of per-level float arrays of +/-1 that the caller built
         in the right sizes; no check."""
@@ -474,7 +465,7 @@ class DominationResult:
 
 
 def sparse_dominate_bilinear(
-    spec: HaarSpec, f: GridFunction, g: GridFunction, a: float = 4.0
+    spec: HaarSpec, f: GridFunction, g: GridFunction, a: float
 ) -> DominationResult:
     """Measure |<T f, g>| against the sparse form over the stopping cubes of
     |f| + |g|.

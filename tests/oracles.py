@@ -650,7 +650,7 @@ def temp_entropy_levels(w, eps, variant="log", table=None):
         _check_eps_domain(r)
         log_r = np.log2(2.0 + r)
         factor = r if variant == "full" else log_r
-        vals = avg * factor * eps._eval_from_log(np.where(r < 1.0, _LOG2_3, log_r))
+        vals = avg * factor * eps._product(np.where(r < 1.0, _LOG2_3, log_r))
         vals[vac] = 0.0
         norms.append(vals)
     return norms

@@ -126,7 +126,7 @@ def test_acceptance_05_weak_type_bound():
     cfg8 = TrialConfig(resolution=8, trials=200, seed=0)
     report8 = main_theorem_experiment(cfg8)
     elapsed = time.perf_counter() - start
-    ke = k_epsilon(EpsilonSpec.log_pow(2.0)).value
+    ke = k_epsilon(EpsilonSpec.parse("log_pow:2")).value
     limit = 64.0 * ke
     max12 = report12.aggregates["max_quotient"]
     max8 = report8.aggregates["max_quotient"]
@@ -182,14 +182,14 @@ def test_acceptance_09_orlicz_norm_precision():
         level = int(rng.integers(0, n + 1))
         index = int(rng.integers(0, 1 << level))
         q = DyadicCube(level, index)
-        got = orlicz_norm(w, q, OrliczSpec.power(1.0))
+        got = orlicz_norm(w, q, OrliczSpec.parse("power:1"))
         want = average(w, q)
         worst_identity = max(worst_identity, abs(got - want) / want)
-    two_cell = orlicz_norm(GridFunction(1, [2.0, 0.0]), ROOT, OrliczSpec.power(2.0))
+    two_cell = orlicz_norm(GridFunction(1, [2.0, 0.0]), ROOT, OrliczSpec.parse("power:2"))
     sqrt2_err = abs(two_cell - math.sqrt(2.0))
     worst_cert = 0.0
     tol = 1e-10  # the certificate every returned norm meets
-    for spec in (OrliczSpec.power(2.0), OrliczSpec.llog(0.5), OrliczSpec.dlr(0.25)):
+    for spec in map(OrliczSpec.parse, ("power:2", "llog:0.5", "dlr:0.25")):
         for _ in range(10):
             n = int(rng.integers(1, 7))
             w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))

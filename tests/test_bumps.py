@@ -110,14 +110,14 @@ EPS_POINTS = np.array([1.0 - 1e-12, 1.0, 1.5, 3.0, 37.0, 1e6, 1e150, 1e300, math
 class TestEpsilonSpec:
     def test_parse_bare_and_named(self):
         assert EpsilonSpec.parse("log_pow:2") == EpsilonSpec.parse("log_pow:p=2")
-        assert EpsilonSpec.parse("constant:1.5") == EpsilonSpec.constant(1.5)
-        assert EpsilonSpec.parse("loglog:0.3") == EpsilonSpec.loglog(0.3)
+        assert EpsilonSpec.parse("constant:1.5") == EpsilonSpec("constant", (("c", 1.5),))
+        assert EpsilonSpec.parse("loglog:0.3") == EpsilonSpec("loglog", (("delta", 0.3),))
 
     def test_serialize_roundtrip(self):
         for spec in (
-            EpsilonSpec.constant(2.0),
-            EpsilonSpec.log_pow(1.5),
-            EpsilonSpec.loglog(0.25),
+            EpsilonSpec.parse("constant:2"),
+            EpsilonSpec.parse("log_pow:1.5"),
+            EpsilonSpec.parse("loglog:0.25"),
         ):
             assert EpsilonSpec.parse(spec.serialize()) == spec
 
@@ -130,21 +130,21 @@ class TestEpsilonSpec:
                 EpsilonSpec.parse(bad)
 
     def test_domain(self):
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         with pytest.raises(ValueError):
             eps(0.5)
         assert eps(1.0 - 1e-12) == pytest.approx(eps(1.0))
 
     def test_values(self):
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         assert eps(2.0) == 4.0
         assert eps(6.0) == 9.0
-        assert EpsilonSpec.constant(3.0)(100.0) == 3.0
+        assert EpsilonSpec.parse("constant:3")(100.0) == 3.0
         t = 37.0
         l1 = shifted_log2(t)
         l2 = shifted_log2(l1)
         l3 = shifted_log2(l2)
-        assert EpsilonSpec.loglog(0.5)(t) == pytest.approx(l2 * l3**1.5, rel=1e-13)
+        assert EpsilonSpec.parse("loglog:0.5")(t) == pytest.approx(l2 * l3**1.5, rel=1e-13)
 
     # Parsing checks only the catalog's bounds; that they make every row
     # nondecreasing and >= 1 is checked here, and for Phi in test_increasing.
@@ -160,40 +160,42 @@ class TestEpsilonSpec:
         assert eps(t + bump) >= eps(t) * (1.0 - 1e-12)
 
     def test_tower_evaluation_matches_direct(self):
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         for k in range(5):
             t = 2.0 ** (2.0**k)
             assert eps.at_tower(k) == pytest.approx(eps(t), rel=1e-13)
 
     def test_tower_evaluation_huge_k(self, monkeypatch):
         # arguments like 2^(2^40) never materialize
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         v = eps.at_tower(40)
         assert v == pytest.approx((2.0**40) ** 2, rel=1e-10)
         # past k = 1023, 2^k itself overflows: the term is 1 / inf
         assert eps.at_tower(1024) == math.inf
-        assert EpsilonSpec.constant(2.0).at_tower(5000) == 2.0
+        assert EpsilonSpec.parse("constant:2").at_tower(5000) == 2.0
         # a series summed past k = 1023 keeps counting its terms
         monkeypatch.setattr(bumps, "_K_MAX_TERMS", 1100)
-        got = k_epsilon(EpsilonSpec.constant(1.0))
+        got = k_epsilon(EpsilonSpec.parse("constant:1"))
         assert got.diverged and got.value == 1100.0
 
 
 class TestOrliczSpec:
     def test_parse(self):
-        assert OrliczSpec.parse("power:2") == OrliczSpec.power(2.0)
-        assert OrliczSpec.parse("llog:0.5") == OrliczSpec.llog(0.5)
-        assert OrliczSpec.parse("dlr:delta=0.25") == OrliczSpec.dlr(0.25)
-        assert OrliczSpec.parse("logprod:e1=1,e3=0.5") == OrliczSpec.logprod(e1=1.0, e3=0.5)
+        assert OrliczSpec.parse("power:2") == OrliczSpec("power", (("r", 2.0),))
+        assert OrliczSpec.parse("llog:0.5") == OrliczSpec("llog", (("delta", 0.5),))
+        assert OrliczSpec.parse("dlr:delta=0.25") == OrliczSpec("dlr", (("delta", 0.25),))
+        assert OrliczSpec.parse("logprod:e1=1,e3=0.5") == OrliczSpec(
+            "logprod", (("e1", 1.0), ("e3", 0.5))
+        )
         # a bare value binds the row's first parameter
-        assert OrliczSpec.parse("logprod:1.5") == OrliczSpec.logprod(e1=1.5)
+        assert OrliczSpec.parse("logprod:1.5") == OrliczSpec("logprod", (("e1", 1.5),))
 
     def test_serialize_roundtrip(self):
         for spec in (
-            OrliczSpec.power(1.7),
-            OrliczSpec.llog(0.25),
-            OrliczSpec.dlr(0.1),
-            OrliczSpec.logprod(e1=1.0, e2=0.5, e4=2.0),
+            OrliczSpec.parse("power:1.7"),
+            OrliczSpec.parse("llog:0.25"),
+            OrliczSpec.parse("dlr:0.1"),
+            OrliczSpec.parse("logprod:e1=1,e2=0.5,e4=2"),
         ):
             assert OrliczSpec.parse(spec.serialize()) == spec
 
@@ -206,22 +208,22 @@ class TestOrliczSpec:
 
     def test_zero_at_zero(self):
         for spec in (
-            OrliczSpec.power(2.0),
-            OrliczSpec.llog(0.5),
-            OrliczSpec.dlr(0.25),
-            OrliczSpec.logprod(e1=1.0),
+            OrliczSpec.parse("power:2"),
+            OrliczSpec.parse("llog:0.5"),
+            OrliczSpec.parse("dlr:0.25"),
+            OrliczSpec.parse("logprod:e1=1"),
         ):
             assert spec(0.0) == 0.0
 
     def test_values(self):
-        assert OrliczSpec.power(2.0)(3.0) == 9.0
-        assert OrliczSpec.llog(0.0)(2.0) == pytest.approx(2.0 * shifted_log2(2.0))
+        assert OrliczSpec.parse("power:2")(3.0) == 9.0
+        assert OrliczSpec.parse("llog:0")(2.0) == pytest.approx(2.0 * shifted_log2(2.0))
         t = 5.0
         l1 = shifted_log2(t)
         l2 = shifted_log2(l1)
         l3 = shifted_log2(l2)
-        assert OrliczSpec.dlr(0.5)(t) == pytest.approx(t * l2 * l3**1.5, rel=1e-13)
-        assert OrliczSpec.logprod(e1=2.0, e2=1.0)(t) == pytest.approx(
+        assert OrliczSpec.parse("dlr:0.5")(t) == pytest.approx(t * l2 * l3**1.5, rel=1e-13)
+        assert OrliczSpec.parse("logprod:e1=2,e2=1")(t) == pytest.approx(
             t * l1**2 * l2, rel=1e-13
         )
 
@@ -275,7 +277,7 @@ class TestCatalogBits:
         # in place on the first log, as _entropy_level calls it
         logs = np.log2(2.0 + t)
         want = ieee_bits(temp_eps(eps, logs))
-        assert eps._eval_from_log(logs, out=logs) is logs
+        assert eps._product(logs, out=logs) is logs
         assert np.array_equal(ieee_bits(logs), want)
         for k in (0, 1, 2, 5, 9, 40, 1023):
             got = eps.at_tower(k)
@@ -315,24 +317,24 @@ class TestCatalogBits:
 class TestKEpsilon:
     def test_log_pow_2_value(self):
         ref, used = mp_k_epsilon("log_pow", {"p": 2.0})
-        got = k_epsilon(EpsilonSpec.log_pow(2.0))
+        got = k_epsilon(EpsilonSpec.parse("log_pow:2"))
         assert not got.diverged
         assert got.terms_used == used
         assert got.value == pytest.approx(ref, rel=1e-12)
 
     def test_log_pow_1_value(self):
         ref, _ = mp_k_epsilon("log_pow", {"p": 1.0})
-        got = k_epsilon(EpsilonSpec.log_pow(1.0))
+        got = k_epsilon(EpsilonSpec.parse("log_pow:1"))
         assert got.value == pytest.approx(ref, rel=1e-12)
         assert not got.diverged
 
     def test_loglog_value(self):
         ref, _ = mp_k_epsilon("loglog", {"delta": 0.5})
-        got = k_epsilon(EpsilonSpec.loglog(0.5))
+        got = k_epsilon(EpsilonSpec.parse("loglog:0.5"))
         assert got.value == pytest.approx(ref, rel=1e-10)
 
     def test_constant_diverges(self):
-        got = k_epsilon(EpsilonSpec.constant(1.0))
+        got = k_epsilon(EpsilonSpec.parse("constant:1"))
         assert got.diverged
         assert got.terms_used == 128
         assert got.value == 128.0
@@ -342,12 +344,12 @@ class TestEntropyNorm:
     # The per-level norms of _entropy_levels, read one cube at a time.
     def test_full_variant_spike(self):
         w = GridFunction(2, [4.0, 0.0, 0.0, 0.0])
-        assert entropy_levels(w, EpsilonSpec.constant(1.0), "full")[0][0] == 2.0
+        assert entropy_levels(w, EpsilonSpec.parse("constant:1"), "full")[0][0] == 2.0
 
     def test_log_variant_formula(self):
         rng = np.random.default_rng(2)
         w = GridFunction(4, rng.random(16) + 0.1)
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         q = DyadicCube(1, 1)
         r = rho(w, q)
         expected = average(w, q) * shifted_log2(r) * eps(r)
@@ -356,7 +358,7 @@ class TestEntropyNorm:
 
     def test_vacuous_cube_gives_zero(self):
         w = GridFunction(2, [0.0, 0.0, 1.0, 1.0])
-        assert entropy_levels(w, EpsilonSpec.log_pow(2.0), "log")[1][0] == 0.0
+        assert entropy_levels(w, EpsilonSpec.parse("log_pow:2"), "log")[1][0] == 0.0
 
     @pytest.mark.parametrize("variant", ["log", "full"])
     def test_reads_m_entropy_bits(self, variant):
@@ -365,7 +367,7 @@ class TestEntropyNorm:
         # sweep; each norm matches the one-cube formula to rounding.
         rng = np.random.default_rng(3)
         w = GridFunction(5, np.exp(rng.normal(0.0, 2.0, 32)) * (rng.random(32) < 0.8))
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         norms = entropy_levels(w, eps, variant)
         for q in enumerate_cubes(5):
             got = norms[q.level][q.index]
@@ -376,7 +378,7 @@ class TestEntropyNorm:
     def test_errors(self):
         w = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
-            _entropy_levels(w, EpsilonSpec.log_pow(2.0), "nope")
+            _entropy_levels(w, EpsilonSpec.parse("log_pow:2"), "nope")
 
     @pytest.mark.parametrize("variant", ["log", "full"])
     @pytest.mark.filterwarnings("error")
@@ -387,16 +389,16 @@ class TestEntropyNorm:
         w = GridFunction(1, [1e308, 1.0])
         assert rho_all(w).max_rho() == 1.5
         with pytest.raises(InvalidWeightError, match="rescale w"):
-            m_entropy(w, EpsilonSpec.log_pow(2.0), variant=variant)
+            m_entropy(w, EpsilonSpec.parse("log_pow:2"), variant=variant)
         with pytest.raises(InvalidWeightError, match="rescale w"):
-            _majorant(w, EpsilonSpec.log_pow(2.0))
+            _majorant(w, EpsilonSpec.parse("log_pow:2"))
 
 
 class TestEntropyLevels:
     # A hand-built RhoTable with rho just below 1, where eps clips its
     # argument to 1 before taking the log; 1 - 2^-30 keeps log2(2 + rho)
     # apart from log2(3), 1 - 2^-52 does not.
-    EPS = [EpsilonSpec.constant(2.0), EpsilonSpec.log_pow(2.0), EpsilonSpec.loglog(0.5)]
+    EPS = [EpsilonSpec.parse(text) for text in ("constant:2", "log_pow:2", "loglog:0.5")]
 
     @staticmethod
     def _table(w, rho_value):
@@ -458,7 +460,7 @@ class TestEntropyBuffers:
 
     def test_cap_matches_oracle(self):
         w = GridFunction(18, self._weights(18)[1])
-        eps = EpsilonSpec.log_pow(2.0)
+        eps = EpsilonSpec.parse("log_pow:2")
         want = paint_down(temp_entropy_levels(w, eps), np.maximum)[-1]
         assert np.array_equal(ieee_bits(m_entropy(w, eps).values), ieee_bits(want))
 
@@ -476,7 +478,9 @@ class TestEntropyBuffers:
     @pytest.mark.parametrize("resolution", list(range(13)) + [18])
     def test_streamed_maximal_matches_oracle_at_every_resolution(self, resolution, variant):
         for vals in self._weights(resolution)[:2]:  # rough, and with zero subtrees
-            self._assert_streamed_bits(GridFunction(resolution, vals), EpsilonSpec.loglog(0.5), variant)
+            self._assert_streamed_bits(
+                GridFunction(resolution, vals), EpsilonSpec.parse("loglog:0.5"), variant
+            )
 
     @pytest.mark.parametrize("vals", [
         [1e-310, 3e-312, 0.0, 5e-324],  # subnormal cells, a subnormal half-sum rounding to 0
@@ -506,7 +510,7 @@ class TestEntropyBuffers:
         w = GridFunction(16, np.exp(np.random.default_rng(0).normal(0.0, 2.0, 1 << 16)))
         tracemalloc.start()
         try:
-            m_entropy(w, EpsilonSpec.log_pow(2.0))
+            m_entropy(w, EpsilonSpec.parse("log_pow:2"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,7 +530,7 @@ class TestMEntropy:
             )
         )
         w = GridFunction(resolution, vals)
-        eps = EpsilonSpec.log_pow(1.0)
+        eps = EpsilonSpec.parse("log_pow:1")
         got = m_entropy(w, eps)
         for cell in range(size):
             best = 0.0
@@ -539,7 +543,7 @@ class TestMEntropy:
         rng = np.random.default_rng(6)
         for _ in range(5):
             w = GridFunction(6, rng.random(64))
-            me = m_entropy(w, EpsilonSpec.log_pow(2.0)).values
+            me = m_entropy(w, EpsilonSpec.parse("log_pow:2")).values
             md = dyadic_maximal(w).values
             assert np.all(me >= md * (1.0 - 1e-12))
 
@@ -550,23 +554,23 @@ class TestOrliczNorm:
         for _ in range(10):
             w = GridFunction(4, rng.random(16) * 3.0)
             for q in (ROOT, DyadicCube(2, 1), DyadicCube(4, 7)):
-                got = orlicz_norm(w, q, OrliczSpec.power(1.0))
+                got = orlicz_norm(w, q, OrliczSpec.parse("power:1"))
                 want = average(w, q)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_square_two_cell(self):
         w = GridFunction(1, [2.0, 0.0])
-        got = orlicz_norm(w, ROOT, OrliczSpec.power(2.0))
+        got = orlicz_norm(w, ROOT, OrliczSpec.parse("power:2"))
         assert got == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_zero_on_cube(self):
         w = GridFunction(1, [0.0, 3.0])
-        assert orlicz_norm(w, DyadicCube(1, 0), OrliczSpec.power(2.0)) == 0.0
+        assert orlicz_norm(w, DyadicCube(1, 0), OrliczSpec.parse("power:2")) == 0.0
 
     def test_certificate_holds(self):
         rng = np.random.default_rng(12)
         tol = 1e-10  # the certificate every returned norm meets
-        for spec in (OrliczSpec.power(3.0), OrliczSpec.llog(0.5), OrliczSpec.dlr(0.2)):
+        for spec in map(OrliczSpec.parse, ("power:3", "llog:0.5", "dlr:0.2")):
             w = GridFunction(5, rng.random(32) * 10.0 + 0.01)
             lam = orlicz_norm(w, ROOT, spec)
             mean = float(np.mean(spec(w.values / lam)))
@@ -575,7 +579,7 @@ class TestOrliczNorm:
     def test_homogeneity(self):
         rng = np.random.default_rng(13)
         w_vals = rng.random(16) + 0.1
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         base = orlicz_norm(GridFunction(4, w_vals), ROOT, phi)
         scaled = orlicz_norm(GridFunction(4, 7.0 * w_vals), ROOT, phi)
         assert scaled == pytest.approx(7.0 * base, rel=1e-12)
@@ -583,7 +587,7 @@ class TestOrliczNorm:
     def test_monotone_in_weight(self):
         rng = np.random.default_rng(14)
         w_vals = rng.random(16) + 0.1
-        phi = OrliczSpec.power(2.0)
+        phi = OrliczSpec.parse("power:2")
         small = orlicz_norm(GridFunction(4, w_vals), ROOT, phi)
         big = orlicz_norm(GridFunction(4, w_vals + 0.5), ROOT, phi)
         assert big > small
@@ -593,7 +597,7 @@ class TestMOrlicz:
     def test_matches_per_cube_max(self):
         rng = np.random.default_rng(15)
         w = GridFunction(4, rng.random(16) * 2.0)
-        phi = OrliczSpec.power(2.0)
+        phi = OrliczSpec.parse("power:2")
         got = m_orlicz(w, phi)
         for cell in range(16):
             best = 0.0
@@ -605,7 +609,7 @@ class TestMOrlicz:
     def test_identity_bump_is_dyadic_maximal(self):
         rng = np.random.default_rng(16)
         w = GridFunction(5, rng.random(32) * 4.0)
-        got = m_orlicz(w, OrliczSpec.power(1.0))
+        got = m_orlicz(w, OrliczSpec.parse("power:1"))
         ref = dyadic_maximal(w)
         np.testing.assert_allclose(got.values, ref.values, rtol=1e-12)
 
@@ -687,7 +691,7 @@ class TestRowSums:
     ])
     def test_phi_means_give_each_row_the_bits_of_np_mean(self, shapes):
         rng = np.random.default_rng(len(shapes))
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         blocks = [np.exp(rng.normal(0.0, 2.0, shape)) for shape in shapes]
         rows = bumps._rowset(blocks)
         lam = np.exp(rng.normal(0.0, 1.0, rows[1].size))
@@ -751,7 +755,7 @@ class TestOrliczLevelSolver:
         # no patch: the default budget gives one-level groups here
         assert bumps._GROUP_CELLS >> 14 <= 1
         w = GridFunction(14, np.exp(np.random.default_rng(14).normal(0.0, 2.0, 1 << 14)))
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         assert np.array_equal(ieee_bits(m_orlicz(w, phi).values),
                               ieee_bits(level_m_orlicz(w, phi).values))
 
@@ -760,7 +764,7 @@ class TestOrliczLevelSolver:
         # width 0 from its descendants: each group, the leaves one of its
         # levels, takes one Phi call, for its cubes' certificates, and keeps
         # that norm. The default budget puts all 5 levels in one group.
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         leaf = orlicz_norm(GridFunction(0, [3.0]), ROOT, phi)
         w = GridFunction(4, np.full(16, 3.0))
         for span in (None, 1, 2):
@@ -814,7 +818,7 @@ class TestOrliczLevelSolver:
         w = GridFunction(16, np.exp(np.random.default_rng(0).normal(0.0, 2.0, 1 << 16)))
         tracemalloc.start()
         try:
-            m_orlicz(w, OrliczSpec.llog(0.5))
+            m_orlicz(w, OrliczSpec.parse("llog:0.5"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -842,7 +846,7 @@ class TestOrliczLevelSolver:
         # and 1e300, where Phi(1e300 / lo) overflows: the first step from
         # that infinite Phi-mean is the midpoint
         vals = np.array([1e-300, 1e300])
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         got = m_orlicz(GridFunction(1, vals), phi).values
         assert ulps(got, brute_m_orlicz(vals, 1, phi)) <= ORLICZ_ULPS
 
@@ -866,7 +870,7 @@ class TestOrliczLevelSolver:
         # Illinois halving. With the unit norm kept on the spec, the finest
         # level is a group of its own, one call: its certificate.
         n = 12
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         orlicz_norm(GridFunction(0, [1.0]), ROOT, phi)
         widths = []
         call = OrliczSpec.__call__
@@ -887,7 +891,7 @@ class TestOrliczLevelSolver:
     def test_extreme_dynamic_range(self, vals):
         # a subnormal or near-overflow cell is w * u, certified at once;
         # searching such a leaf from lam0 = w could not certify it
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         vals = np.array(vals)
         w = GridFunction(1, vals)
         assert ulps(m_orlicz(w, phi).values, mp_m_orlicz(vals, 1, phi)) <= ORLICZ_ULPS
@@ -897,7 +901,7 @@ class TestOrliczLevelSolver:
 
     def test_smallest_subnormal_cell_cannot_be_certified(self):
         with pytest.raises(BracketingError):
-            m_orlicz(GridFunction(1, [5e-324, 1.0]), OrliczSpec.llog(0.5))
+            m_orlicz(GridFunction(1, [5e-324, 1.0]), OrliczSpec.parse("llog:0.5"))
 
     def test_underflowing_leaf_is_never_zero(self):
         # Phi(t) = t / 4 has unit norm 1/4, so w * u underflows to 0 at
@@ -915,7 +919,7 @@ class TestOrliczLevelSolver:
 
     def test_all_zero_weight(self):
         w = GridFunction(3, np.zeros(8))
-        assert list(m_orlicz(w, OrliczSpec.llog(0.5)).values) == [0.0] * 8
+        assert list(m_orlicz(w, OrliczSpec.parse("llog:0.5")).values) == [0.0] * 8
 
     def test_all_zero_weight_makes_no_phi_call(self):
         # a plain callable keeps no unit norm, so any solve would call it
@@ -935,7 +939,7 @@ class TestOrliczLevelSolver:
         # lo = hi = twice the norm is a closed bracket that fails its
         # certificate: the row is searched from <w>_Q and closed by the
         # Illinois steps, where it used to raise "stalled"
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         vals = np.array([1.0, 2.0, 3.0, 4.0])
         want = mp_orlicz_norm(vals, 0, 0, 2, phi)
         twice = np.array([2.0 * want])
@@ -952,7 +956,7 @@ class TestOrliczLevelSolver:
         # <w>_Q could not bracket it within 60 halvings
         k = int(64 * p)
         w = GridFunction(6, [0.0] * (64 - k) + [1.0] * k)
-        phi = OrliczSpec.power(r)
+        phi = OrliczSpec.parse(f"power:{r}")
         exact = p ** (1.0 / r)
         assert m_orlicz(w, phi).values[0] == pytest.approx(exact, rel=1e-12)
         assert orlicz_norm(w, ROOT, phi) == pytest.approx(exact, rel=1e-12)
@@ -961,7 +965,7 @@ class TestOrliczLevelSolver:
         # bracketed by its cells' w * u, the root of a lognormal weight
         # (sigma 2) at n = 12 takes 6 Phi calls; the search from <w>_Q
         # took 9
-        phi = OrliczSpec.llog(0.5)
+        phi = OrliczSpec.parse("llog:0.5")
         orlicz_norm(GridFunction(0, [1.0]), ROOT, phi)
         calls = []
         call = OrliczSpec.__call__

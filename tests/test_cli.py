@@ -388,6 +388,25 @@ def test_module_entry_point(tmp_path):
     assert VERSION in proc.stdout
 
 
+def test_replay_demo_refuses_bad_input_before_drawing(tmp_path):
+    script = PYPROJECT.parent / "scripts" / "replay_demo.py"
+    env = _child_env()
+    env.pop(MAX_RESOLUTION_ENV, None)
+    for argv, message in (
+        (["--n", "40"], "error: resolution 40 exceeds the cap 18"),  # 2^40 cells otherwise
+        (["--n", "-1"], "error: negative resolution -1"),
+        (["--seed", "-1"], "error: negative seed -1"),
+        (["--eps", "bogus"], "error: unknown bump 'bogus'"),
+    ):
+        proc = subprocess.run([sys.executable, str(script), *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message), argv
+        assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_project_scripts_scan_matches_tomllib():
     tomllib = pytest.importorskip("tomllib")
     text = PYPROJECT.read_text()
@@ -452,16 +471,20 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["verify_all.py", "--n", "3", "--trials", "2"])
-    assert module.main() == 8
+    assert module.main() == 9
     out = capsys.readouterr().out
-    # replay runs at --n and at the n = 18 cap, maximal --phi twice at the
-    # cap, once at n = 12 (levels solved in groups), once at --n, and at
-    # n = 0 and n = 13 (the leaves alone, and with one level, in the first
-    # group); compare --phi three times, the loglog one at n = 14
+    # replay runs at --n, at the n = 18 cap and at n = 0 with the other
+    # suites, maximal --phi twice at the cap, once at n = 12 (levels solved
+    # in groups), once at --n, and at n = 0 and n = 13 (the leaves alone,
+    # and with one level, in the first group); compare --phi three times,
+    # the loglog one at n = 14
     assert ("failed: replay (exit 1), maximal (raised), maximal (raised), "
             "maximal (raised), replay (exit 1), maximal (raised), "
-            "maximal (raised), maximal (raised)") in out
-    assert len(seen) == 22
+            "maximal (raised), maximal (raised), replay (exit 1)") in out
+    assert len(seen) == 28
+    assert [argv[0] for argv in seen[-6:]] == [
+        "verify-fs", "verify-main", "verify-cor", "verify-ainf", "domination", "replay"]
+    assert all(argv[1:5] == ["--n", "0", "--trials", "5"] for argv in seen[-6:])
     orlicz = [argv for argv in seen if "--phi" in argv]
     assert [argv[0] for argv in orlicz] == [
         "maximal", "maximal", "maximal", "compare", "compare", "maximal",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbump import lab
 from entbump import (
     ConfigError,
     DyadicCube,
@@ -119,7 +120,7 @@ class TestRunningMax:
 class TestTrialConfig:
     def test_defaults_valid(self):
         cfg = TrialConfig()
-        assert cfg.eps_spec() == EpsilonSpec.log_pow(2.0)
+        assert cfg.eps_spec() == EpsilonSpec.parse("log_pow:2")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -144,6 +145,11 @@ class TestTrialConfig:
         # the spec is parsed when the config is built, and the error names it
         with pytest.raises(ConfigError, match=re.escape(repr(spec))):
             TrialConfig(weight_families=("power:0.5", spec))
+
+    def test_bad_function_family_fails_fast(self):
+        # refused when the config is built, before any suite draws
+        with pytest.raises(ConfigError, match=re.escape(repr("bogus"))):
+            TrialConfig(function_families=("random", "bogus"))
 
     def test_to_dict_round(self):
         cfg = small(eps="loglog:0.5")
@@ -352,6 +358,13 @@ class TestCorollaryExperiment:
         with pytest.raises(ConfigError):
             corollary_experiment(small(), s_list=())
 
+    def test_repeated_exponent_is_refused_before_any_trial(self, monkeypatch):
+        # two blocks of one exponent would share a per_s_max key
+        monkeypatch.setattr(lab, "power_weight", None)
+        for s_list in ((0.5, 0.5), (0.0, 0.9, 0.0), (0.0, -0.0)):
+            with pytest.raises(ConfigError, match="repeated exponent"):
+                corollary_experiment(small(), s_list=s_list)
+
 
 class TestStructuralSweeps:
     def test_ainf_sweep(self):
@@ -402,7 +415,7 @@ class TestStructuralSweeps:
 class TestMaximalComparison:
     def test_entropy_dominates(self):
         w = power_weight(0.5, 6)
-        report = maximal_comparison(w, EpsilonSpec.log_pow(2.0))
+        report = maximal_comparison(w, EpsilonSpec.parse("log_pow:2"))
         assert report.kind == "compare"
         assert report.aggregates["entropy_dominates_dyadic"] is True
         assert report.aggregates["entropy_over_dyadic_min"] >= 1.0 - 1e-12
@@ -411,7 +424,9 @@ class TestMaximalComparison:
 
     def test_orlicz_block_present_when_asked(self):
         w = power_weight(0.5, 5)
-        report = maximal_comparison(w, EpsilonSpec.log_pow(2.0), phi=OrliczSpec.power(2.0))
+        report = maximal_comparison(
+            w, EpsilonSpec.parse("log_pow:2"), phi=OrliczSpec.parse("power:2")
+        )
         assert "orlicz_over_dyadic_max" in report.aggregates
         assert report.aggregates["orlicz_over_dyadic_min"] >= 1.0 - 1e-12
 

@@ -76,6 +76,11 @@ from oracles import (
 LOG2_3 = math.log2(3.0)
 
 
+def constant_haar(resolution, sign=1.0):
+    """Haar signs equal to ``sign`` at every cube, through the checked constructor."""
+    return HaarSpec(resolution, [np.full(1 << level, sign) for level in range(resolution)])
+
+
 def random_collection(resolution, seed):
     """CZ stopping cubes of a rough positive function; always half-sparse."""
     rng = np.random.default_rng(seed)
@@ -98,7 +103,7 @@ def lognormal_instance(seed, n=6):
         g = CellSet(n, mask)
     else:
         g = CellSet.full(n)
-    return s, f, w, g, EpsilonSpec.log_pow(2.0)
+    return s, f, w, g, EpsilonSpec.parse("log_pow:2")
 
 
 class TestSparseCollection:
@@ -495,7 +500,7 @@ class TestSweepsAgainstOracles:
         fv[rng.integers(0, 1 << n, 3)] = np.exp(rng.normal(0.0, 1.0, 3))
         f = GridFunction(n, fv)
         report = proof_replay(
-            SparseCollection(n, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.constant(1.0)
+            SparseCollection(n, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.parse("constant:1")
         )
         favg = level_averages(np.abs(fv / report.normalization))
         h = brute_carve(favg, n, report.threshold)
@@ -604,7 +609,7 @@ class TestHaar:
         with pytest.raises(ValueError):
             HaarSpec(1, [np.array([0.5])])  # not a sign
         with pytest.raises(ValueError):
-            HaarSpec.constant(2, sign=0)
+            constant_haar(2, 0.0)  # not a sign
 
     def test_spec_accessors(self):
         spec = HaarSpec(2, [np.ones(1), np.array([1.0, -1.0])])
@@ -617,14 +622,14 @@ class TestHaar:
     def test_all_plus_telescopes_to_mean_zero(self):
         rng = np.random.default_rng(5)
         f = GridFunction(6, rng.standard_normal(64))
-        out = haar_transform(HaarSpec.constant(6), f)
+        out = haar_transform(constant_haar(6), f)
         np.testing.assert_allclose(
             out.values, f.values - np.mean(f.values), rtol=1e-12, atol=1e-13
         )
 
     def test_single_flip_two_cells(self):
         f = GridFunction(1, [3.0, 1.0])
-        out = haar_transform(HaarSpec.constant(1, sign=-1), f)
+        out = haar_transform(constant_haar(1, -1.0), f)
         # flipping the only coefficient negates f - mean
         np.testing.assert_allclose(out.values, [-1.0, 1.0], rtol=1e-15)
 
@@ -652,7 +657,7 @@ class TestHaar:
 
     def test_resolution_mismatch(self):
         with pytest.raises(ResolutionMismatchError):
-            haar_transform(HaarSpec.constant(2), GridFunction(3, np.ones(8)))
+            haar_transform(constant_haar(2), GridFunction(3, np.ones(8)))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 18])
     def test_matches_repeat_oracle_bit_for_bit(self, n):
@@ -662,7 +667,7 @@ class TestHaar:
         size = 1 << n
         inputs = [rng.standard_normal(size), (np.arange(size) < size // 3) * 1.0,
                   np.where(rng.random(size) < 0.5, 0.0, -rng.lognormal(0.0, 3.0, size))]
-        for spec in (HaarSpec.from_rng(n, rng), HaarSpec.constant(n, -1)):
+        for spec in (HaarSpec.from_rng(n, rng), constant_haar(n, -1.0)):
             for fv in inputs:
                 got = haar_transform(spec, GridFunction(n, fv)).values
                 want = repeat_haar_transform(spec, GridFunction(n, fv))
@@ -686,11 +691,11 @@ class TestDomination:
     def test_zero_inputs_rejected(self):
         f = GridFunction(2, np.ones(4))
         zero = GridFunction(2, np.zeros(4))
-        spec = HaarSpec.constant(2)
+        spec = constant_haar(2)
         with pytest.raises(ValueError):
-            sparse_dominate_bilinear(spec, zero, f)
+            sparse_dominate_bilinear(spec, zero, f, a=4.0)
         with pytest.raises(ValueError):
-            sparse_dominate_bilinear(spec, f, zero)
+            sparse_dominate_bilinear(spec, f, zero, a=4.0)
 
     def test_fields_are_consistent(self):
         rng = np.random.default_rng(21)
@@ -718,7 +723,7 @@ class TestDomination:
         f = GridFunction(n, rng.standard_normal(1 << n))
         g = GridFunction(n, np.exp(rng.normal(0.0, 1.0, 1 << n)))
         spec = HaarSpec.from_rng(n, rng)
-        result = sparse_dominate_bilinear(spec, f, g)
+        result = sparse_dominate_bilinear(spec, f, g, a=4.0)
         assert math.isfinite(result.measured_ratio)
         assert result.measured_ratio >= 0.0
 
@@ -730,7 +735,7 @@ class TestProofReplay:
         f = GridFunction(n, np.ones(4))
         g = CellSet.full(n)
         s = SparseCollection(n, [ROOT])
-        report = proof_replay(s, f, w, g, EpsilonSpec.constant(1.0))
+        report = proof_replay(s, f, w, g, EpsilonSpec.parse("constant:1"))
         assert report.normalization == pytest.approx(LOG2_3, rel=1e-14)
         assert report.w_g == 1.0
         assert report.w_h == 0.0
@@ -756,7 +761,8 @@ class TestProofReplay:
         fv[0] = 1.0
         f = GridFunction(n, fv)
         s = SparseCollection(n, [ROOT, DyadicCube(4, 0), DyadicCube(4, 15)])
-        report = proof_replay(s, f, w, CellSet.full(n), EpsilonSpec.constant(1.0))
+        eps = EpsilonSpec.parse("constant:1")
+        report = proof_replay(s, f, w, CellSet.full(n), eps)
         reasons = {
             (rec.level, rec.index): rec.discard_reason for rec in report.cube_records
         }
@@ -769,7 +775,7 @@ class TestProofReplay:
         assert band.regime == "coarse"
         assert band.coarse_constant == pytest.approx(14.0 / 16.0, rel=1e-12)
         assert report.all_ok
-        assert_replay_identities((s, f, w, CellSet.full(n), EpsilonSpec.constant(1.0)), report)
+        assert_replay_identities((s, f, w, CellSet.full(n), eps), report)
 
     def test_package_has_no_assert_statements(self):
         # python -O strips assert statements, so no check may be one
@@ -796,7 +802,7 @@ class TestProofReplay:
             f,
             w,
             CellSet(n, g_mask),
-            EpsilonSpec.constant(1.0),
+            EpsilonSpec.parse("constant:1"),
         )
         [band] = report.band_records
         assert band.regime == "far"
@@ -809,7 +815,7 @@ class TestProofReplay:
         w = GridFunction(n, np.ones(8))
         f = GridFunction(n, np.zeros(8))
         report = proof_replay(
-            SparseCollection(n, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.log_pow(2.0)
+            SparseCollection(n, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.parse("log_pow:2")
         )
         assert report.vacuous
         assert report.all_ok
@@ -822,14 +828,14 @@ class TestProofReplay:
         f = GridFunction(n, np.ones(8))
         with pytest.raises(ValueError):
             proof_replay(
-                SparseCollection(n, [ROOT]), f, w, CellSet.empty(n), EpsilonSpec.log_pow(2.0)
+                SparseCollection(n, [ROOT]), f, w, CellSet.empty(n), EpsilonSpec.parse("log_pow:2")
             )
         not_sparse = SparseCollection(n, [ROOT, DyadicCube(1, 0)])
         with pytest.raises(SparsePreconditionError):
-            proof_replay(not_sparse, f, w, CellSet.full(n), EpsilonSpec.log_pow(2.0))
+            proof_replay(not_sparse, f, w, CellSet.full(n), EpsilonSpec.parse("log_pow:2"))
         with pytest.raises(ResolutionMismatchError):
             proof_replay(
-                SparseCollection(2, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.log_pow(2.0)
+                SparseCollection(2, [ROOT]), f, w, CellSet.full(n), EpsilonSpec.parse("log_pow:2")
             )
 
     @given(st.integers(0, 40))
@@ -844,7 +850,7 @@ class TestProofReplay:
         rng = np.random.default_rng(77)
         w = GridFunction(5, np.exp(rng.normal(0.0, 1.0, 32)))
         f = GridFunction(5, np.abs(rng.standard_normal(32)))
-        report = proof_replay(s, f, w, CellSet.full(5), EpsilonSpec.log_pow(2.0))
+        report = proof_replay(s, f, w, CellSet.full(5), EpsilonSpec.parse("log_pow:2"))
         payload = report.to_json_dict()
         text = json.dumps(payload, sort_keys=True)
         back = json.loads(text)
@@ -934,7 +940,7 @@ def far_instance(seed, n=10):
     g[spike] = False
     base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
     s = cz_stopping_collection(base, 4.0)
-    return s, f, GridFunction(n, wv), CellSet(n, g), EpsilonSpec.constant(1.0)
+    return s, f, GridFunction(n, wv), CellSet(n, g), EpsilonSpec.parse("constant:1")
 
 
 def mixed_instance(seed):
@@ -949,7 +955,7 @@ def mixed_instance(seed):
     fv[int(rng.integers(0, 1 << n))] += 1e3 * rng.random()
     g = rng.random(1 << n) < 0.5
     g[0] = True
-    eps = EpsilonSpec.log_pow(2.0) if seed % 2 else EpsilonSpec.constant(1.0)
+    eps = EpsilonSpec.parse("log_pow:2") if seed % 2 else EpsilonSpec.parse("constant:1")
     return s, GridFunction(n, fv), w, CellSet(n, g), eps
 
 
@@ -980,7 +986,7 @@ def nested_chain_instance(case):
     wv[0] = 1e-10 if case == "far" else 1.5
     fv[0] = 4.0 if case == "split" else 1.0
     g = CellSet.from_indices(n, [0]) if case == "far" else CellSet.full(n)
-    return chain, GridFunction(n, fv), GridFunction(n, wv), g, EpsilonSpec.log_pow(2.0)
+    return chain, GridFunction(n, fv), GridFunction(n, wv), g, EpsilonSpec.parse("log_pow:2")
 
 
 def assert_replay_identities(args, report):
@@ -1145,7 +1151,7 @@ WORKLOAD_FUNCTIONS = ("indicator", "random", "haar_packet", "adversarial")
 
 def workload_instance(n, seed, weight, function):
     rng = trial_rng(seed, 0)
-    eps = EpsilonSpec.log_pow(2.0)
+    eps = EpsilonSpec.parse("log_pow:2")
     w = _draw_weight(rng, n, weight)[0]
     base = GridFunction(n, np.exp(rng.normal(0.0, 2.0, 1 << n)))
     s = cz_stopping_collection(base, 4.0)
@@ -1211,7 +1217,7 @@ class TestReplayAgainstLevels:
         w = GridFunction(n, np.exp(rng.normal(0.0, 1.5, 1 << n)))
         f = GridFunction(n, np.abs(rng.standard_normal(1 << n)))
         g = CellSet(n, rng.random(1 << n) < 0.5)
-        report = self.check((s, f, w, g, EpsilonSpec.log_pow(2.0)))
+        report = self.check((s, f, w, g, EpsilonSpec.parse("log_pow:2")))
         assert len(report.cube_records) == len(s) > 1000
 
     @pytest.mark.parametrize("case", ["coarse", "far", "split"])
@@ -1229,7 +1235,7 @@ class TestReplayAgainstLevels:
     def test_single_cell_grid(self):
         args = (
             SparseCollection(0, [ROOT]), GridFunction(0, [2.0]), GridFunction(0, [3.0]),
-            CellSet.full(0), EpsilonSpec.log_pow(2.0),
+            CellSet.full(0), EpsilonSpec.parse("log_pow:2"),
         )
         report = self.check(args)
         [rec] = report.cube_records
@@ -1240,7 +1246,7 @@ class TestReplayAgainstLevels:
         n = 4
         args = (
             SparseCollection(n, []), GridFunction(n, np.ones(16)), GridFunction(n, np.ones(16)),
-            CellSet.full(n), EpsilonSpec.log_pow(2.0),
+            CellSet.full(n), EpsilonSpec.parse("log_pow:2"),
         )
         report = self.check(args)
         assert not report.vacuous and report.all_ok
@@ -1253,7 +1259,7 @@ class TestReplayAgainstLevels:
         fv[12:] = 0.0
         s = SparseCollection(n, [ROOT, DyadicCube(2, 3)])
         args = (s, GridFunction(n, fv), GridFunction(n, np.ones(16)), CellSet.full(n),
-                EpsilonSpec.constant(1.0))
+                EpsilonSpec.parse("constant:1"))
         report = self.check(args)
         assert [(rec.part, rec.discard_reason) for rec in report.cube_records] == [
             (0, None), (1, "zero-average")
@@ -1270,7 +1276,7 @@ class TestReplayAgainstLevels:
         w = GridFunction(n, wv)
         assert math.isnan(rho_all(w).values[2][3])
         s = SparseCollection(n, [ROOT, DyadicCube(2, 3)])
-        args = (s, GridFunction(n, np.ones(16)), w, CellSet.full(n), EpsilonSpec.log_pow(2.0))
+        args = (s, GridFunction(n, np.ones(16)), w, CellSet.full(n), EpsilonSpec.parse("log_pow:2"))
         report = self.check(args)
         rec = report.cube_records[1]
         assert (rec.level, rec.index, rec.r) == (2, 3, 0)

@@ -2,8 +2,9 @@
 
 ``entbump.__all__`` is compared with a fixed tuple, so a name joins or
 leaves the public surface only with an edit here, and every package name
-the README's prose cites must be in it. So are the fields of TrialConfig
-and the defaulted parameters of every public function, and the default
+the README's prose cites must be in it. So are the fields of TrialConfig,
+the defaulted parameters of every public function and the public
+classmethods and staticmethods of every public class, and the default
 bound of each bound-gated suite equals its command's ``--bound`` default.
 Every top-level function of ``tests/oracles.py`` must back some test,
 directly or through another oracle.
@@ -64,7 +65,17 @@ DEFAULTED_PARAMETERS = {
     "m_entropy": ("variant",),
     "main_theorem_experiment": ("bound",),
     "maximal_comparison": ("phi", "config"),
-    "sparse_dominate_bilinear": ("a",),
+}
+
+# Per public class, its public classmethods and staticmethods, inherited
+# ones included: a second way to build a value joins only with an edit here.
+CONSTRUCTORS = {
+    "CellSet": ("empty", "from_cube", "from_indices", "full"),
+    "EpsilonSpec": ("parse",),
+    "GridFunction": ("constant",),
+    "HaarSpec": ("from_rng",),
+    "OrliczSpec": ("parse",),
+    "SparseCollection": ("load",),
 }
 
 
@@ -90,6 +101,22 @@ def test_defaulted_parameters_are_pinned():
             if names:
                 defaulted[name] = names
     assert defaulted == DEFAULTED_PARAMETERS
+
+
+def test_class_constructors_are_pinned():
+    constructors = {}
+    for name in entbump.__all__:
+        obj = getattr(entbump, name)
+        if inspect.isclass(obj):
+            names = tuple(sorted({
+                attr
+                for base in obj.__mro__
+                for attr, value in vars(base).items()
+                if not attr.startswith("_") and isinstance(value, (classmethod, staticmethod))
+            }))
+            if names:
+                constructors[name] = names
+    assert constructors == CONSTRUCTORS
 
 
 def test_suite_bound_defaults_match_the_cli():
