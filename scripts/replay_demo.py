@@ -8,7 +8,8 @@ exceptional set carve-out, the eight-way split, the rho bins, the level
 classes, and the measured constants per band.
 
 A resolution above the cap, a negative resolution or seed, a bad ``--eps``
-and an unwritable ``--out`` print ``error: ...`` and exit 2, as the CLI does.
+and an unwritable ``--out`` print ``error: ...`` and exit 2 before the draw,
+as the CLI does.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from entbump import (
     cz_stopping_collection,
     proof_replay,
 )
-from entbump.cli import _check_cap
+from entbump.cli import _check_cap, _check_writable
 from entbump.lab import trial_rng
 
 
@@ -45,6 +46,7 @@ def main() -> int:
 def _replay(args) -> int:
     _check_cap(args.n)
     eps = EpsilonSpec.parse(args.eps)
+    _check_writable(args.out)
     rng = trial_rng(args.seed, 0)
     size = 1 << args.n
     base = GridFunction(args.n, np.exp(rng.normal(0.0, 2.0, size)))

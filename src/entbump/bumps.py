@@ -146,10 +146,6 @@ class _Bump:
                 ) from None
         return cls(name, tuple(params.items()))
 
-    def serialize(self) -> str:
-        items = ",".join(f"{k}={v!r}" for k, v in self.params)
-        return f"{self.name}:{items}" if items else self.name
-
     def _product(self, x, out=None):
         """The bump's product from x = L_depth (L0 = t), into ``out`` (a new
         array when None; x itself allowed), which is returned.
@@ -270,13 +266,10 @@ def k_epsilon(eps: EpsilonSpec) -> KEpsilonResult:
     return KEpsilonResult(total, used, hit_max and nondecreasing)
 
 
-def _entropy_level(avg, r, vacuous, eps: EpsilonSpec, variant: str) -> np.ndarray:
+def _entropy_level(avg, r, vacuous, eps: EpsilonSpec) -> np.ndarray:
     """The entropy-bumped averages of one level's cubes, from their
     averages ``avg``, their rho ``r`` and the ``vacuous`` mask:
-
-    ``full``: <w>_Q * rho_w(Q) * eps(rho_w(Q));
-    ``log``:  <w>_Q * shifted_log2(rho_w(Q)) * eps(rho_w(Q)).
-    Vacuous cubes give 0.
+    <w>_Q * shifted_log2(rho_w(Q)) * eps(rho_w(Q)), and 0 on vacuous cubes.
 
     log2(2 + rho) and then eps of it go through one buffer. Vacuous cubes
     keep their NaN rho, which passes the domain check and is zeroed at the
@@ -289,7 +282,7 @@ def _entropy_level(avg, r, vacuous, eps: EpsilonSpec, variant: str) -> np.ndarra
         _check_eps_domain(r[low])
     log_r = np.add(2.0, r)
     np.log2(log_r, out=log_r)
-    vals = _bumped(avg, r if variant == "full" else log_r)
+    vals = _bumped(avg, log_r)
     if clip:
         # eps(r) clips r to 1 before its log, and shifted_log2(1) = log2(3)
         log_r[low] = _LOG2_3
@@ -310,15 +303,12 @@ def _bumped(a, b, out=None):
         ) from None
 
 
-def _entropy_levels(w: GridFunction, eps: EpsilonSpec, variant: str):
+def _entropy_levels(w: GridFunction, eps: EpsilonSpec):
     """Entropy-bumped average of w on every cube, from one ``_rho_levels``
     sweep (which validates w): yields (level, rho, vacuous, norms) for the
     levels N, ..., 0, each level's norms (``_entropy_level``) made as soon
-    as its rho is ready. An unknown ``variant`` raises ValueError at the
-    call."""
-    if variant not in ("full", "log"):
-        raise ValueError(f"unknown entropy norm variant {variant!r}")
-    return ((level, r, vac, _entropy_level(avg, r, vac, eps, variant))
+    as its rho is ready."""
+    return ((level, r, vac, _entropy_level(avg, r, vac, eps))
             for level, avg, r, vac in _rho_levels(w))
 
 
@@ -580,7 +570,7 @@ def orlicz_norm(w: GridFunction, cube: DyadicCube, phi: OrliczSpec) -> float:
                                cells.max(keepdims=True))[0])
 
 
-def m_entropy(w: GridFunction, eps: EpsilonSpec, variant: str = "log") -> GridFunction:
+def m_entropy(w: GridFunction, eps: EpsilonSpec) -> GridFunction:
     """Entropy-bump maximal function: per cell, the max of the entropy-bumped
     averages over the dyadic cubes containing it.
 
@@ -590,7 +580,7 @@ def m_entropy(w: GridFunction, eps: EpsilonSpec, variant: str = "log") -> GridFu
     bumped averages overflow float64 raises InvalidWeightError.
     """
     norms = [None] * (w.resolution + 1)
-    for level, _, _, vals in _entropy_levels(w, eps, variant):
+    for level, _, _, vals in _entropy_levels(w, eps):
         norms[level] = vals
     return GridFunction._adopt(w.resolution, paint_leaves(norms, np.maximum))
 

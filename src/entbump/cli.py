@@ -59,6 +59,17 @@ def _check_cap(n: int) -> None:
         raise ConfigError(f"negative resolution {n}")
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing an output to ``path`` would, before
+    any work: the path is opened for append and closed, so an existing file
+    keeps its bytes and one this call made is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _resolve_weight(value: str, n: int, seed: int) -> GridFunction:
     """Family specs are drawn with the run's seed; anything else is a path."""
     if _weight_family(value) is not None:
@@ -353,6 +364,9 @@ def run(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        for path in (args.out, getattr(args, "plot", None)):
+            if path:
+                _check_writable(path)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         # every domain error of this package subclasses ValueError

@@ -47,11 +47,6 @@ class DyadicCube:
     def measure(self) -> float:
         return 2.0 ** -self.level
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        h = 2.0 ** -self.level
-        return (self.index * h, (self.index + 1) * h)
-
     def cell_count(self, resolution: int) -> int:
         if self.level > resolution:
             raise InvalidCubeError(
@@ -63,28 +58,6 @@ class DyadicCube:
         """Half-open range of cell indices covered at the given resolution."""
         width = self.cell_count(resolution)
         return (self.index * width, (self.index + 1) * width)
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """Dyadic containment: other is a (possibly equal) subcube of self."""
-        if other.level < self.level:
-            return False
-        return (other.index >> (other.level - self.level)) == self.index
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise InvalidCubeError("the root cube has no parent")
-        return DyadicCube(self.level - 1, self.index >> 1)
-
-    def children(self) -> tuple["DyadicCube", "DyadicCube"]:
-        return (
-            DyadicCube(self.level + 1, 2 * self.index),
-            DyadicCube(self.level + 1, 2 * self.index + 1),
-        )
-
-    def ancestor(self, level: int) -> "DyadicCube":
-        if not 0 <= level <= self.level:
-            raise InvalidCubeError(f"no ancestor at level {level}")
-        return DyadicCube(level, self.index >> (self.level - level))
 
 
 ROOT = DyadicCube(0, 0)
@@ -166,48 +139,21 @@ class CellSet:
         return cls(resolution, np.ones(1 << resolution, dtype=bool))
 
     @classmethod
-    def empty(cls, resolution: int) -> "CellSet":
-        return cls(resolution, np.zeros(1 << resolution, dtype=bool))
-
-    @classmethod
     def from_cube(cls, resolution: int, cube: DyadicCube) -> "CellSet":
         mask = np.zeros(1 << resolution, dtype=bool)
         a, b = cube.cell_range(resolution)
         mask[a:b] = True
         return cls(resolution, mask)
 
-    @classmethod
-    def from_indices(cls, resolution: int, indices) -> "CellSet":
-        idx = np.asarray(list(indices), dtype=int)
-        if ((idx < 0) | (idx >= 1 << resolution)).any():
-            raise ValueError(f"cell index out of range [0, {1 << resolution})")
-        mask = np.zeros(1 << resolution, dtype=bool)
-        mask[idx] = True
-        return cls(resolution, mask)
-
     def cell_count(self) -> int:
         return int(self.mask.sum())
-
-    def measure(self) -> float:
-        return self.cell_count() * 2.0 ** -self.resolution
 
     def is_empty(self) -> bool:
         return not self.mask.any()
 
-    def union(self, other: "CellSet") -> "CellSet":
-        _same_resolution(self, other)
-        return CellSet(self.resolution, self.mask | other.mask)
-
-    def intersection(self, other: "CellSet") -> "CellSet":
-        _same_resolution(self, other)
-        return CellSet(self.resolution, self.mask & other.mask)
-
     def difference(self, other: "CellSet") -> "CellSet":
         _same_resolution(self, other)
         return CellSet(self.resolution, self.mask & ~other.mask)
-
-    def complement(self) -> "CellSet":
-        return CellSet(self.resolution, ~self.mask)
 
     def is_subset_of(self, other: "CellSet") -> bool:
         _same_resolution(self, other)

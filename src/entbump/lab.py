@@ -313,7 +313,10 @@ def weak_type_quotient(
     g: GridFunction, w: GridFunction, f: GridFunction, majorant: GridFunction
 ) -> float:
     """weak-L1(w) size of g over the L1 norm of f against the majorant, a
-    GridFunction on f's grid."""
+    GridFunction on f's grid. All four share one grid
+    (ResolutionMismatchError otherwise)."""
+    _same_resolution(f, g)
+    _same_resolution(f, majorant)
     denom = _majorant_norm(f, majorant)
     return weak_l1_norm(g, w) / denom
 

@@ -52,8 +52,8 @@ class SparseCollection:
     """A set of dyadic cubes on one grid, held as one boolean member array
     per level: ``members[l]`` has length 2^l.
 
-    Iteration, ``cubes`` and ``s_parent`` speak DyadicCube, in (level, index)
-    order; every structural computation of this module sweeps the arrays.
+    Iteration and ``cubes`` speak DyadicCube, in (level, index) order;
+    every structural computation of this module sweeps the arrays.
     """
 
     def __init__(self, resolution: int, cubes):
@@ -107,14 +107,6 @@ class SparseCollection:
 
     def __repr__(self):
         return f"SparseCollection(n={self.resolution}, {len(self)} cubes)"
-
-    def s_parent(self, cube: DyadicCube):
-        """Nearest strict ancestor of the cube inside the collection."""
-        for lev in range(min(cube.level - 1, self.resolution), -1, -1):
-            j = cube.index >> (cube.level - lev)
-            if self.members[lev][j]:
-                return DyadicCube(lev, j)
-        return None
 
     def save(self, path) -> None:
         """Text format: resolution line, then one 'level index' line per cube."""
@@ -655,7 +647,7 @@ def _majorant(w: GridFunction, eps: EpsilonSpec) -> tuple:
     rho-bins, and a leaves-only max paint reads the norms."""
     n = w.resolution
     values, vac, norms = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
-    for level, r, vacuous, vals in _entropy_levels(w, eps, "log"):
+    for level, r, vacuous, vals in _entropy_levels(w, eps):
         values[level], vac[level], norms[level] = r, vacuous, vals
     return RhoTable(n, tuple(values), tuple(vac)), paint_leaves(norms, np.maximum)
 

@@ -25,6 +25,7 @@ from .grid import (
     GridFunction,
     integral,
     _half_sum,
+    _same_resolution,
     level_averages,
     paint_leaves,
     require_weight,
@@ -189,8 +190,7 @@ def ainf_lemma_ratio(w: GridFunction, cube: DyadicCube, subset: CellSet) -> floa
     measures it empirically.
     """
     require_weight(w)
-    if subset.resolution != w.resolution:
-        raise InvalidCubeError("subset resolution does not match weight")
+    _same_resolution(w, subset)
     if subset.is_empty():
         raise ValueError("subset E must be nonempty")
     cube_cells = CellSet.from_cube(w.resolution, cube)

@@ -618,9 +618,9 @@ def mp_m_orlicz(values, resolution, phi):
     )
 
 
-def brute_entropy_norm(w, cube, eps, variant="log"):
+def brute_entropy_norm(w, cube, eps):
     """Entropy-bumped average of w on one cube from its own slice: the cube's
-    mean times rho(w, cube) (or its shifted log) times eps(rho); 0 on a
+    mean times the shifted log of rho(w, cube) times eps(rho); 0 on a
     vacuous cube."""
     from entbump.bumps import shifted_log2
     from entbump.weights import rho
@@ -630,11 +630,10 @@ def brute_entropy_norm(w, cube, eps, variant="log"):
     if avg == 0.0:
         return 0.0
     r = rho(w, cube)
-    factor = r if variant == "full" else shifted_log2(r)
-    return avg * factor * eps(r)
+    return avg * shifted_log2(r) * eps(r)
 
 
-def temp_entropy_levels(w, eps, variant="log", table=None):
+def temp_entropy_levels(w, eps, table=None):
     """bumps._entropy_levels with fresh temporaries per level: vacuous rho
     replaced by 1, the domain check, log2(2 + rho), the clipped eps argument
     and the products, each a new array. One array of norms per level."""
@@ -649,8 +648,7 @@ def temp_entropy_levels(w, eps, variant="log", table=None):
         r = np.where(vac, 1.0, r)
         _check_eps_domain(r)
         log_r = np.log2(2.0 + r)
-        factor = r if variant == "full" else log_r
-        vals = avg * factor * eps._product(np.where(r < 1.0, _LOG2_3, log_r))
+        vals = avg * log_r * eps._product(np.where(r < 1.0, _LOG2_3, log_r))
         vals[vac] = 0.0
         norms.append(vals)
     return norms
@@ -828,7 +826,7 @@ def loop_proof_replay(s, f, w, g_set, eps):
     constant_bound, rel_tol = 16.0, 1e-9
     n = f.resolution
     w_g = integral(w, g_set)
-    majorant = m_entropy(w, eps, variant="log")
+    majorant = m_entropy(w, eps)
     denom = float(np.add.reduce(np.abs(f.values) * majorant.values)) * f.cell_width
     threshold = 4.0 / w_g
     if denom == 0.0:
@@ -918,7 +916,9 @@ def loop_proof_replay(s, f, w, g_set, eps):
                     avg_f = float(favg[cube.level][cube.index])
                     for gen in range(gens[i], max(gens) + 1):
                         for j in by_gen[gen]:
-                            if cube.contains(members[j]):
+                            sub_cube = members[j]
+                            if (sub_cube.level >= cube.level and sub_cube.index
+                                    >> (sub_cube.level - cube.level) == cube.index):
                                 eq = owner == j
                                 eq_w = float(np.dot(
                                     w.values[eq], g_prime.mask[eq].astype(np.float64)
@@ -990,7 +990,7 @@ def level_proof_replay(s, f, w, g_set, eps):
     n = f.resolution
     w_g = integral(w, g_set)
     table = rho_all(w)
-    majorant = paint_down(temp_entropy_levels(w, eps, "log", table), np.maximum)[-1]
+    majorant = paint_down(temp_entropy_levels(w, eps, table), np.maximum)[-1]
     denom = float(np.add.reduce(np.abs(f.values) * majorant)) * f.cell_width
     threshold = 4.0 / w_g
     if denom == 0.0:

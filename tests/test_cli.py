@@ -407,6 +407,41 @@ def test_replay_demo_refuses_bad_input_before_drawing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-fs", "--n", "6", "--trials", "5", "--out"],
+    ["domination", "--n", "6", "--trials", "5", "--plot"],
+], ids=["out", "plot"])
+def test_unwritable_output_fails_before_any_trial(argv, tmp_path, capsys):
+    # these ran every trial and printed their checks before the write failed
+    for path in (tmp_path / "missing" / "report", tmp_path):  # no directory; a directory
+        assert run([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: [Errno")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_check_leaves_an_existing_file_as_it_is(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old bytes")
+    assert run(["verify-fs", "--n", "40", "--out", str(out)]) == 2  # refused after the check
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert out.read_bytes() == b"old bytes"
+    assert run(["verify-fs", "--n", "3", "--trials", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["resolution"] == 3
+
+
+def test_replay_demo_refuses_an_unwritable_out_before_drawing(tmp_path):
+    script = PYPROJECT.parent / "scripts" / "replay_demo.py"
+    for path in (tmp_path / "missing" / "demo.json", tmp_path):
+        proc = subprocess.run([sys.executable, str(script), "--n", "6", "--out", str(path)],
+                              capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: [Errno")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_project_scripts_scan_matches_tomllib():
     tomllib = pytest.importorskip("tomllib")
     text = PYPROJECT.read_text()
@@ -481,7 +516,15 @@ def test_verify_all_counts_a_raise_as_a_failure(monkeypatch, capsys):
     assert ("failed: replay (exit 1), maximal (raised), maximal (raised), "
             "maximal (raised), replay (exit 1), maximal (raised), "
             "maximal (raised), maximal (raised), replay (exit 1)") in out
-    assert len(seen) == 28
+    assert len(seen) == 30
+    rho = [argv for argv in seen if argv[0] == "rho"]
+    assert seen[-8:-6] == rho
+    assert [argv[1:3] for argv in rho] == [["--n", "0"], ["--n", "18"]]
+    assert rho[0][3:] == ["--seed", "0"]
+    assert rho[1][3:5] == ["--seed", "0"] and rho[1][5] == "--out"
+    # the cap's table goes to a temporary directory, removed at the end
+    assert os.path.basename(rho[1][6]) == "rho.csv"
+    assert not os.path.exists(os.path.dirname(rho[1][6]))
     assert [argv[0] for argv in seen[-6:]] == [
         "verify-fs", "verify-main", "verify-cor", "verify-ainf", "domination", "replay"]
     assert all(argv[1:5] == ["--n", "0", "--trials", "5"] for argv in seen[-6:])

@@ -181,6 +181,15 @@ class TestWeakTypeQuotient:
         with pytest.raises(ValueError):
             weak_type_quotient(ones, ones, zero, ones)
 
+    def test_grid_mismatch(self):
+        # g and w on one grid, f and the majorant on a coarser one: this
+        # returned 2.0, and a majorant off f's grid failed in numpy's
+        # broadcast instead
+        fine, coarse = GridFunction(4, np.ones(16)), GridFunction(3, np.ones(8))
+        for args in ((fine, fine, coarse, coarse), (coarse, coarse, coarse, fine)):
+            with pytest.raises(ResolutionMismatchError):
+                weak_type_quotient(*args)
+
 
 class TestFsCheck:
     root_only = SparseCollection(2, [ROOT])

@@ -55,6 +55,7 @@ from entbump.sparse import (
 from entbump.weights import rho_all
 
 from oracles import (
+    _s_parent,
     brute_bilinear,
     brute_carleson,
     brute_carve,
@@ -121,14 +122,6 @@ class TestSparseCollection:
     def test_negative_resolution(self):
         with pytest.raises(ValueError):
             SparseCollection(-1, [])
-
-    def test_s_parent_skips_levels(self):
-        s = SparseCollection(3, [ROOT, DyadicCube(3, 5)])
-        assert s.s_parent(DyadicCube(3, 5)) == ROOT
-        assert s.s_parent(ROOT) is None
-        # nearest wins
-        s2 = SparseCollection(3, [ROOT, DyadicCube(1, 1), DyadicCube(3, 5)])
-        assert s2.s_parent(DyadicCube(3, 5)) == DyadicCube(1, 1)
 
     def test_generation_depths(self):
         s = SparseCollection(3, [ROOT, DyadicCube(1, 0), DyadicCube(3, 1), DyadicCube(3, 7)])
@@ -355,13 +348,14 @@ class TestStoppingCubes:
         def avg(q):
             return float(favg[q.level][q.index])
 
+        keys = {(c.level, c.index) for c in s}
         for cube in s:
             if cube == ROOT:
                 continue
-            parent = s.s_parent(cube)
+            parent = DyadicCube(*_s_parent(keys, cube.level, cube.index))
             assert avg(cube) > a * avg(parent)
             # maximality: the dyadic parent was not selectable
-            dyadic = cube.parent()
+            dyadic = DyadicCube(cube.level - 1, cube.index >> 1)
             if dyadic != parent:
                 assert avg(dyadic) <= a * avg(parent)
 
@@ -828,7 +822,8 @@ class TestProofReplay:
         f = GridFunction(n, np.ones(8))
         with pytest.raises(ValueError):
             proof_replay(
-                SparseCollection(n, [ROOT]), f, w, CellSet.empty(n), EpsilonSpec.parse("log_pow:2")
+                SparseCollection(n, [ROOT]), f, w, CellSet(n, np.zeros(1 << n)),
+                EpsilonSpec.parse("log_pow:2")
             )
         not_sparse = SparseCollection(n, [ROOT, DyadicCube(1, 0)])
         with pytest.raises(SparsePreconditionError):
@@ -985,7 +980,7 @@ def nested_chain_instance(case):
     wv, fv = np.ones(1 << n), np.ones(1 << n)
     wv[0] = 1e-10 if case == "far" else 1.5
     fv[0] = 4.0 if case == "split" else 1.0
-    g = CellSet.from_indices(n, [0]) if case == "far" else CellSet.full(n)
+    g = CellSet(n, np.arange(1 << n) == 0) if case == "far" else CellSet.full(n)
     return chain, GridFunction(n, fv), GridFunction(n, wv), g, EpsilonSpec.parse("log_pow:2")
 
 

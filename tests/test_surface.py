@@ -3,8 +3,9 @@
 ``entbump.__all__`` is compared with a fixed tuple, so a name joins or
 leaves the public surface only with an edit here, and every package name
 the README's prose cites must be in it. So are the fields of TrialConfig,
-the defaulted parameters of every public function and the public
-classmethods and staticmethods of every public class, and the default
+the defaulted parameters of every public function, the public
+classmethods and staticmethods of every public class and its public
+methods and properties, and the default
 bound of each bound-gated suite equals its command's ``--bound`` default.
 Every top-level function of ``tests/oracles.py`` must back some test,
 directly or through another oracle.
@@ -12,9 +13,11 @@ directly or through another oracle.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import re
+import types
 from pathlib import Path
 
 import entbump
@@ -62,7 +65,6 @@ TRIAL_CONFIG_FIELDS = (
 DEFAULTED_PARAMETERS = {
     "corollary_experiment": ("s_list",),
     "domination_random_suite": ("bound",),
-    "m_entropy": ("variant",),
     "main_theorem_experiment": ("bound",),
     "maximal_comparison": ("phi", "config"),
 }
@@ -70,12 +72,32 @@ DEFAULTED_PARAMETERS = {
 # Per public class, its public classmethods and staticmethods, inherited
 # ones included: a second way to build a value joins only with an edit here.
 CONSTRUCTORS = {
-    "CellSet": ("empty", "from_cube", "from_indices", "full"),
+    "CellSet": ("from_cube", "full"),
     "EpsilonSpec": ("parse",),
     "GridFunction": ("constant",),
     "HaarSpec": ("from_rng",),
     "OrliczSpec": ("parse",),
     "SparseCollection": ("load",),
+}
+
+# Per public class, its public methods and properties, classmethods,
+# staticmethods and inherited ones included: a method joins only with an
+# edit here.
+METHODS = {
+    "BandRecord": ("ok",),
+    "CellSet": ("cell_count", "difference", "from_cube", "full", "is_empty", "is_subset_of"),
+    "DyadicCube": ("cell_count", "cell_range", "measure"),
+    "EpsilonSpec": ("at_tower", "parse"),
+    "ExperimentReport": ("all_passed", "save_csv", "save_json", "to_json_dict"),
+    "GridFunction": ("cell_width", "constant", "n_cells"),
+    "HaarSpec": ("from_rng",),
+    "OrliczSpec": ("parse",),
+    "ProofReplayReport": ("all_ok", "cube_records", "max_measured_constant", "save_json",
+                          "to_json_dict"),
+    "RhoTable": ("max_rho", "to_csv", "write_rows"),
+    "SparseCollection": ("cubes", "load", "save"),
+    "TrialConfig": ("eps_spec", "function_family", "to_dict", "weight_family"),
+    "TrialRecord": ("to_dict",),
 }
 
 
@@ -117,6 +139,24 @@ def test_class_constructors_are_pinned():
             if names:
                 constructors[name] = names
     assert constructors == CONSTRUCTORS
+
+
+def test_public_methods_are_pinned():
+    kinds = (types.FunctionType, classmethod, staticmethod, property, functools.cached_property)
+    methods = {}
+    for name in entbump.__all__:
+        obj = getattr(entbump, name)
+        if inspect.isclass(obj):
+            names = tuple(sorted({
+                attr
+                for base in obj.__mro__
+                for attr, value in vars(base).items()
+                if not attr.startswith("_") and isinstance(value, kinds)
+            }))
+            if names:
+                methods[name] = names
+    assert methods == METHODS
+    assert sum(map(len, METHODS.values())) == 37
 
 
 def test_suite_bound_defaults_match_the_cli():

@@ -11,6 +11,7 @@ from entbump import (
     DyadicCube,
     GridFunction,
     InvalidWeightError,
+    ResolutionMismatchError,
     a1_constant,
     a1_generator,
     ainf_constant,
@@ -315,12 +316,12 @@ class TestAinfLemmaRatio:
 
     def test_half_subset_constant_weight(self):
         w = GridFunction.constant(2, 1.0)
-        e = CellSet.from_indices(2, [0, 1])
+        e = CellSet(2, [True, True, False, False])
         assert ainf_lemma_ratio(w, ROOT, e) == pytest.approx(1.0, rel=1e-15)
 
     def test_quarter_subset_constant_weight(self):
         w = GridFunction.constant(2, 1.0)
-        e = CellSet.from_indices(2, [2])
+        e = CellSet(2, [False, False, True, False])
         assert ainf_lemma_ratio(w, ROOT, e) == pytest.approx(
             math.log2(6.0) / 4.0, rel=1e-15
         )
@@ -328,12 +329,18 @@ class TestAinfLemmaRatio:
     def test_empty_subset_rejected(self):
         w = GridFunction.constant(2, 1.0)
         with pytest.raises(ValueError):
-            ainf_lemma_ratio(w, ROOT, CellSet.empty(2))
+            ainf_lemma_ratio(w, ROOT, CellSet(2, np.zeros(4)))
+
+    def test_subset_on_another_grid_rejected(self):
+        # raised InvalidCubeError, where integral and restrict raise this
+        w = GridFunction.constant(2, 1.0)
+        with pytest.raises(ResolutionMismatchError):
+            ainf_lemma_ratio(w, ROOT, CellSet.full(3))
 
     def test_subset_outside_cube_rejected(self):
         w = GridFunction.constant(2, 1.0)
         with pytest.raises(ValueError):
-            ainf_lemma_ratio(w, DyadicCube(1, 0), CellSet.from_indices(2, [3]))
+            ainf_lemma_ratio(w, DyadicCube(1, 0), CellSet(2, [False, False, False, True]))
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=50, deadline=None)
@@ -348,7 +355,7 @@ class TestAinfLemmaRatio:
         chosen = data.draw(
             st.lists(st.integers(a, b - 1), min_size=1, max_size=b - a, unique=True)
         )
-        ratio = ainf_lemma_ratio(w, cube, CellSet.from_indices(resolution, chosen))
+        ratio = ainf_lemma_ratio(w, cube, CellSet(resolution, np.isin(np.arange(size), chosen)))
         assert ratio <= 8.0
 
 
